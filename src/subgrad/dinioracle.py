@@ -48,7 +48,7 @@ _TAG_CALM = 1
 _TAG_MEMBER = 2
 _TAG_APPROX = 3
 _TAG_GAP = 4
-_TAG_BLUNT = 5
+_TAG_BLUNT = 5  # optimality.blunt_min_probe
 
 
 def _default_radii() -> tuple[float, ...]:
@@ -193,28 +193,34 @@ class DiniEstimate:
         )
 
 
+def _random_signs(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    return 2.0 * rng.integers(0, 2, size=(n, dim)) - 1.0
+
+
 def _l1_ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
-    """Uniform points in the closed l1 ball, by rejection from the box."""
-    out = np.empty((n, dim))
-    filled = 0
-    while filled < n:
-        batch = max(4 * (n - filled), 32)
-        cand = rng.uniform(-1.0, 1.0, size=(batch, dim))
-        keep = cand[np.abs(cand).sum(axis=1) <= 1.0]
-        take = min(len(keep), n - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out * radius
+    """n uniform points in the closed l1 ball of the given radius, in O(n*dim).
+
+    With E_0, ..., E_dim i.i.d. standard exponentials, the spacings
+    E_i / (E_0 + ... + E_dim), i < dim, are uniform on the solid simplex
+    {y >= 0, sum(y) <= 1}; independent fair signs then spread the point
+    uniformly over the 2^dim orthants (Devroye 1986, Non-Uniform Random
+    Variate Generation, ch. V).  No draw is rejected, so the cost does not
+    grow like dim! as rejection from the enclosing cube does.
+    """
+    e = rng.standard_exponential((n, dim + 1))
+    simplex = e[:, :dim] / e.sum(axis=1, keepdims=True)
+    return radius * _random_signs(rng, n, dim) * simplex
 
 
 def _l1_sphere_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    pts = _l1_ball_points(rng, n, dim, 1.0)
-    norms = np.abs(pts).sum(axis=1)
+    """n uniform points on the unit l1 sphere: normalised exponentials, signed."""
+    e = rng.standard_exponential((n, dim))
+    norms = e.sum(axis=1)
     small = norms < 1e-12
-    pts[small] = 0.0
-    pts[small, 0] = 1.0
+    e[small] = 0.0
+    e[small, 0] = 1.0
     norms[small] = 1.0
-    return pts / norms[:, None]
+    return _random_signs(rng, n, dim) * (e / norms[:, None])
 
 
 def _as_float_vec(x: Sequence, dim: int) -> np.ndarray:

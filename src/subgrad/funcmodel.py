@@ -242,7 +242,10 @@ class PAConvexFunction:
     def from_json(cls, obj: dict) -> "PAConvexFunction":
         if obj.get("type") != "pa_convex":
             raise ParseError("expected a pa_convex function object")
-        pieces = [AffinePiece.make(p["slope"], p["intercept"]) for p in obj["pieces"]]
+        raw = obj["pieces"]
+        if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
+            raise ParseError("'pieces' must be a list of piece objects")
+        pieces = [AffinePiece.make(p["slope"], p["intercept"]) for p in raw]
         dom = obj.get("domain")
         domain = Polyhedron.from_json(dom) if dom is not None else None
         return cls(pieces, domain)

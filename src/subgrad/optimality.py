@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dinioracle import DEFAULT_PLAN, ProbeVerdict, SamplingPlan, _l1_ball_points
+from .dinioracle import _TAG_BLUNT, DEFAULT_PLAN, ProbeVerdict, SamplingPlan, _l1_ball_points
 from .errors import (
     DimensionMismatch,
     InfeasiblePoint,
@@ -54,8 +54,6 @@ from .rationals import (
     vzero,
 )
 from .simplex import OPTIMAL, solve_lp
-
-_TAG_BLUNT = 5
 
 
 def _parse_matrix(rows: Sequence[Sequence], width: int | None = None) -> tuple[Vector, ...]:

@@ -496,13 +496,18 @@ class Polyhedron:
             raise ParseError("polyhedron needs an 'hrep' or a 'vrep'")
         from_h = from_v = None
         if have_h:
+            hrep = obj["hrep"]
+            if not isinstance(hrep, list) or not all(isinstance(e, dict) for e in hrep):
+                raise ParseError("'hrep' must be a list of halfspace objects")
             hs = [
                 Halfspace(parse_vector(e["normal"], dim), parse_rational(e["offset"]))
-                for e in obj["hrep"]
+                for e in hrep
             ]
             from_h = cls.from_hrep(hs, dim)
         if have_v:
             v = obj["vrep"]
+            if not isinstance(v, dict):
+                raise ParseError("'vrep' must be an object")
             from_v = cls.from_vrep(v.get("vertices", ()), v.get("rays", ()), dim=dim)
         if from_h is not None and from_v is not None:
             if from_h != from_v:

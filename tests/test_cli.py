@@ -114,10 +114,27 @@ def test_probe_exit_codes():
     assert "NotCalm" in diverged.stdout
 
 
-def test_run_malformed_scenario():
+def test_run_malformed_scenario(tmp_path):
     r = run_cli("run", str(EXTRA / "bad_kind.json"))
     assert r.returncode == 3
     assert r.stderr.strip() != ""
+    # wrong JSON shapes inside otherwise valid scenarios: bad input, not a crash
+    point = {"dim": 1, "vrep": {"vertices": [["0"]]}}
+    shapes = {
+        "hrep_not_list": {"kind": "stardiff", "A": {"dim": 1, "hrep": 5}, "B": point},
+        "hrep_item_not_object": {"kind": "stardiff", "A": {"dim": 1, "hrep": [5]}, "B": point},
+        "vrep_not_object": {"kind": "stardiff", "A": {"dim": 1, "vrep": 5}, "B": point},
+        "pieces_not_list": {
+            "kind": "subdiff", "point": "0",
+            "function": {"type": "pa_convex", "pieces": "x"},
+        },
+    }
+    for name, sc in shapes.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(sc))
+        r = run_cli("run", str(path))
+        assert r.returncode == 3, (name, r.stdout + r.stderr)
+        assert "Traceback" not in r.stderr, name
 
 
 def test_corpus_all_pass(tmp_path):

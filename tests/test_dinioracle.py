@@ -8,6 +8,7 @@ assertions always re-verify the witness by direct evaluation.
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ import oracles
 from subgrad.dinioracle import (
     DEFAULT_PLAN,
     SamplingPlan,
+    _l1_ball_points,
+    _l1_sphere_points,
     approx_regularity_probe,
     calmness_probe,
     dini_directional_estimate,
@@ -26,8 +29,10 @@ from subgrad.dinioracle import (
 )
 from subgrad.errors import NegativeEps, ParseError
 from subgrad.funcmodel import (
+    AffinePiece,
     BlackBoxFunction,
     DCFunction,
+    PAConvexFunction,
     abs_function,
     linear_function,
 )
@@ -75,6 +80,48 @@ def test_plan_rng_streams_are_tagged():
     c = plan.rng(1, 3).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# l1-ball and l1-sphere samplers
+# ---------------------------------------------------------------------------
+
+
+def _ks_distance(samples, cdf) -> float:
+    """Kolmogorov-Smirnov distance between samples and a continuous CDF."""
+    s = np.sort(samples)
+    n = len(s)
+    fs = cdf(s)
+    return float(max((np.arange(1, n + 1) / n - fs).max(), (fs - np.arange(n) / n).max()))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8])
+def test_l1_ball_points_are_uniform(dim):
+    n, r = 20000, 0.375
+    pts = _l1_ball_points(np.random.default_rng(20100), n, dim, r)
+    assert pts.shape == (n, dim)
+    s = np.abs(pts).sum(axis=1) / r
+    assert (s <= 1.0 + 1e-12).all()
+    # uniform in the ball: P(||x||_1 <= s*r) = s^d, and each |x_i|/r has
+    # CDF 1 - (1 - s)^d, which also checks the spread within the simplex
+    bound = 2.0 / math.sqrt(n)
+    assert _ks_distance(s, lambda v: v**dim) < bound
+    assert _ks_distance(np.abs(pts[:, 0]) / r, lambda v: 1.0 - (1.0 - v) ** dim) < bound
+    positive = (pts > 0).mean(axis=0)
+    assert (np.abs(positive - 0.5) < 4.0 / math.sqrt(n)).all()
+    again = _l1_ball_points(np.random.default_rng(20100), n, dim, r)
+    assert np.array_equal(pts, again)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8])
+def test_l1_sphere_points_have_unit_norm(dim):
+    n = 4096
+    pts = _l1_sphere_points(np.random.default_rng(20101), n, dim)
+    assert pts.shape == (n, dim)
+    assert np.allclose(np.abs(pts).sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    positive = (pts > 0).mean(axis=0)
+    assert (np.abs(positive - 0.5) < 4.0 / math.sqrt(n)).all()
+    assert np.array_equal(pts, _l1_sphere_points(np.random.default_rng(20101), n, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +190,27 @@ def test_dini_estimate_tracks_pa_oracle(seed):
         return  # relative tolerance calibrated for |derivative| >= 1
     est = dini_directional_estimate(f, x, d, DEEP_PLAN)
     assert abs(est.estimate - exact) <= 1e-6 * abs(exact)
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7, 8])
+def test_probes_at_the_dimension_cap(dim):
+    # every piece is active at 0; slopes of l-inf norm <= 1/16 keep the
+    # shell bias r * ||slope|| under the stabilization tolerance over the
+    # last four shells of DEFAULT_PLAN
+    rng = np.random.default_rng(dim)
+    slopes = [tuple(F(int(v), 64) for v in rng.integers(-4, 5, size=dim)) for _ in range(4)]
+    f = PAConvexFunction([AffinePiece(a, F(0)) for a in slopes])
+    x = (F(0),) * dim
+    h = tuple(F(int(v)) for v in rng.integers(-2, 3, size=dim))
+    exact = float(oracles.pa_directional(f.pieces, x, h))
+    start = time.perf_counter()
+    est = dini_directional_estimate(f, x, h, DEFAULT_PLAN)
+    member = eps_subgradient_membership_probe(f, x, slopes[0], F(0), F(1, 4), DEFAULT_PLAN)
+    elapsed = time.perf_counter() - start
+    assert est.stable and not est.diverged
+    assert abs(est.estimate - exact) <= 1e-6
+    assert member.status == "Holds"
+    assert elapsed < 5.0, f"probes at d={dim} took {elapsed:.1f}s"
 
 
 # ---------------------------------------------------------------------------
