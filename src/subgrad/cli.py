@@ -73,6 +73,17 @@ class RunOutcome:
     payload: dict
 
 
+def _read_json(path) -> object:
+    """Parse one JSON file; an unreadable or malformed file is bad input."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_ref(value, base: Path) -> dict:
     """A scenario input: inline object, or a path relative to the scenario."""
     if isinstance(value, dict):
@@ -81,13 +92,7 @@ def _load_ref(value, base: Path) -> dict:
         path = Path(value)
         if not path.is_absolute():
             path = base / path
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        return _read_json(path)
     raise ParseError(f"expected a file path or inline object, got {type(value).__name__}")
 
 
@@ -402,13 +407,7 @@ def run_scenario_dict(sc: dict, base: Path, ov: dict, name: str) -> RunOutcome:
 
 
 def run_scenario(path: Path, ov: dict) -> RunOutcome:
-    try:
-        with open(path) as fh:
-            sc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    sc = _read_json(path)
     if not isinstance(sc, dict):
         raise ParseError(f"{path} must contain a JSON object")
     name = sc.get("name", Path(path).stem)
@@ -426,14 +425,13 @@ def corpus_run(directory: Path, pattern: str, jobs: int, ov: dict) -> RunOutcome
     def work(path: Path):
         start = time.perf_counter()
         try:
-            with open(path) as fh:
-                sc = json.load(fh)
+            sc = _read_json(path)
+            out = run_scenario(path, ov)  # rejects a file that is not an object
             claim = sc.get("claim") or sc.get("probe") or sc.get("kind", "?")
-            out = run_scenario(path, ov)
         except SubgradError as exc:
             claim = "?"
             out = RunOutcome(3, f"error: {exc}", {"exit": 3, "error": str(exc)})
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             claim = "?"
             out = RunOutcome(3, f"error: {exc}", {"exit": 3, "error": str(exc)})
         return path.name, str(claim), out, time.perf_counter() - start
@@ -592,8 +590,7 @@ def _scenario_from_flags(args) -> dict:
         if args.mode:
             sc["mode"] = args.mode
         if args.plan:
-            with open(args.plan) as fh:
-                sc["plan"] = json.load(fh)
+            sc["plan"] = _read_json(args.plan)
     if args.point:
         sc["point"] = args.point
     if args.eps:
@@ -633,7 +630,7 @@ def main(argv=None) -> int:
                 json.dumps(report, indent=2, sort_keys=True) + "\n"
             )
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(outcome.text)

@@ -108,6 +108,8 @@ class SamplingPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingPlan":
+        if not isinstance(obj, dict):
+            raise ParseError("a sampling plan must be a JSON object")
         kw = {}
         for key in (
             "shell_radii",

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .polykernel import (
     L1,
+    Halfspace,
     NormSpec,
     Polyhedron,
     contains_point,
@@ -81,6 +82,15 @@ class AffinePiece:
 
     def value_at(self, x: Vector) -> Fraction:
         return vdot(self.slope, x) + self.intercept
+
+
+def _float_rows(rows: Sequence[Halfspace], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float (normals, offsets) of H-rep rows, for vectorised prefilters."""
+    normals = np.array(
+        [[float(a) for a in h.normal] for h in rows], dtype=float
+    ).reshape(len(rows), dim)
+    offsets = np.array([float(h.offset) for h in rows], dtype=float)
+    return normals, offsets
 
 
 class PAConvexFunction:
@@ -139,15 +149,7 @@ class PAConvexFunction:
                 [[float(a) for a in p.slope] for p in self.pieces], dtype=float
             )
             intercepts = np.array([float(p.intercept) for p in self.pieces], dtype=float)
-            dom = self.domain
-            if dom._raw_hrep is not None or dom._hrep is not None:
-                hrep = dom._raw_hrep if dom._raw_hrep is not None else dom.hrep
-            else:
-                hrep = dom.hrep
-            normals = np.array(
-                [[float(a) for a in h.normal] for h in hrep], dtype=float
-            ).reshape(len(hrep), self.dim)
-            offsets = np.array([float(h.offset) for h in hrep], dtype=float)
+            normals, offsets = _float_rows(self.domain._rows, self.dim)
             self._float_cache = (slopes, intercepts, normals, offsets)
         return self._float_cache
 
@@ -240,7 +242,7 @@ class PAConvexFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PAConvexFunction":
-        if obj.get("type") != "pa_convex":
+        if not isinstance(obj, dict) or obj.get("type") != "pa_convex":
             raise ParseError("expected a pa_convex function object")
         raw = obj["pieces"]
         if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
@@ -347,7 +349,7 @@ class DCFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DCFunction":
-        if obj.get("type") != "dc":
+        if not isinstance(obj, dict) or obj.get("type") != "dc":
             raise ParseError("expected a dc function object")
         return cls(
             PAConvexFunction.from_json(obj["g"]), PAConvexFunction.from_json(obj["h"])
@@ -577,7 +579,7 @@ class BlackBoxFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BlackBoxFunction":
-        if obj.get("type") != "blackbox":
+        if not isinstance(obj, dict) or obj.get("type") != "blackbox":
             raise ParseError("expected a blackbox function object")
         return cls(obj["expr"], obj["dim"], obj.get("box"))
 
@@ -587,6 +589,8 @@ class BlackBoxFunction:
 
 def function_from_json(obj: dict):
     """Dispatch a function file object to its concrete type."""
+    if not isinstance(obj, dict):
+        raise ParseError("a function must be a JSON object")
     kind = obj.get("type")
     if kind == "pa_convex":
         return PAConvexFunction.from_json(obj)

@@ -28,7 +28,7 @@ from .errors import (
     PointNotInteriorDomG,
     UnboundedC,
 )
-from .funcmodel import DCFunction
+from .funcmodel import DCFunction, _float_rows
 from .polykernel import (
     Polyhedron,
     affine_image,
@@ -155,6 +155,8 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProblemInstance":
+        if not isinstance(obj, dict):
+            raise ParseError("a problem must be a JSON object")
         return cls(DCFunction.from_json(obj["objective"]), ConstraintSystem.from_json(obj))
 
 
@@ -515,11 +517,7 @@ def blunt_min_probe(
     ef = float(e)
     dim = p.constraints.dim
     xf = np.array([float(v) for v in xv], dtype=float)
-    hrep = a_set.hrep
-    normals = np.array([[float(a) for a in h.normal] for h in hrep]).reshape(
-        len(hrep), dim
-    )
-    offsets = np.array([float(h.offset) for h in hrep])
+    normals, offsets = _float_rows(a_set.hrep, dim)
     shells: list[dict] = []
     any_feasible = False
     for k, r in enumerate(plan.shell_radii):
@@ -528,7 +526,7 @@ def blunt_min_probe(
         pts = xf[None, :] + w
         feas = (
             (pts @ normals.T <= offsets[None, :] + 1e-9).all(axis=1)
-            if len(hrep)
+            if len(normals)
             else np.ones(len(pts), dtype=bool)
         )
         fv = dc.evaluate_batch(pts)

@@ -43,7 +43,6 @@ from .rationals import (
     format_rational,
     format_vector,
     is_zero_vector,
-    lexmin_sign,
     orthogonalize,
     parse_rational,
     parse_vector,
@@ -360,31 +359,35 @@ class Polyhedron:
     # -- canonicalization ----------------------------------------------
 
     def _canonicalize(self) -> None:
+        """One pass to both canonical representations.
+
+        A V-rep input runs DD twice: V->H gives the canonical facets, H->V
+        the vertices and rays.  An H-rep input also runs DD twice: H->V, then
+        V->H on the canonical V-rep, which drops its redundant rows.
+        """
         if self._hrep is not None:
             return
+        hrep = None
         if self._raw_hrep is not None:
             raw = sorted({h.scaled_primitive() for h in self._raw_hrep})
             verts, rays, lines = _hrep_to_vrep(raw, self.dim)
-            if not verts:
-                self._vertices, self._rays = (), ()
-                self._hrep = _empty_hrep(self.dim)
-                self._empty = True
-                return
-            cv, cr = _canonical_vrep(verts, rays, lines)
         else:
             verts, rays = self._raw_vrep
-            if not verts:
-                self._vertices, self._rays = (), ()
-                self._hrep = _empty_hrep(self.dim)
-                self._empty = True
-                return
-            hrep = _vrep_to_hrep(verts, rays, self.dim)
-            verts2, rays2, lines2 = _hrep_to_vrep(hrep, self.dim)
-            if not verts2:
-                raise AssertionError("nonempty V-rep produced an empty H-rep")
-            cv, cr = _canonical_vrep(verts2, rays2, lines2)
-        self._vertices, self._rays = cv, cr
-        self._hrep = _vrep_to_hrep(cv, cr, self.dim)
+            lines = ()
+            if verts:
+                hrep = _vrep_to_hrep(verts, rays, self.dim)
+                verts, rays, lines = _hrep_to_vrep(hrep, self.dim)
+                if not verts:
+                    raise AssertionError("nonempty V-rep produced an empty H-rep")
+        if not verts:
+            self._vertices, self._rays = (), ()
+            self._hrep = _empty_hrep(self.dim)
+            self._empty = True
+            return
+        self._vertices, self._rays = _canonical_vrep(verts, rays, lines)
+        if hrep is None:
+            hrep = _vrep_to_hrep(self._vertices, self._rays, self.dim)
+        self._hrep = hrep
         self._empty = False
 
     def canonical(self) -> "Polyhedron":
@@ -395,6 +398,14 @@ class Polyhedron:
     def hrep(self) -> tuple[Halfspace, ...]:
         self._canonicalize()
         return self._hrep
+
+    @property
+    def _rows(self) -> tuple[Halfspace, ...]:
+        """The rows this polyhedron was built from, else its canonical facets.
+
+        Same point set either way; reading the raw rows runs no DD.
+        """
+        return self._raw_hrep if self._raw_hrep is not None else self.hrep
 
     @property
     def vertices(self) -> tuple[Vector, ...]:
@@ -508,7 +519,10 @@ class Polyhedron:
             v = obj["vrep"]
             if not isinstance(v, dict):
                 raise ParseError("'vrep' must be an object")
-            from_v = cls.from_vrep(v.get("vertices", ()), v.get("rays", ()), dim=dim)
+            verts, rays = v.get("vertices", []), v.get("rays", [])
+            if not isinstance(verts, list) or not isinstance(rays, list):
+                raise ParseError("'vertices' and 'rays' must be lists of vectors")
+            from_v = cls.from_vrep(verts, rays, dim=dim)
         if from_h is not None and from_v is not None:
             if from_h != from_v:
                 raise ParseError("hrep and vrep describe different sets")
@@ -528,11 +542,6 @@ def _same_dim(*polys: Polyhedron) -> int:
     return dims.pop()
 
 
-def dual_description(p: Polyhedron) -> Polyhedron:
-    """Force both representations; idempotent canonicalization."""
-    return p.canonical()
-
-
 def support_function(p: Polyhedron, direction: Sequence) -> Fraction | float:
     """sup over p of <direction, x>; +inf when unbounded in that direction."""
     d = parse_vector(direction, p.dim)
@@ -546,8 +555,7 @@ def support_function(p: Polyhedron, direction: Sequence) -> Fraction | float:
 
 def contains_point(p: Polyhedron, point: Sequence) -> bool:
     x = parse_vector(point, p.dim)
-    hrep = p._raw_hrep if p._hrep is None and p._raw_hrep is not None else p.hrep
-    return all(vdot(h.normal, x) <= h.offset for h in hrep)
+    return all(vdot(h.normal, x) <= h.offset for h in p._rows)
 
 
 def strictly_contains_point(p: Polyhedron, point: Sequence) -> bool:
@@ -583,9 +591,7 @@ def contains_polyhedron(p: Polyhedron, q: Polyhedron) -> tuple[bool, Vector | No
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     dim = _same_dim(p, q)
-    hp = p._raw_hrep if p._raw_hrep is not None else p.hrep
-    hq = q._raw_hrep if q._raw_hrep is not None else q.hrep
-    return Polyhedron.from_hrep(tuple(hp) + tuple(hq), dim)
+    return Polyhedron.from_hrep(p._rows + q._rows, dim)
 
 
 def intersect_many(polys: Sequence[Polyhedron]) -> Polyhedron:
@@ -594,7 +600,7 @@ def intersect_many(polys: Sequence[Polyhedron]) -> Polyhedron:
     dim = _same_dim(*polys)
     rows: list[Halfspace] = []
     for p in polys:
-        rows.extend(p._raw_hrep if p._raw_hrep is not None else p.hrep)
+        rows.extend(p._rows)
     return Polyhedron.from_hrep(rows, dim)
 
 
@@ -612,8 +618,7 @@ def translate(p: Polyhedron, shift: Sequence) -> Polyhedron:
     t = parse_vector(shift, p.dim)
     if p.is_empty:
         return Polyhedron.empty(p.dim)
-    hrep = p._raw_hrep if p._raw_hrep is not None else p.hrep
-    moved = [Halfspace(h.normal, h.offset + vdot(h.normal, t)) for h in hrep]
+    moved = [Halfspace(h.normal, h.offset + vdot(h.normal, t)) for h in p._rows]
     return Polyhedron.from_hrep(moved, p.dim)
 
 
@@ -770,20 +775,6 @@ def dual_norm_ball(norm: NormSpec, eps, dim: int) -> Polyhedron:
         rows = [Halfspace(u, e) for u in _l2approx_directions(norm.facets)]
         return Polyhedron.from_hrep(rows, 2)
     raise UnsupportedNorm("l2approx is available in dimensions 1 and 2 only")
-
-
-def l2approx_hausdorff_bound(norm: NormSpec, eps: float) -> float:
-    """Upper bound on the Hausdorff distance between the l2approx dual ball of
-    radius eps and the Euclidean eps-ball: eps * (sec(gamma/2) - 1) with gamma
-    the largest angular gap between consecutive facet normals."""
-    if norm.kind != "l2approx":
-        return 0.0
-    dirs = _l2approx_directions(norm.facets)
-    angles = sorted(math.atan2(float(u[1]), float(u[0])) for u in dirs)
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(2 * math.pi - (angles[-1] - angles[0]))
-    gamma = max(gaps)
-    return float(eps) * (1.0 / math.cos(gamma / 2.0) - 1.0)
 
 
 def gap(a: Polyhedron, b: Polyhedron, norm: NormSpec = L1) -> Fraction | float:

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -44,6 +43,9 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_vector(items: Sequence, dim: int | None = None) -> Vector:
+    """Parse a list or tuple of rationals; strings and scalars are rejected."""
+    if not isinstance(items, (list, tuple)):
+        raise ParseError(f"not a vector: {items!r}")
     vec = tuple(parse_rational(x) for x in items)
     if dim is not None and len(vec) != dim:
         raise ParseError(f"expected a vector of length {dim}, got {len(vec)}")
@@ -99,16 +101,6 @@ def primitive(vec: Sequence[Fraction]) -> Vector:
     if g == 0:
         return tuple(ZERO for _ in vec)
     return tuple(Fraction(n // g) for n in nums)
-
-
-def lexmin_sign(vec: Sequence[Fraction]) -> Vector:
-    """Canonical representative of {v, -v}: first nonzero entry positive."""
-    for x in vec:
-        if x > 0:
-            return tuple(vec)
-        if x < 0:
-            return vneg(vec)
-    return tuple(vec)
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> list[Vector]:

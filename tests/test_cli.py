@@ -128,6 +128,27 @@ def test_run_malformed_scenario(tmp_path):
             "kind": "subdiff", "point": "0",
             "function": {"type": "pa_convex", "pieces": "x"},
         },
+        "slope_not_vector": {
+            "kind": "subdiff", "point": "0",
+            "function": {"type": "pa_convex", "pieces": [{"slope": 5, "intercept": "0"}]},
+        },
+        "slope_string": {
+            "kind": "subdiff", "point": "0",
+            "function": {"type": "pa_convex", "pieces": [{"slope": "12", "intercept": "0"}]},
+        },
+        "vertices_not_list": {"kind": "stardiff", "A": {"dim": 1, "vrep": {"vertices": 5}}, "B": point},
+        "vertex_not_vector": {"kind": "stardiff", "A": {"dim": 1, "vrep": {"vertices": [5]}}, "B": point},
+        "normal_not_vector": {
+            "kind": "stardiff", "A": {"dim": 1, "hrep": [{"normal": 5, "offset": "1"}]}, "B": point,
+        },
+        "dc_parts_not_objects": {
+            "kind": "check", "claim": "equality22", "point": "0",
+            "dc": {"type": "dc", "g": 5, "h": 5},
+        },
+        "plan_not_object": {
+            "kind": "probe", "probe": "dini", "point": "0", "direction": "1", "plan": 5,
+            "function": {"type": "pa_convex", "pieces": [{"slope": ["1"], "intercept": "0"}]},
+        },
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"
@@ -168,6 +189,22 @@ def test_corpus_exit_priority(tmp_path):
     exits = {s["name"]: s["exit"] for s in report["scenarios"]}
     assert exits["bad_kind.json"] == 3
     assert exits["probe_dini_shallow.json"] == 2
+
+
+def test_corpus_file_that_is_not_an_object(tmp_path):
+    # valid JSON but not a scenario object: exit 3 for that file only
+    scenario = json.loads((CORPUS / "subdiff_abs.json").read_text())
+    scenario["function"] = str(DATA / "abs.json")
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    (scen / "a_valid.json").write_text(json.dumps(scenario))
+    (scen / "b_list.json").write_text("[1]")
+    out = tmp_path / "r.json"
+    r = run_cli("corpus", str(scen), "--json", str(out))
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    exits = {s["name"]: s["exit"] for s in json.loads(out.read_text())["scenarios"]}
+    assert exits == {"a_valid.json": 0, "b_list.json": 3}
 
 
 def test_corpus_empty_directory(tmp_path):

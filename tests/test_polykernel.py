@@ -20,6 +20,7 @@ from subgrad.errors import (
     PointNotInSet,
     UnsupportedNorm,
 )
+from subgrad import polykernel
 from subgrad.polykernel import (
     CAPS,
     L1,
@@ -102,6 +103,51 @@ def test_canonical_hrep_is_irredundant():
         bigger = Polyhedron.from_hrep(rows, 2)
         ok, _ = contains_polyhedron(p, bigger)
         assert not ok, f"facet {skip} was redundant"
+
+
+@pytest.mark.parametrize(
+    "vertices, rays, dim",
+    [
+        ([(0, 0), (1, 0), (0, 1)], [], 2),
+        ([(0, 0, 0), (1, 2, 0)], [(1, 0, 1), (0, 1, 0), (0, -1, 0)], 3),
+    ],
+    ids=["triangle", "ray_and_line"],
+)
+def test_vrep_canonicalization_runs_dd_twice(monkeypatch, vertices, rays, dim):
+    runs = []
+    original = polykernel._cone_generators
+
+    def counted(ineqs, d):
+        runs.append(d)
+        return original(ineqs, d)
+
+    monkeypatch.setattr(polykernel, "_cone_generators", counted)
+    p = Polyhedron.from_vrep(vertices, rays, dim=dim).canonical()
+    assert not p.is_empty
+    assert len(runs) == 2, "V->H for the facets, H->V for the vertices, nothing more"
+
+
+small_entries = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def small_vreps(draw):
+    dim = draw(small_dims)
+    vec = st.tuples(*[small_entries] * dim)
+    vertices = draw(st.lists(vec, min_size=1, max_size=5))
+    rays = draw(st.lists(vec, max_size=2))
+    for line in draw(st.lists(vec, max_size=1)):
+        rays += [line, tuple(-x for x in line)]
+    return vertices, rays, dim
+
+
+@given(small_vreps())
+@settings(max_examples=150, deadline=None)
+def test_vrep_facets_are_the_canonical_facets(vrep):
+    vertices, rays, dim = vrep
+    p = Polyhedron.from_vrep(vertices, rays, dim=dim)
+    assert p.hrep == polykernel._vrep_to_hrep(p.vertices, p.rays, dim)
+    assert Polyhedron.from_hrep(p.hrep, dim).to_json() == p.to_json()
 
 
 def test_json_round_trip_random():
