@@ -71,6 +71,7 @@ class RunOutcome:
     exit_code: int
     text: str
     payload: dict
+    label: str = "?"
 
 
 def _read_json(path) -> object:
@@ -108,20 +109,12 @@ def _parse_point(value) -> tuple:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _parse_rational_list(value) -> tuple:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
-    return tuple(parse_rational(p) for p in parts)
-
-
-def _plan_from(scenario: dict, seed: int | None) -> SamplingPlan:
+def _plan_from(sc: dict, base: Path) -> SamplingPlan:
     plan = DEFAULT_PLAN
-    if scenario.get("plan"):
-        plan = SamplingPlan.from_json(scenario["plan"])
-    if seed is not None:
-        plan = plan.with_overrides(seed=seed)
+    if "plan" in sc:
+        plan = SamplingPlan.from_json(_load_ref(sc["plan"], base))
+    if "seed" in sc:
+        plan = plan.with_overrides(seed=sc["seed"])
     return plan
 
 
@@ -218,13 +211,13 @@ def _function_hypothesis_lines(fn, point) -> list[str]:
     return ["hypotheses:", "  [unknown] black-box model, sampling only"]
 
 
-def _run_subdiff(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
+def _run_subdiff(name: str, sc: dict, base: Path) -> RunOutcome:
     fn = function_from_json(_load_ref(sc["function"], base))
-    point = _parse_point(ov.get("point") or sc["point"])
-    eps = parse_rational(ov.get("eps") or sc.get("eps", 0))
-    norm = NormSpec.parse(ov.get("norm") or sc.get("norm", "l1"))
+    point = _parse_point(sc["point"])
+    eps = parse_rational(sc.get("eps", 0))
+    norm = NormSpec.parse(sc.get("norm", "l1"))
     if isinstance(fn, DCFunction):
-        eta = parse_rational(ov.get("eta") or sc.get("eta", 0))
+        eta = parse_rational(sc.get("eta", 0))
         poly = dc_dini_subdifferential(fn, point, eps, eta, norm)
     elif isinstance(fn, PAConvexFunction):
         poly = fn.eps_subdifferential_at(point, eps, norm)
@@ -234,7 +227,7 @@ def _run_subdiff(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
     return RunOutcome(0, json.dumps(poly.to_json(), indent=2, sort_keys=True), payload)
 
 
-def _run_stardiff(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
+def _run_stardiff(name: str, sc: dict, base: Path) -> RunOutcome:
     a = Polyhedron.from_json(_load_ref(sc["A"], base))
     b = Polyhedron.from_json(_load_ref(sc["B"], base))
     poly = star_difference(a, b)
@@ -249,15 +242,15 @@ def _as_dc(obj) -> DCFunction:
     return fn
 
 
-def _run_check(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
+def _run_check(name: str, sc: dict, base: Path) -> RunOutcome:
     token = str(sc["claim"]).lower().replace("_", "").replace("-", "")
     claim = _CLAIM_TOKENS.get(token)
     if claim is None:
         raise ParseError(f"unknown claim {sc['claim']!r}")
-    point = _parse_point(ov.get("point") or sc["point"])
-    eps = parse_rational(ov.get("eps") or sc.get("eps", 0))
-    eta = parse_rational(ov.get("eta") or sc.get("eta", 0))
-    norm = NormSpec.parse(ov.get("norm") or sc.get("norm", "l1"))
+    point = _parse_point(sc["point"])
+    eps = parse_rational(sc.get("eps", 0))
+    eta = parse_rational(sc.get("eta", 0))
+    norm = NormSpec.parse(sc.get("norm", "l1"))
     if claim == "SumRule12":
         f_obj = function_from_json(_load_ref(sc["f"], base))
         g_obj = function_from_json(_load_ref(sc["g"], base))
@@ -277,10 +270,10 @@ def _run_check(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
     elif claim == "Inclusion13":
         cert = check_inclusion_13(dc, point, eps, eta, norm)
     elif claim == "Intersection27":
-        mus = _parse_rational_list(sc.get("mus", ["0"]))
+        mus = _parse_point(sc.get("mus", ["0"]))
         cert = check_intersection_formula(dc, point, eps, mus, norm)
     elif claim == "Cor11":
-        etas = _parse_rational_list(sc.get("etas", ["0", "1/2", "1"]))
+        etas = _parse_point(sc.get("etas", ["0", "1/2", "1"]))
         cert = check_corollary11(dc, point, etas)
     elif claim in ("Cor12a", "Cor12b"):
         cert = check_corollary12(dc, point, eps, norm, variant=claim[-1])
@@ -291,9 +284,9 @@ def _run_check(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
     return _certificate_outcome(name, cert)
 
 
-def _run_certify(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
+def _run_certify(name: str, sc: dict, base: Path) -> RunOutcome:
     problem = ProblemInstance.from_json(_load_ref(sc["problem"], base))
-    point = _parse_point(ov.get("point") or sc["point"])
+    point = _parse_point(sc["point"])
     cert = certify_blunt_minimizer(problem, point)
     code = 0 if cert.verdict == "BluntMinimizerAllEps" else 1
     lines = [
@@ -323,15 +316,15 @@ def _run_certify(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
     return RunOutcome(code, "\n".join(lines), payload)
 
 
-def _run_probe(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
+def _run_probe(name: str, sc: dict, base: Path) -> RunOutcome:
     kind = sc.get("probe")
     if kind not in _PROBE_KINDS:
         raise ParseError(f"unknown probe {kind!r}; expected one of {_PROBE_KINDS}")
-    plan = _plan_from(sc, ov.get("seed"))
-    point = _parse_point(ov.get("point") or sc["point"])
+    plan = _plan_from(sc, base)
+    point = _parse_point(sc["point"])
     if kind == "blunt":
         problem = ProblemInstance.from_json(_load_ref(sc["problem"], base))
-        eps = ov.get("eps") or sc["eps"]
+        eps = sc["eps"]
         verdict = blunt_min_probe(problem, point, eps, plan)
         return _probe_outcome(name, kind, verdict)
     fn = function_from_json(_load_ref(sc["function"], base))
@@ -364,11 +357,11 @@ def _run_probe(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
         verdict = calmness_probe(fn, point, plan)
     elif kind == "membership":
         xstar = _parse_point(sc["xstar"])
-        eps = ov.get("eps") or sc.get("eps", 0)
+        eps = sc.get("eps", 0)
         alpha = sc.get("alpha", "1")
         verdict = eps_subgradient_membership_probe(fn, point, xstar, eps, alpha, plan)
     elif kind == "regularity":
-        eps = ov.get("eps") or sc["eps"]
+        eps = sc["eps"]
         mode = sc.get("mode", "convex")
         direction = sc.get("direction")
         verdict = approx_regularity_probe(
@@ -380,7 +373,7 @@ def _run_probe(name: str, sc: dict, base: Path, ov: dict) -> RunOutcome:
             direction=None if direction is None else _parse_point(direction),
         )
     elif kind == "gap":
-        eps = ov.get("eps") or sc["eps"]
+        eps = sc["eps"]
         verdict = gap_continuity_probe(fn, point, eps, plan)
     else:
         raise ParseError(f"unhandled probe {kind}")
@@ -396,25 +389,29 @@ _DISPATCH = {
 }
 
 
-def run_scenario_dict(sc: dict, base: Path, ov: dict, name: str) -> RunOutcome:
+def run_scenario_dict(sc: dict, base: Path, flags: dict, name: str) -> RunOutcome:
+    """Run one scenario; the flags that were set override its fields."""
+    sc = {**sc, **flags}
     kind = sc.get("kind")
-    if kind not in _DISPATCH:
+    if not isinstance(kind, str) or kind not in _DISPATCH:
         raise ParseError(f"unknown scenario kind {kind!r}")
     try:
-        return _DISPATCH[kind](name, sc, base, ov)
+        outcome = _DISPATCH[kind](name, sc, base)
     except KeyError as exc:
         raise ParseError(f"scenario is missing field {exc.args[0]!r}") from exc
+    outcome.label = str(sc.get("claim") or sc.get("probe") or kind)
+    return outcome
 
 
-def run_scenario(path: Path, ov: dict) -> RunOutcome:
+def run_scenario(path: Path, flags: dict) -> RunOutcome:
     sc = _read_json(path)
     if not isinstance(sc, dict):
         raise ParseError(f"{path} must contain a JSON object")
     name = sc.get("name", Path(path).stem)
-    return run_scenario_dict(sc, Path(path).parent, ov, name)
+    return run_scenario_dict(sc, Path(path).parent, flags, name)
 
 
-def corpus_run(directory: Path, pattern: str, jobs: int, ov: dict) -> RunOutcome:
+def corpus_run(directory: Path, pattern: str, jobs: int, flags: dict) -> RunOutcome:
     directory = Path(directory)
     if not directory.is_dir():
         raise ParseError(f"{directory} is not a directory")
@@ -425,16 +422,14 @@ def corpus_run(directory: Path, pattern: str, jobs: int, ov: dict) -> RunOutcome
     def work(path: Path):
         start = time.perf_counter()
         try:
-            sc = _read_json(path)
-            out = run_scenario(path, ov)  # rejects a file that is not an object
-            claim = sc.get("claim") or sc.get("probe") or sc.get("kind", "?")
-        except SubgradError as exc:
-            claim = "?"
+            out = run_scenario(path, flags)
+        except (SubgradError, OSError, ValueError) as exc:
             out = RunOutcome(3, f"error: {exc}", {"exit": 3, "error": str(exc)})
-        except (OSError, ValueError) as exc:
-            claim = "?"
-            out = RunOutcome(3, f"error: {exc}", {"exit": 3, "error": str(exc)})
-        return path.name, str(claim), out, time.perf_counter() - start
+        wall = time.perf_counter() - start
+        verdict = out.payload.get("verdict") or out.payload.get("status") or (
+            "ok" if out.exit_code == 0 else "error"
+        )
+        return path.name, out, verdict, wall
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -442,25 +437,14 @@ def corpus_run(directory: Path, pattern: str, jobs: int, ov: dict) -> RunOutcome
     else:
         rows = [work(f) for f in files]
 
-    exits = [out.exit_code for _, _, out, _ in rows]
-    if any(e == 1 for e in exits):
-        code = 1
-    elif any(e == 3 for e in exits):
-        code = 3
-    elif any(e == 2 for e in exits):
-        code = 2
-    else:
-        code = 0
-    width = max(len(n) for n, _, _, _ in rows)
-    cwidth = max(len(c) for _, c, _, _ in rows)
-    lines = []
-    for fname, claim, out, wall in rows:
-        verdict = out.payload.get("verdict") or out.payload.get("status") or (
-            "ok" if out.exit_code == 0 else "error"
-        )
-        lines.append(
-            f"{fname:<{width}}  {claim:<{cwidth}}  {verdict:<20}  {wall:8.3f}s"
-        )
+    exits = {out.exit_code for _, out, _, _ in rows}
+    code = next((c for c in (1, 3, 2) if c in exits), 0)
+    width = max(len(fname) for fname, _, _, _ in rows)
+    cwidth = max(len(out.label) for _, out, _, _ in rows)
+    lines = [
+        f"{fname:<{width}}  {out.label:<{cwidth}}  {verdict:<20}  {wall:8.3f}s"
+        for fname, out, verdict, wall in rows
+    ]
     lines.append(f"corpus exit: {code}")
     payload = {
         "kind": "corpus",
@@ -468,14 +452,12 @@ def corpus_run(directory: Path, pattern: str, jobs: int, ov: dict) -> RunOutcome
         "scenarios": [
             {
                 "name": fname,
-                "claim": claim,
-                "verdict": out.payload.get("verdict")
-                or out.payload.get("status")
-                or ("ok" if out.exit_code == 0 else "error"),
+                "claim": out.label,
+                "verdict": verdict,
                 "exit": out.exit_code,
                 "result": out.payload,
             }
-            for fname, claim, out, _ in rows
+            for fname, out, verdict, _ in rows
         ],
     }
     return RunOutcome(code, "\n".join(lines), payload)
@@ -489,16 +471,6 @@ def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--eta", default=None, help="rational p/q")
     parser.add_argument("--point", default=None, help="comma-separated rationals")
     parser.add_argument("--max-dim", type=int, default=None, help="dimension cap")
-
-
-def _overrides(args) -> dict:
-    return {
-        "seed": args.seed,
-        "norm": args.norm,
-        "eps": args.eps,
-        "eta": args.eta,
-        "point": args.point,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,52 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from_flags(args) -> dict:
-    sc: dict = {"kind": args.command}
-    if args.command == "subdiff":
-        sc["function"] = args.function
-    elif args.command == "stardiff":
-        sc["A"] = args.A
-        sc["B"] = args.B
-    elif args.command == "check":
-        sc["claim"] = args.claim
-        if args.dc:
-            sc["dc"] = args.dc
-        if args.f:
-            sc["f"] = args.f
-        if args.g:
-            sc["g"] = args.g
-        if args.mus:
-            sc["mus"] = args.mus.split(",")
-        if args.etas:
-            sc["etas"] = args.etas.split(",")
-    elif args.command == "certify":
-        sc["problem"] = args.problem
-    elif args.command == "probe":
-        sc["probe"] = args.probe
-        if args.function:
-            sc["function"] = args.function
-        if args.problem:
-            sc["problem"] = args.problem
-        if args.direction:
-            sc["direction"] = args.direction
-        if args.xstar:
-            sc["xstar"] = args.xstar
-        if args.alpha:
-            sc["alpha"] = args.alpha
-        if args.mode:
-            sc["mode"] = args.mode
-        if args.plan:
-            sc["plan"] = _read_json(args.plan)
-    if args.point:
-        sc["point"] = args.point
-    if args.eps:
-        sc["eps"] = args.eps
-    if args.eta:
-        sc["eta"] = args.eta
-    if args.norm:
-        sc["norm"] = args.norm
-    return sc
+# Arguments that are not scenario fields; every other flag that is set
+# overrides the scenario field of the same name.
+_NOT_FIELDS = ("command", "json", "max_dim", "scenario", "directory", "filter", "jobs")
 
 
 def main(argv=None) -> int:
@@ -613,15 +542,17 @@ def main(argv=None) -> int:
             return 3
     if args.max_dim is not None:
         CAPS.max_dim = args.max_dim
-    ov = _overrides(args)
+    flags = {
+        k: v for k, v in vars(args).items() if v is not None and k not in _NOT_FIELDS
+    }
     try:
         if args.command == "run":
-            outcome = run_scenario(Path(args.scenario), ov)
+            outcome = run_scenario(Path(args.scenario), flags)
         elif args.command == "corpus":
-            outcome = corpus_run(Path(args.directory), args.filter, args.jobs, ov)
+            outcome = corpus_run(Path(args.directory), args.filter, args.jobs, flags)
         else:
-            sc = _scenario_from_flags(args)
-            outcome = run_scenario_dict(sc, Path.cwd(), ov, args.command)
+            sc = {"kind": args.command}
+            outcome = run_scenario_dict(sc, Path.cwd(), flags, args.command)
     except SubgradError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.json:

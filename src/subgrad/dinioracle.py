@@ -24,6 +24,7 @@ discarded outright.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -55,6 +56,14 @@ def _default_radii() -> tuple[float, ...]:
     return tuple(2.0 ** -k for k in range(1, 21))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Deterministic sampling schedule shared by all probes.
@@ -72,6 +81,12 @@ class SamplingPlan:
     divergence_threshold: float = -1e6
 
     def __post_init__(self):
+        for key in ("samples_per_shell", "seed", "stabilization_window"):
+            if not _is_int(getattr(self, key)):
+                raise ParseError(f"{key} must be an integer")
+        for key in ("stabilization_tol", "divergence_threshold"):
+            if not _is_real(getattr(self, key)):
+                raise ParseError(f"{key} must be a number")
         radii = tuple(float(r) for r in self.shell_radii)
         if not radii:
             raise ParseError("shell_radii must be nonempty")
@@ -110,6 +125,9 @@ class SamplingPlan:
     def from_json(cls, obj: dict) -> "SamplingPlan":
         if not isinstance(obj, dict):
             raise ParseError("a sampling plan must be a JSON object")
+        radii = obj.get("shell_radii", [])
+        if not isinstance(radii, list) or not all(_is_real(r) for r in radii):
+            raise ParseError("shell_radii must be a list of numbers")
         kw = {}
         for key in (
             "shell_radii",

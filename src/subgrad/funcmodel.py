@@ -581,7 +581,18 @@ class BlackBoxFunction:
     def from_json(cls, obj: dict) -> "BlackBoxFunction":
         if not isinstance(obj, dict) or obj.get("type") != "blackbox":
             raise ParseError("expected a blackbox function object")
-        return cls(obj["expr"], obj["dim"], obj.get("box"))
+        dim, box = obj["dim"], obj.get("box")
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ParseError("'dim' must be an integer")
+        pairs = isinstance(box, list) and all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            for pair in box
+        )
+        if box is not None and not pairs:
+            raise ParseError("'box' must be a list of (lo, hi) number pairs")
+        return cls(obj["expr"], dim, box)
 
     def __repr__(self) -> str:
         return f"BlackBoxFunction(dim={self.dim}, name={self.name!r})"

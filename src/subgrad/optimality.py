@@ -133,6 +133,8 @@ class ConstraintSystem:
     def from_json(cls, obj: dict) -> "ConstraintSystem":
         c_set = Polyhedron.from_json(obj["C"])
         k = obj["k"]
+        if not isinstance(k, dict) or not isinstance(k["M"], list):
+            raise ParseError("'k' must be an object whose 'M' is a list of vectors")
         cone = Polyhedron.from_json(obj["K"]) if "K" in obj and obj["K"] is not None else None
         return cls(c_set, k["M"], k["c"], cone)
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -95,15 +96,21 @@ def test_subdiff_of_dc_function():
     assert {tuple(v) for v in body["vrep"]["vertices"]} == {("-2",), ("0",)}
 
 
-def test_probe_exit_codes():
+def write_dini_plan(tmp_path) -> Path:
+    plan = json.loads((CORPUS / "probe_dini_abs.json").read_text())["plan"]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return path
+
+
+def test_probe_exit_codes(tmp_path):
     stable = run_cli(
         "probe", "--probe", "dini",
         "--function", str(DATA / "abs.json"),
         "--point", "1", "--direction", "-1",
-        "--plan", str(CORPUS / "probe_dini_abs.json"),
+        "--plan", str(write_dini_plan(tmp_path)),
     )
-    # plan refs live inside scenario files; go through run instead
-    assert stable.returncode in (0, 2, 3)
+    assert stable.returncode == 0, stable.stdout + stable.stderr
 
     holds = run_cli("run", str(CORPUS / "probe_dini_abs.json"))
     assert holds.returncode == 0, holds.stderr
@@ -114,12 +121,74 @@ def test_probe_exit_codes():
     assert "NotCalm" in diverged.stdout
 
 
+def test_flags_and_scenario_file_agree(tmp_path):
+    # each subcommand flag is the scenario field of the same name, so a
+    # direct call and `run` on the equivalent file write the same report
+    plan = write_dini_plan(tmp_path)
+    inline_plan = json.loads(plan.read_text())
+    dini = {
+        "kind": "probe", "probe": "dini", "function": str(DATA / "abs.json"),
+        "point": "1", "direction": "-1",
+    }
+    cases = {
+        "subdiff": {
+            "kind": "subdiff", "function": str(DATA / "abs_minus_x.json"),
+            "point": "0", "eps": "1/2", "eta": "1/2",
+        },
+        "stardiff": {"kind": "stardiff", "A": str(DATA / "box.json"), "B": str(DATA / "seg.json")},
+        "check_mus": {
+            "kind": "check", "claim": "intersection27", "dc": str(DATA / "abs_minus_x.json"),
+            "point": "0", "eps": "1/2", "mus": ["0", "1/2", "1"],
+        },
+        "check_etas": {
+            "kind": "check", "claim": "cor11", "dc": str(DATA / "abs_minus_abs.json"),
+            "point": "0", "etas": ["0", "1/2"],
+        },
+        "certify": {"kind": "certify", "problem": str(DATA / "cone_dc.json"), "point": "0,0"},
+        "probe_plan": {**dini, "plan": inline_plan},
+        "probe_seed": {**dini, "plan": inline_plan, "seed": 3},
+    }
+    for name, sc in cases.items():
+        args = [sc["kind"]]
+        for key, value in sc.items():
+            if key == "plan":
+                value = str(plan)
+            elif isinstance(value, list):
+                value = ",".join(value)
+            if key != "kind":
+                args += [f"--{key}", str(value)]
+        by_flags, by_file = tmp_path / f"{name}_flags.json", tmp_path / f"{name}_file.json"
+        a = run_cli(*args, "--json", str(by_flags))
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps(sc))
+        b = run_cli("run", str(scenario), "--json", str(by_file))
+        assert a.returncode == b.returncode == 0, (name, a.stderr, b.stderr)
+        assert by_flags.read_bytes() == by_file.read_bytes(), name
+
+
 def test_run_malformed_scenario(tmp_path):
     r = run_cli("run", str(EXTRA / "bad_kind.json"))
     assert r.returncode == 3
     assert r.stderr.strip() != ""
     # wrong JSON shapes inside otherwise valid scenarios: bad input, not a crash
     point = {"dim": 1, "vrep": {"vertices": [["0"]]}}
+    pa = {"type": "pa_convex", "pieces": [{"slope": ["1"], "intercept": "0"}]}
+    dc = {"type": "dc", "g": pa, "h": pa}
+    abs_expr = ["abs", ["coord", 0]]
+
+    def dini_with_plan(plan):
+        return {
+            "kind": "probe", "probe": "dini", "point": "0", "direction": "1",
+            "function": pa, "plan": plan,
+        }
+
+    def certify_with_k(k):
+        c_set = {"dim": 1, "vrep": {"vertices": [["-1"], ["1"]]}}
+        return {"kind": "certify", "point": "0", "problem": {"objective": dc, "C": c_set, "k": k}}
+
+    def calmness_of(function):
+        return {"kind": "probe", "probe": "calmness", "point": "0", "function": function}
+
     shapes = {
         "hrep_not_list": {"kind": "stardiff", "A": {"dim": 1, "hrep": 5}, "B": point},
         "hrep_item_not_object": {"kind": "stardiff", "A": {"dim": 1, "hrep": [5]}, "B": point},
@@ -149,6 +218,17 @@ def test_run_malformed_scenario(tmp_path):
             "kind": "probe", "probe": "dini", "point": "0", "direction": "1", "plan": 5,
             "function": {"type": "pa_convex", "pieces": [{"slope": ["1"], "intercept": "0"}]},
         },
+        "plan_radii_not_list": dini_with_plan({"shell_radii": 5}),
+        "plan_samples_not_int": dini_with_plan({"samples_per_shell": "x"}),
+        "plan_seed_not_int": dini_with_plan({"seed": "x"}),
+        "k_not_object": certify_with_k(5),
+        "k_matrix_not_list": certify_with_k({"M": 5, "c": ["0"]}),
+        "blackbox_dim_string": calmness_of({"type": "blackbox", "dim": "1", "expr": abs_expr}),
+        "blackbox_box_not_pairs": calmness_of(
+            {"type": "blackbox", "dim": 1, "expr": abs_expr, "box": 5}
+        ),
+        "etas_not_list": {"kind": "check", "claim": "cor11", "point": "0", "dc": dc, "etas": 5},
+        "kind_not_string": {"kind": [1]},
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"
@@ -178,6 +258,30 @@ def test_corpus_json_deterministic_across_jobs(tmp_path):
         assert r.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_corpus_reads_each_file_once(monkeypatch):
+    # the corpus times each scenario around run_scenario; a second parse
+    # outside it would go unmeasured
+    from subgrad import cli
+
+    reads, runs = Counter(), Counter()
+    read_json, run_scenario = cli._read_json, cli.run_scenario
+
+    def counted_read(path):
+        reads[Path(path).resolve()] += 1
+        return read_json(path)
+
+    def counted_run(path, flags):
+        runs[Path(path).resolve()] += 1
+        return run_scenario(path, flags)
+
+    monkeypatch.setattr(cli, "_read_json", counted_read)
+    monkeypatch.setattr(cli, "run_scenario", counted_run)
+    assert cli.main(["corpus", str(CORPUS)]) == 0
+    files = [p.resolve() for p in CORPUS.glob("*.json")]
+    assert {p: reads[p] for p in files} == dict.fromkeys(files, 1)
+    assert runs == Counter(files)
 
 
 def test_corpus_exit_priority(tmp_path):
