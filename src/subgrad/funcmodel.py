@@ -503,7 +503,13 @@ class BlackBoxFunction:
         if op == "const":
             if len(node) != 2:
                 raise ParseError("const takes one value")
-            float(parse_rational(node[1]) if isinstance(node[1], str) else node[1])
+            c = node[1]
+            if isinstance(c, bool) or not isinstance(c, (str, int, float)):
+                raise ParseError(f"const takes a number or a rational string, got {c!r}")
+            try:
+                float(parse_rational(c) if isinstance(c, str) else c)
+            except OverflowError as exc:
+                raise ParseError(f"const {c!r} is out of float range") from exc
         elif op == "coord":
             if len(node) != 2 or not isinstance(node[1], int):
                 raise ParseError("coord takes one integer index")

@@ -81,10 +81,6 @@ class Halfspace(NamedTuple):
         return Halfspace(joint[:-1], joint[-1])
 
 
-def halfspace(normal: Sequence, offset) -> Halfspace:
-    return Halfspace(parse_vector(normal), parse_rational(offset))
-
-
 @dataclass(frozen=True)
 class NormSpec:
     """Which norm scales epsilon terms: l1, linf, or a polyhedral l2 stand-in.
@@ -108,6 +104,8 @@ class NormSpec:
 
     @staticmethod
     def parse(text: str) -> "NormSpec":
+        if not isinstance(text, str):
+            raise ParseError(f"norm spec must be a string, got {text!r}")
         text = text.strip().lower()
         if text == "l1":
             return L1
@@ -208,11 +206,10 @@ def _cone_generators(ineqs: Sequence[Vector], dim: int) -> tuple[list[Vector], l
                     continue
                 w = vadd(vscale(vp, rn), vscale(-vn, rp))
                 combos.append((primitive(w), common | {idx}))
+                count = len(keep) + len(combos)
+                if count > CAPS.max_generators:
+                    raise CapExceeded(f"generator count {count} exceeds cap {CAPS.max_generators}")
         rays = keep + combos
-        if len(rays) > CAPS.max_generators:
-            raise CapExceeded(
-                f"generator count {len(rays)} exceeds cap {CAPS.max_generators}"
-            )
     return lines, [r for r, _ in rays]
 
 
@@ -408,6 +405,15 @@ class Polyhedron:
         return self._raw_hrep if self._raw_hrep is not None else self.hrep
 
     @property
+    def _gens(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+        """The (points, rays) this polyhedron was built from, else its
+        canonical vertices and rays.
+
+        Same point set either way; reading the raw pair runs no DD.
+        """
+        return self._raw_vrep if self._raw_vrep is not None else (self.vertices, self.rays)
+
+    @property
     def vertices(self) -> tuple[Vector, ...]:
         self._canonicalize()
         return self._vertices
@@ -452,31 +458,6 @@ class Polyhedron:
             f"Polyhedron(dim={self.dim}, facets={len(self.hrep)}, "
             f"vertices={len(self.vertices)}, rays={len(self.rays)})"
         )
-
-    def pretty(self) -> str:
-        """Human-readable inequality listing."""
-        if self.is_empty:
-            return "  (empty set)"
-        if not self.hrep:
-            return "  (whole space)"
-        lines = []
-        for h in self.hrep:
-            terms = []
-            for i, a in enumerate(h.normal):
-                if a == 0:
-                    continue
-                coeff = format_rational(a)
-                if coeff == "1":
-                    terms.append(f"+ x{i + 1}")
-                elif coeff == "-1":
-                    terms.append(f"- x{i + 1}")
-                elif a > 0:
-                    terms.append(f"+ {coeff} x{i + 1}")
-                else:
-                    terms.append(f"- {format_rational(-a)} x{i + 1}")
-            lhs = " ".join(terms).lstrip("+ ") or "0"
-            lines.append(f"  {lhs} <= {format_rational(h.offset)}")
-        return "\n".join(lines)
 
     # -- serialization ---------------------------------------------------
 
@@ -609,9 +590,9 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     dim = _same_dim(p, q)
     if p.is_empty or q.is_empty:
         return Polyhedron.empty(dim)
-    verts = [vadd(v, w) for v in p.vertices for w in q.vertices]
-    rays = list(p.rays) + list(q.rays)
-    return Polyhedron.from_vrep(verts, rays, dim=dim)
+    (p_points, p_rays), (q_points, q_rays) = p._gens, q._gens
+    verts = [vadd(v, w) for v in p_points for w in q_points]
+    return Polyhedron.from_vrep(verts, p_rays + q_rays, dim=dim)
 
 
 def translate(p: Polyhedron, shift: Sequence) -> Polyhedron:
@@ -652,9 +633,10 @@ def affine_image(p: Polyhedron, matrix: Sequence[Sequence], offset: Sequence | N
     c = parse_vector(offset, out_dim) if offset is not None else vzero(out_dim)
     if p.is_empty:
         return Polyhedron.empty(out_dim)
-    verts = [vadd(tuple(vdot(r, v) for r in rows), c) for v in p.vertices]
+    points, p_rays = p._gens
+    verts = [vadd(tuple(vdot(r, v) for r in rows), c) for v in points]
     rays = []
-    for ray in p.rays:
+    for ray in p_rays:
         img = tuple(vdot(r, ray) for r in rows)
         if not is_zero_vector(img):
             rays.append(img)
@@ -694,21 +676,10 @@ def conic_hull(p: Polyhedron) -> Polyhedron:
     """Smallest closed convex cone containing p (generated by its V-rep)."""
     if p.is_empty:
         raise EmptySetError("conic hull of the empty set")
-    gens = [v for v in p.vertices if not is_zero_vector(v)]
-    gens.extend(p.rays)
+    points, rays = p._gens
+    gens = [v for v in points if not is_zero_vector(v)]
+    gens.extend(rays)
     return Polyhedron.from_vrep([vzero(p.dim)], gens, dim=p.dim)
-
-
-def bounding_box(p: Polyhedron) -> list[tuple[Fraction, Fraction]]:
-    if p.is_empty:
-        raise EmptySetError("bounding box of the empty set")
-    if p.rays:
-        raise EmptySetError("bounding box of an unbounded polyhedron")
-    verts = p.vertices
-    return [
-        (min(v[i] for v in verts), max(v[i] for v in verts))
-        for i in range(p.dim)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -780,16 +751,27 @@ def dual_norm_ball(norm: NormSpec, eps, dim: int) -> Polyhedron:
 def gap(a: Polyhedron, b: Polyhedron, norm: NormSpec = L1) -> Fraction | float:
     """inf { ||x - y|| : x in a, y in b }; +inf when either set is empty.
 
-    Exact LP for l1/linf.  For l2approx the value is an upper bound on the
-    Euclidean gap (the approximating norm dominates the Euclidean one).
+    Zero without an LP when a generator point of one set satisfies the other
+    set's rows: the sets then meet, whatever the norm.  Otherwise an exact LP
+    for l1/linf; for l2approx the value is an upper bound on the Euclidean gap
+    (the approximating norm dominates the Euclidean one).
     """
-    dim = _same_dim(a, b)
+    _same_dim(a, b)
     if a.is_empty or b.is_empty:
         return math.inf
+    if any(contains_point(a, v) for v in b._gens[0]):
+        return ZERO
+    if any(contains_point(b, v) for v in a._gens[0]):
+        return ZERO
+    return _gap_lp(a, b, norm)
+
+
+def _gap_lp(a: Polyhedron, b: Polyhedron, norm: NormSpec) -> Fraction | float:
+    """The gap of two nonempty sets of one dimension, as an LP over (x, y, t)."""
+    dim = a.dim
     from .simplex import OPTIMAL, solve_lp
 
     ball = norm_unit_ball(norm, dim)
-    nvars = 2 * dim + 1
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
     for h in a.hrep:

@@ -229,6 +229,13 @@ def test_run_malformed_scenario(tmp_path):
         ),
         "etas_not_list": {"kind": "check", "claim": "cor11", "point": "0", "dc": dc, "etas": 5},
         "kind_not_string": {"kind": [1]},
+        "blackbox_const_object": calmness_of(
+            {"type": "blackbox", "dim": 1, "expr": ["add", abs_expr, ["const", {}]]}
+        ),
+        "norm_not_string": {
+            "kind": "check", "claim": "equality26", "point": "0", "dc": dc,
+            "eps": "1/2", "eta": "1/2", "norm": 5,
+        },
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"

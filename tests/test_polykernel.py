@@ -6,10 +6,11 @@ unit and property tests with independent brute-force comparisons.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from subgrad.errors import (
@@ -20,7 +21,7 @@ from subgrad.errors import (
     PointNotInSet,
     UnsupportedNorm,
 )
-from subgrad import polykernel
+from subgrad import cli, polykernel, simplex
 from subgrad.polykernel import (
     CAPS,
     L1,
@@ -28,7 +29,6 @@ from subgrad.polykernel import (
     NormSpec,
     Polyhedron,
     affine_image,
-    bounding_box,
     cone_is_linear_subspace,
     conic_hull,
     contains_point,
@@ -48,6 +48,7 @@ from subgrad.polykernel import (
 )
 
 F = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "scenarios" / "corpus"
 
 
 def frac(p, q=1):
@@ -171,6 +172,14 @@ def test_empty_and_caps():
         CAPS.max_facets = old
 
 
+def test_generator_cap_stops_during_combination(monkeypatch):
+    monkeypatch.setattr(CAPS, "max_generators", 6)
+    units = [tuple(frac(int(i == j)) for j in range(4)) for i in range(4)]
+    cross = Polyhedron.from_vrep(units + [tuple(-x for x in u) for u in units], dim=4)
+    with pytest.raises(CapExceeded, match="generator count 7 exceeds cap 6"):
+        cross.canonical()
+
+
 # ---------------------------------------------------------------------------
 # membership and inclusion
 # ---------------------------------------------------------------------------
@@ -209,6 +218,41 @@ def test_minkowski_support_additivity(dim, seed):
     for _ in range(8):
         d = oracles.rand_vector(rng, dim, span=3)
         assert support_function(s, d) == support_function(a, d) + support_function(b, d)
+
+
+@st.composite
+def sum_operands(draw, dim):
+    """A V-rep with duplicate and interior points, rays and lines, or an H-rep."""
+    vec = st.tuples(*[small_entries] * dim)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(vec, small_entries), max_size=4))
+        return Polyhedron.from_hrep(rows, dim)
+    points = draw(st.lists(vec, min_size=1, max_size=4))
+    points.append(points[0])
+    points.append(tuple(F(x + y, 2) for x, y in zip(points[0], points[-2])))
+    rays = draw(st.lists(vec, max_size=2))
+    for line in draw(st.lists(vec, max_size=1)):
+        rays += [line, tuple(-x for x in line)]
+    return Polyhedron.from_vrep(points, rays, dim=dim)
+
+
+@st.composite
+def sum_pairs(draw):
+    dim = draw(small_dims)
+    return draw(sum_operands(dim)), draw(sum_operands(dim))
+
+
+@given(sum_pairs())
+@settings(max_examples=120, deadline=None)
+def test_minkowski_sum_of_generators_is_sum_of_vertices(pair):
+    p, q = pair
+    got = minkowski_sum(p, q).to_json()
+    want = Polyhedron.from_vrep(
+        [tuple(x + y for x, y in zip(v, w)) for v in p.vertices for w in q.vertices],
+        p.rays + q.rays,
+        dim=p.dim,
+    )
+    assert got == want.to_json()
 
 
 @given(small_dims, seeds)
@@ -370,13 +414,76 @@ def test_gap_values():
     assert gap(a, translate(box2(), (frac(1), frac(0)))) == 0
 
 
+@st.composite
+def gap_operand(draw, dim, shift, bounded):
+    """A nonempty V-rep or H-rep with entries in -3..3, moved by shift along x1."""
+    vec = st.tuples(*[small_entries] * dim)
+    move = tuple(F(shift * (i == 0)) for i in range(dim))
+    if draw(st.booleans()):
+        points = draw(st.lists(vec, min_size=1, max_size=4))
+        rays = [] if bounded else draw(st.lists(vec, max_size=1))
+        return Polyhedron.from_vrep([tuple(x + m for x, m in zip(v, move)) for v in points], rays, dim=dim)
+    rows = draw(st.lists(st.tuples(vec, small_entries), min_size=1, max_size=4))
+    if bounded:
+        for i in range(dim):
+            for sign in (1, -1):
+                rows.append((tuple(sign * int(i == j) for j in range(dim)), 3))
+    moved = [(n, F(c) + sum(a * m for a, m in zip(n, move))) for n, c in rows]
+    p = Polyhedron.from_hrep(moved, dim)
+    assume(not p.is_empty)
+    return p
+
+
+@st.composite
+def gap_pairs(draw):
+    """Random pairs, disjoint pairs, and 2-d segments that cross away from
+    their endpoints (a zero gap that only the LP can see)."""
+    kind = draw(st.sampled_from(["random", "disjoint", "crossing"]))
+    if kind == "crossing":
+        vec = st.tuples(small_entries, small_entries)
+        c, u, w = draw(vec), draw(vec), draw(vec)
+        assume(u[0] * w[1] != u[1] * w[0])
+        a = Polyhedron.from_vrep([(c[0] - u[0], c[1] - u[1]), (c[0] + u[0], c[1] + u[1])], dim=2)
+        b = Polyhedron.from_vrep([(c[0] - w[0], c[1] - w[1]), (c[0] + w[0], c[1] + w[1])], dim=2)
+        return a, b, L1
+    dim = draw(small_dims)
+    shift = 10 if kind == "disjoint" else 0
+    a = draw(gap_operand(dim, 0, shift != 0))
+    b = draw(gap_operand(dim, shift, shift != 0))
+    norms = [L1, LINF] + ([NormSpec("l2approx", 8)] if dim <= 2 else [])
+    return a, b, draw(st.sampled_from(norms))
+
+
+@given(gap_pairs())
+@settings(max_examples=150, deadline=None)
+def test_gap_shortcut_matches_lp(pair):
+    a, b, norm = pair
+    assert gap(a, b, norm) == polykernel._gap_lp(a, b, norm)
+
+
+def test_gap_probe_solves_no_lp(monkeypatch):
+    lps, dd_runs = [], []
+    solve_lp, cone_generators = simplex.solve_lp, polykernel._cone_generators
+
+    def counted_lp(*args, **kwargs):
+        lps.append(1)
+        return solve_lp(*args, **kwargs)
+
+    def counted_dd(ineqs, d):
+        dd_runs.append(d)
+        return cone_generators(ineqs, d)
+
+    monkeypatch.setattr(simplex, "solve_lp", counted_lp)
+    monkeypatch.setattr(polykernel, "_cone_generators", counted_dd)
+    out = cli.run_scenario(CORPUS / "probe_gap_abs.json", {})
+    assert out.exit_code == 0
+    assert not lps, "every sampled subdifferential meets the base at a generator"
+    assert len(dd_runs) <= 4, "the base set and the domain, each canonicalized once"
+
+
 def test_support_function_unbounded_direction():
     ray = Polyhedron.from_vrep([(frac(0),)], rays=[(frac(1),)], dim=1)
     assert support_function(ray, (frac(1),)) == math.inf
     assert support_function(ray, (frac(-1),)) == 0
     with pytest.raises(EmptySetError):
         support_function(Polyhedron.empty(1), (frac(1),))
-
-
-def test_bounding_box():
-    assert bounding_box(box2()) == [(frac(-1), frac(1)), (frac(-1), frac(1))]
