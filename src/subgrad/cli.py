@@ -3,7 +3,7 @@
 Exit codes: 0 the claim holds (Equal / Holds / certified), 1 a failure with
 witness, 2 inconclusive, 3 input or validation error.  Text goes to stdout;
 --json writes a machine report whose bytes depend only on inputs and seed,
-never on wall time or thread count.
+never on wall time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +44,7 @@ from .funcmodel import (
     function_from_json,
 )
 from .optimality import ProblemInstance, blunt_min_probe, certify_blunt_minimizer
-from .polykernel import CAPS, L1, NormSpec, Polyhedron, star_difference
+from .polykernel import CAPS, NormSpec, Polyhedron, star_difference
 from .rationals import format_rational, parse_rational
 
 _CLAIM_TOKENS = {
@@ -81,7 +80,7 @@ def _read_json(path) -> object:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -277,10 +276,8 @@ def _run_check(name: str, sc: dict, base: Path) -> RunOutcome:
         cert = check_corollary11(dc, point, etas)
     elif claim in ("Cor12a", "Cor12b"):
         cert = check_corollary12(dc, point, eps, norm, variant=claim[-1])
-    elif claim == "LocalMinNecessary":
+    else:  # LocalMinNecessary
         cert = local_min_necessary(dc, point)
-    else:
-        raise ParseError(f"unhandled claim {claim}")
     return _certificate_outcome(name, cert)
 
 
@@ -372,11 +369,9 @@ def _run_probe(name: str, sc: dict, base: Path) -> RunOutcome:
             plan,
             direction=None if direction is None else _parse_point(direction),
         )
-    elif kind == "gap":
+    else:  # gap
         eps = sc["eps"]
         verdict = gap_continuity_probe(fn, point, eps, plan)
-    else:
-        raise ParseError(f"unhandled probe {kind}")
     return _probe_outcome(name, kind, verdict, extra_lines=extra)
 
 
@@ -412,6 +407,10 @@ def run_scenario(path: Path, flags: dict) -> RunOutcome:
 
 
 def corpus_run(directory: Path, pattern: str, jobs: int, flags: dict) -> RunOutcome:
+    """Run the scenario files matching `pattern` serially, in file-name order.
+
+    `jobs` is accepted and ignored: callers still pass it, and a thread pool
+    lost at every width (the work is pure Python under one interpreter lock)."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ParseError(f"{directory} is not a directory")
@@ -419,7 +418,8 @@ def corpus_run(directory: Path, pattern: str, jobs: int, flags: dict) -> RunOutc
     if not files:
         raise ParseError(f"no scenario files matching {pattern!r} in {directory}")
 
-    def work(path: Path):
+    rows = []
+    for path in files:
         start = time.perf_counter()
         try:
             out = run_scenario(path, flags)
@@ -429,13 +429,7 @@ def corpus_run(directory: Path, pattern: str, jobs: int, flags: dict) -> RunOutc
         verdict = out.payload.get("verdict") or out.payload.get("status") or (
             "ok" if out.exit_code == 0 else "error"
         )
-        return path.name, out, verdict, wall
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(work, files))
-    else:
-        rows = [work(f) for f in files]
+        rows.append((path.name, out, verdict, wall))
 
     exits = {out.exit_code for _, out, _, _ in rows}
     code = next((c for c in (1, 3, 2) if c in exits), 0)
@@ -520,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run every scenario in a directory")
     p.add_argument("directory")
     p.add_argument("--filter", default="*.json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: the corpus runs serially, which is faster")
     _common_flags(p)
 
     return parser
@@ -534,17 +529,19 @@ _NOT_FIELDS = ("command", "json", "max_dim", "scenario", "directory", "filter", 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     env_cap = os.environ.get("SUBGRAD_MAX_FACETS")
-    if env_cap:
-        try:
-            CAPS.max_facets = int(env_cap)
-        except ValueError:
-            print(f"SUBGRAD_MAX_FACETS={env_cap!r} is not an integer", file=sys.stderr)
-            return 3
-    if args.max_dim is not None:
-        CAPS.max_dim = args.max_dim
+    try:
+        max_facets = int(env_cap) if env_cap else CAPS.max_facets
+    except ValueError:
+        print(f"SUBGRAD_MAX_FACETS={env_cap!r} is not an integer", file=sys.stderr)
+        return 3
     flags = {
         k: v for k, v in vars(args).items() if v is not None and k not in _NOT_FIELDS
     }
+    # CAPS is process-wide: put it back so that in-process callers keep theirs.
+    saved = CAPS.max_dim, CAPS.max_facets
+    CAPS.max_facets = max_facets
+    if args.max_dim is not None:
+        CAPS.max_dim = args.max_dim
     try:
         if args.command == "run":
             outcome = run_scenario(Path(args.scenario), flags)
@@ -564,6 +561,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        CAPS.max_dim, CAPS.max_facets = saved
     print(outcome.text)
     if args.json:
         Path(args.json).write_text(

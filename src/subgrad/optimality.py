@@ -86,10 +86,6 @@ def nonneg_orthant(dim: int) -> Polyhedron:
     return Polyhedron.from_hrep(rows, dim)
 
 
-def zero_cone(dim: int) -> Polyhedron:
-    return Polyhedron.singleton(vzero(dim))
-
-
 class ConstraintSystem:
     """Feasibility data: x in C and Mx + c in -K, with K a polyhedral cone."""
 

@@ -234,23 +234,35 @@ def _hrep_to_vrep(
     return vertices, cone_rays, [l[:dim] for l in lines]
 
 
+def _rays_mod_lines(
+    rays: Iterable[Vector], lines: Iterable[Vector]
+) -> tuple[list[Vector], list[Vector]]:
+    """Rays reduced modulo the span of `lines`.
+
+    Returns an orthogonal basis of the span, for projecting points off it,
+    and the primitive nonzero projections of `rays` followed by a +/-
+    primitive pair for each line of the span's reduced basis, with
+    duplicates left to the caller."""
+    line_basis = rref(lines)
+    ortho = orthogonalize(line_basis)
+    out = []
+    for r in rays:
+        p = primitive(project_off(r, ortho))
+        if not is_zero_vector(p):
+            out.append(p)
+    for l in line_basis:
+        p = primitive(l)
+        out += (p, vneg(p))
+    return ortho, out
+
+
 def _canonical_vrep(
     vertices: Iterable[Vector], rays: Iterable[Vector], lines: Iterable[Vector]
 ) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     """Project off the lineality span and sort; lines become +/- ray pairs."""
-    line_basis = rref(lines)
-    ortho = orthogonalize(line_basis)
+    ortho, reduced = _rays_mod_lines(rays, lines)
     verts = sorted({project_off(v, ortho) for v in vertices})
-    ray_set = set()
-    for r in rays:
-        p = primitive(project_off(r, ortho))
-        if not is_zero_vector(p):
-            ray_set.add(p)
-    for l in line_basis:
-        p = primitive(l)
-        ray_set.add(p)
-        ray_set.add(vneg(p))
-    return tuple(verts), tuple(sorted(ray_set))
+    return tuple(verts), tuple(sorted(set(reduced)))
 
 
 def _empty_hrep(dim: int) -> tuple[Halfspace, ...]:
@@ -270,25 +282,12 @@ def _vrep_to_hrep(
         if not is_zero_vector(p):
             gens.add(p)
     lines, polar_rays = _cone_generators(sorted(gens), dim + 1)
-    line_basis = rref(lines)
-    ortho = orthogonalize(line_basis)
     facets = set()
-
-    def emit(z: Vector) -> None:
+    for z in _rays_mod_lines(polar_rays, lines)[1]:
         normal, neg_offset = z[:dim], z[dim]
-        if is_zero_vector(normal):
-            # 0 <= offset with offset >= 0: trivial, dropped.
-            return
-        facets.add(Halfspace(normal, -neg_offset).scaled_primitive())
-
-    for r in polar_rays:
-        p = primitive(project_off(r, ortho))
-        if not is_zero_vector(p):
-            emit(p)
-    for l in line_basis:
-        p = primitive(l)
-        emit(p)
-        emit(vneg(p))
+        # A zero normal is 0 <= offset with offset >= 0: trivial, dropped.
+        if not is_zero_vector(normal):
+            facets.add(Halfspace(normal, -neg_offset).scaled_primitive())
     if len(facets) > CAPS.max_facets:
         raise CapExceeded(f"facet count {len(facets)} exceeds cap {CAPS.max_facets}")
     return tuple(sorted(facets))

@@ -1,4 +1,4 @@
-"""End-to-end command-line checks through real subprocesses.
+"""End-to-end command-line checks, through real subprocesses and in-process.
 
 Exit code contract: 0 verified / holds, 1 claim or certificate fails,
 2 inconclusive or numerically unstable, 3 malformed input or cap hit.
@@ -166,7 +166,11 @@ def test_flags_and_scenario_file_agree(tmp_path):
         assert by_flags.read_bytes() == by_file.read_bytes(), name
 
 
-def test_run_malformed_scenario(tmp_path):
+def test_run_malformed_scenario(tmp_path, capsys):
+    from subgrad import cli
+
+    # one real process covers the entry point; the shapes run in-process,
+    # where any exception that escapes main() fails the test
     r = run_cli("run", str(EXTRA / "bad_kind.json"))
     assert r.returncode == 3
     assert r.stderr.strip() != ""
@@ -240,9 +244,26 @@ def test_run_malformed_scenario(tmp_path):
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(sc))
-        r = run_cli("run", str(path))
-        assert r.returncode == 3, (name, r.stdout + r.stderr)
-        assert "Traceback" not in r.stderr, name
+        assert cli.main(["run", str(path)]) == 3, (name, capsys.readouterr())
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    # json.dumps cannot write this nesting; json.load raises RecursionError
+    from subgrad import cli
+
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    scenario = json.loads((CORPUS / "subdiff_abs.json").read_text())
+    scenario["function"] = str(DATA / "abs.json")
+    (scen / "a_valid.json").write_text(json.dumps(scenario))
+    nested = scen / "b_nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["run", str(nested)]) == 3
+    assert "is not valid JSON" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert cli.main(["corpus", str(scen), "--json", str(out)]) == 3
+    exits = {s["name"]: s["exit"] for s in json.loads(out.read_text())["scenarios"]}
+    assert exits == {"a_valid.json": 0, "b_nested.json": 3}
 
 
 def test_corpus_all_pass(tmp_path):
@@ -353,6 +374,24 @@ def test_facet_cap_environment_variable():
         env_extra={"SUBGRAD_MAX_FACETS": "50000"},
     )
     assert r3.returncode == 0
+
+
+def test_main_restores_caps(monkeypatch):
+    # main() sets the process-wide caps for its own run only
+    from dataclasses import replace
+
+    from subgrad import cli
+    from subgrad.polykernel import CAPS
+
+    before = replace(CAPS)
+    subdiff = ["subdiff", "--function", str(DATA / "abs.json"), "--point", "0"]
+    assert cli.main([*subdiff, "--max-dim", "1"]) == 0
+    assert CAPS == before
+    monkeypatch.setenv("SUBGRAD_MAX_FACETS", "2")
+    assert cli.main(subdiff) == 0
+    assert CAPS == before
+    assert cli.main(["stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json")]) == 3
+    assert CAPS == before
 
 
 def test_max_dim_flag():

@@ -35,7 +35,6 @@ from subgrad.optimality import (
     nonneg_orthant,
     normal_cone_feasible,
     qualification_check,
-    zero_cone,
 )
 from subgrad.polykernel import Polyhedron, contains_point
 from subgrad.rationals import parse_rational, parse_vector
@@ -78,8 +77,6 @@ def test_feasible_set_is_pullback_intersection():
 def test_cone_constructors():
     orth = nonneg_orthant(2)
     assert (F(1), F(0)) in orth.rays and (F(0), F(1)) in orth.rays
-    z = zero_cone(2)
-    assert z.vertices == ((F(0), F(0)),) and z.rays == ()
 
 
 def test_constraint_system_rejects_non_cone():
