@@ -3,8 +3,10 @@
 A polyhedron carries an H-representation (finite list of halfspaces
 ``<normal, x> <= offset``) and/or a V-representation (vertices plus recession
 rays; lineality is stored as opposite ray pairs).  Conversion between the two
-runs the double description method on the homogenization cone, entirely over
-``fractions.Fraction`` — no floating point anywhere.
+runs the double description method on the homogenization cone.  The DD loop
+works on primitive Python-int rays with bitmask zero sets; everything outside
+it, and every value it returns, is ``fractions.Fraction``.  All of it is exact
+— no floating point anywhere.
 
 Canonical form
 --------------
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -47,13 +50,13 @@ from .rationals import (
     parse_rational,
     parse_vector,
     primitive,
+    primitive_ints,
     project_off,
     rref,
     vadd,
     vdot,
     vneg,
     vscale,
-    vsub,
     vzero,
 )
 
@@ -143,74 +146,71 @@ def _cone_generators(ineqs: Sequence[Vector], dim: int) -> tuple[list[Vector], l
 
     Incremental double description with the combinatorial adjacency test;
     lineality is eliminated eagerly so the ray part stays pointed modulo the
-    line span.  Rays are kept as primitive integer vectors.
+    line span.  The loop runs on primitive int vectors: each row is scaled
+    once to coprime ints (a positive scaling keeps the cone), every update is
+    a cross-multiplied integer combination divided by the gcd of its entries,
+    and each zero set is an int bitmask over row indices.  This is exact; the
+    generators come back as Fraction tuples, rays primitive.
     """
-    lines: list[Vector] = _unit_vectors(dim)
-    rays: list[tuple[Vector, frozenset[int]]] = []
-    for idx, a in enumerate(ineqs):
-        if is_zero_vector(a):
+    rows = [primitive_ints(a) for a in ineqs]
+    lines = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, zero-set bitmask)
+
+    def reduced(v: list[int]) -> tuple[int, ...]:
+        g = math.gcd(*v)
+        return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+    for idx, a in enumerate(rows):
+        if not any(a):
             continue
-        lvals = [vdot(a, l) for l in lines]
-        pivot = next((i for i, v in enumerate(lvals) if v != 0), None)
+        bit = 1 << idx
+        lvals = [sum(map(mul, a, l)) for l in lines]
+        pivot = next((i for i, v in enumerate(lvals) if v), None)
         if pivot is not None:
-            l0, v0 = lines[pivot], lvals[pivot]
-            r0 = l0 if v0 < 0 else vneg(l0)
-            r0v = v0 if v0 < 0 else -v0
-            new_lines = []
-            for i, l in enumerate(lines):
-                if i == pivot:
-                    continue
-                lv = lvals[i]
-                new_lines.append(l if lv == 0 else vsub(l, vscale(lv / r0v, r0)))
+            # a.r0 = -|v0| < 0; adding multiples of r0 zeroes a on the rest
+            v0 = lvals[pivot]
+            r0 = lines[pivot] if v0 < 0 else tuple(-x for x in lines[pivot])
+            v0 = abs(v0)
+            lines = [reduced([v0 * x + lv * y for x, y in zip(l, r0)]) if lv else l
+                     for i, (l, lv) in enumerate(zip(lines, lvals)) if i != pivot]
             new_rays = []
-            for r, zset in rays:
-                rv = vdot(a, r)
-                if rv != 0:
-                    r = vsub(r, vscale(rv / r0v, r0))
-                new_rays.append((primitive(r), zset | {idx}))
-            new_rays.append((primitive(r0), frozenset(range(idx))))
-            lines = new_lines
+            for r, mask in rays:
+                rv = sum(map(mul, a, r))
+                if rv:
+                    r = reduced([v0 * x + rv * y for x, y in zip(r, r0)])
+                new_rays.append((r, mask | bit))
+            new_rays.append((r0, bit - 1))
             rays = new_rays
             continue
-        values = [vdot(a, r) for r, _ in rays]
+        values = [sum(map(mul, a, r)) for r, _ in rays]
         if all(v <= 0 for v in values):
-            rays = [
-                (r, zset | {idx}) if values[i] == 0 else (r, zset)
-                for i, (r, zset) in enumerate(rays)
-            ]
+            rays = [(r, mask | bit) if not v else (r, mask) for (r, mask), v in zip(rays, values)]
             continue
-        keep: list[tuple[Vector, frozenset[int]]] = []
-        pos: list[tuple[Vector, frozenset[int], Fraction]] = []
-        neg: list[tuple[Vector, frozenset[int], Fraction]] = []
-        for (r, zset), v in zip(rays, values):
+        keep, pos, neg = [], [], []
+        for k, ((r, mask), v) in enumerate(zip(rays, values)):
             if v > 0:
-                pos.append((r, zset, v))
+                pos.append((k, r, mask, v))
             elif v < 0:
-                neg.append((r, zset, v))
-                keep.append((r, zset))
+                neg.append((k, r, mask, v))
+                keep.append((r, mask))
             else:
-                keep.append((r, zset | {idx}))
-        all_zsets = [zset for _, zset in rays]
-        combos: list[tuple[Vector, frozenset[int]]] = []
-        for rp, zp, vp in pos:
-            for rn, zn, vn in neg:
-                common = zp & zn
-                adjacent = True
-                for other in all_zsets:
-                    if other is zp or other is zn:
-                        continue
-                    if common <= other:
-                        adjacent = False
-                        break
-                if not adjacent:
+                keep.append((r, mask | bit))
+        outside = [~mask for _, mask in rays]
+        combos = []
+        for kp, rp, mp, vp in pos:
+            for kn, rn, mn, vn in neg:
+                common = mp & mn
+                # adjacent unless a third ray's zero set holds the common one;
+                # parents are skipped by index, as equal small-int masks are one object
+                if any(not common & o and k != kp and k != kn for k, o in enumerate(outside)):
                     continue
-                w = vadd(vscale(vp, rn), vscale(-vn, rp))
-                combos.append((primitive(w), common | {idx}))
+                w = reduced([vp * x - vn * y for x, y in zip(rn, rp)])
+                combos.append((w, common | bit))
                 count = len(keep) + len(combos)
                 if count > CAPS.max_generators:
                     raise CapExceeded(f"generator count {count} exceeds cap {CAPS.max_generators}")
         rays = keep + combos
-    return lines, [r for r, _ in rays]
+    return [tuple(map(Fraction, l)) for l in lines], [tuple(map(Fraction, r)) for r, _ in rays]
 
 
 def _hrep_to_vrep(

@@ -1,14 +1,14 @@
 """Exact rational scalars and small dense vectors.
 
 Scalars are ``fractions.Fraction`` throughout; vectors are plain tuples of
-Fractions.  Everything here is pure and allocation-light so the polyhedral
-kernel can lean on it inside tight loops.
+Fractions.  Everything here is pure; the double description loop itself runs
+on ints (see ``primitive_ints``) and uses these helpers only at its boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -88,19 +88,17 @@ def is_zero_vector(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
 
+def primitive_ints(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """Coprime integers on the ray of `vec`; all zeros for a zero vector."""
+    denom_lcm = lcm(*(x.denominator for x in vec))
+    nums = [x.numerator * (denom_lcm // x.denominator) for x in vec]
+    g = gcd(*nums)
+    return tuple(n // g for n in nums) if g > 1 else tuple(nums)
+
+
 def primitive(vec: Sequence[Fraction]) -> Vector:
     """Scale by a positive rational to coprime integers (direction kept)."""
-    denom_lcm = 1
-    for x in vec:
-        d = x.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    nums = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for n in nums:
-        g = gcd(g, abs(n))
-    if g == 0:
-        return tuple(ZERO for _ in vec)
-    return tuple(Fraction(n // g) for n in nums)
+    return tuple(map(Fraction, primitive_ints(vec)))
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> list[Vector]:

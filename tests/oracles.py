@@ -12,6 +12,7 @@ from math import gcd
 import numpy as np
 
 from subgrad.polykernel import Polyhedron
+from subgrad.rationals import ONE, ZERO, is_zero_vector, primitive, vadd, vdot, vneg, vscale, vsub
 
 
 def point_in_hrep(point, hrep) -> bool:
@@ -118,6 +119,74 @@ def erosion_grid_check(a: Polyhedron, b: Polyhedron, star: Polyhedron, n: int = 
     mism = np.flatnonzero(inside_def != inside_star)
     assert mism.size == 0, f"erosion mismatch at lattice point {pts[mism[0]]}"
     return len(pts)
+
+
+def cone_generators_reference(ineqs, dim):
+    """Minimal generators (lines, rays) of ``{x : a.x <= 0 for a in ineqs}``
+    by incremental double description over Fractions, with frozenset zero
+    sets: the kernel's algorithm before it moved to primitive ints and
+    bitmasks, kept to cross-check it.  No generator cap.
+    """
+    lines = [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
+    rays = []
+    for idx, a in enumerate(ineqs):
+        if is_zero_vector(a):
+            continue
+        lvals = [vdot(a, l) for l in lines]
+        pivot = next((i for i, v in enumerate(lvals) if v != 0), None)
+        if pivot is not None:
+            l0, v0 = lines[pivot], lvals[pivot]
+            r0 = l0 if v0 < 0 else vneg(l0)
+            r0v = v0 if v0 < 0 else -v0
+            new_lines = []
+            for i, l in enumerate(lines):
+                if i == pivot:
+                    continue
+                lv = lvals[i]
+                new_lines.append(l if lv == 0 else vsub(l, vscale(lv / r0v, r0)))
+            new_rays = []
+            for r, zset in rays:
+                rv = vdot(a, r)
+                if rv != 0:
+                    r = vsub(r, vscale(rv / r0v, r0))
+                new_rays.append((primitive(r), zset | {idx}))
+            new_rays.append((primitive(r0), frozenset(range(idx))))
+            lines = new_lines
+            rays = new_rays
+            continue
+        values = [vdot(a, r) for r, _ in rays]
+        if all(v <= 0 for v in values):
+            rays = [
+                (r, zset | {idx}) if values[i] == 0 else (r, zset)
+                for i, (r, zset) in enumerate(rays)
+            ]
+            continue
+        keep, pos, neg = [], [], []
+        for (r, zset), v in zip(rays, values):
+            if v > 0:
+                pos.append((r, zset, v))
+            elif v < 0:
+                neg.append((r, zset, v))
+                keep.append((r, zset))
+            else:
+                keep.append((r, zset | {idx}))
+        all_zsets = [zset for _, zset in rays]
+        combos = []
+        for rp, zp, vp in pos:
+            for rn, zn, vn in neg:
+                common = zp & zn
+                adjacent = True
+                for other in all_zsets:
+                    if other is zp or other is zn:
+                        continue
+                    if common <= other:
+                        adjacent = False
+                        break
+                if adjacent:
+                    w = vadd(vscale(vp, rn), vscale(-vn, rp))
+                    combos.append((primitive(w), common | {idx}))
+        rays = keep + combos
+    return lines, [r for r, _ in rays]
 
 
 def pa_value(pieces, x) -> Fraction:

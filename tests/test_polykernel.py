@@ -22,6 +22,7 @@ from subgrad.errors import (
     UnsupportedNorm,
 )
 from subgrad import cli, polykernel, simplex
+from subgrad.rationals import primitive, rref
 from subgrad.polykernel import (
     CAPS,
     L1,
@@ -149,6 +150,42 @@ def test_vrep_facets_are_the_canonical_facets(vrep):
     p = Polyhedron.from_vrep(vertices, rays, dim=dim)
     assert p.hrep == polykernel._vrep_to_hrep(p.vertices, p.rays, dim)
     assert Polyhedron.from_hrep(p.hrep, dim).to_json() == p.to_json()
+
+
+small_rationals = st.one_of(
+    small_entries,
+    st.builds(Fraction, small_entries, st.integers(min_value=1, max_value=3)),
+)
+
+
+@st.composite
+def cone_systems(draw):
+    """Rows for the DD kernel, with zero rows, duplicates and scaled copies."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.tuples(*[small_rationals] * dim), max_size=7))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "scaled"]), max_size=3)):
+        if kind == "zero":
+            row = (F(0),) * dim
+        elif not rows:
+            continue
+        else:
+            row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            if kind == "scaled":
+                c = draw(st.sampled_from([F(1, 2), F(2), F(3), F(2, 3)]))
+                row = tuple(c * x for x in row)
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return [tuple(F(x) for x in r) for r in rows], dim
+
+
+@given(cone_systems())
+@settings(max_examples=300, deadline=None)
+def test_cone_generators_match_reference(system):
+    rows, dim = system
+    lines, rays = polykernel._cone_generators(rows, dim)
+    ref_lines, ref_rays = oracles.cone_generators_reference(rows, dim)
+    assert all(primitive(r) == r for r in rays), "rays must be primitive ints"
+    assert sorted(rays) == sorted(ref_rays)
+    assert rref(lines) == rref(ref_lines)
 
 
 def test_json_round_trip_random():
