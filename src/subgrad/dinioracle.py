@@ -34,7 +34,7 @@ import numpy as np
 from .errors import EvaluationFailure, NegativeEps, ParseError, SubgradError
 from .funcmodel import DCFunction, PAConvexFunction, dc_dini_subdifferential
 from .polykernel import L1, gap
-from .rationals import parse_rational, parse_vector
+from .rationals import parse_rational, parse_vector, to_float
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _RES_FACTOR = 8.0
@@ -87,7 +87,7 @@ class SamplingPlan:
         for key in ("stabilization_tol", "divergence_threshold"):
             if not _is_real(getattr(self, key)):
                 raise ParseError(f"{key} must be a number")
-        radii = tuple(float(r) for r in self.shell_radii)
+        radii = tuple(to_float(r) for r in self.shell_radii)
         if not radii:
             raise ParseError("shell_radii must be nonempty")
         if any(r <= 0 for r in radii):
@@ -245,7 +245,7 @@ def _l1_sphere_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 def _as_float_vec(x: Sequence, dim: int) -> np.ndarray:
     exact = parse_vector(x, dim)
-    return np.array([float(v) for v in exact], dtype=float)
+    return np.array([to_float(v) for v in exact], dtype=float)
 
 
 def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag: int = _TAG_DINI) -> DiniEstimate:
@@ -392,8 +392,8 @@ def eps_subgradient_membership_probe(
     Holds needs both an empty search and a Holds from calmness_probe, since
     the inequality family defines membership only for calm functions.
     """
-    e = float(parse_rational(eps))
-    a = float(parse_rational(alpha))
+    e = to_float(parse_rational(eps))
+    a = to_float(parse_rational(alpha))
     if e < 0:
         raise NegativeEps(f"eps must be nonnegative, got {eps}")
     if a <= 0:
@@ -483,7 +483,7 @@ def approx_regularity_probe(
     Verdicts are literal: FailsWithWitness iff a sampled violation survives
     scalar re-evaluation, Holds otherwise.
     """
-    e = float(parse_rational(eps))
+    e = to_float(parse_rational(eps))
     if e <= 0:
         raise NegativeEps(f"eps must be positive, got {eps}")
     if mode not in ("convex", "starshaped", "directional"):
@@ -597,7 +597,7 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
         )
     dim = f.dim
     exact_x = parse_vector(x, dim)
-    xf = np.array([float(v) for v in exact_x], dtype=float)
+    xf = np.array([to_float(v) for v in exact_x], dtype=float)
     base = map_at(exact_x)
     n = min(plan.samples_per_shell, 16)
     shells: list[dict] = []

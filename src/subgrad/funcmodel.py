@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     DimensionMismatch,
     EmptyDomain,
     EvaluationFailure,
@@ -41,6 +42,7 @@ from .errors import (
     UnsupportedNorm,
 )
 from .polykernel import (
+    CAPS,
     L1,
     Halfspace,
     NormSpec,
@@ -63,6 +65,7 @@ from .rationals import (
     format_vector,
     parse_rational,
     parse_vector,
+    to_float,
     vadd,
     vdot,
     vneg,
@@ -87,9 +90,9 @@ class AffinePiece:
 def _float_rows(rows: Sequence[Halfspace], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Float (normals, offsets) of H-rep rows, for vectorised prefilters."""
     normals = np.array(
-        [[float(a) for a in h.normal] for h in rows], dtype=float
+        [[to_float(a) for a in h.normal] for h in rows], dtype=float
     ).reshape(len(rows), dim)
-    offsets = np.array([float(h.offset) for h in rows], dtype=float)
+    offsets = np.array([to_float(h.offset) for h in rows], dtype=float)
     return normals, offsets
 
 
@@ -146,9 +149,9 @@ class PAConvexFunction:
     def _float_data(self):
         if self._float_cache is None:
             slopes = np.array(
-                [[float(a) for a in p.slope] for p in self.pieces], dtype=float
+                [[to_float(a) for a in p.slope] for p in self.pieces], dtype=float
             )
-            intercepts = np.array([float(p.intercept) for p in self.pieces], dtype=float)
+            intercepts = np.array([to_float(p.intercept) for p in self.pieces], dtype=float)
             normals, offsets = _float_rows(self.domain._rows, self.dim)
             self._float_cache = (slopes, intercepts, normals, offsets)
         return self._float_cache
@@ -486,10 +489,12 @@ class BlackBoxFunction:
     def __init__(self, expr, dim: int, box: Sequence | None = None, name: str = ""):
         if dim < 1:
             raise DimensionMismatch("dimension must be >= 1")
+        if dim > CAPS.max_dim:
+            raise CapExceeded(f"dimension {dim} exceeds cap {CAPS.max_dim}")
         self.expr = expr
         self.dim = dim
         if box is not None:
-            box = [(float(lo), float(hi)) for lo, hi in box]
+            box = [(to_float(lo), to_float(hi)) for lo, hi in box]
             if len(box) != dim:
                 raise DimensionMismatch("box must have one (lo, hi) pair per coordinate")
         self.box = box
@@ -506,12 +511,9 @@ class BlackBoxFunction:
             c = node[1]
             if isinstance(c, bool) or not isinstance(c, (str, int, float)):
                 raise ParseError(f"const takes a number or a rational string, got {c!r}")
-            try:
-                float(parse_rational(c) if isinstance(c, str) else c)
-            except OverflowError as exc:
-                raise ParseError(f"const {c!r} is out of float range") from exc
+            to_float(parse_rational(c) if isinstance(c, str) else c)
         elif op == "coord":
-            if len(node) != 2 or not isinstance(node[1], int):
+            if len(node) != 2 or not isinstance(node[1], int) or isinstance(node[1], bool):
                 raise ParseError("coord takes one integer index")
             if not 0 <= node[1] < self.dim:
                 raise ParseError(f"coordinate index {node[1]} out of range")

@@ -47,6 +47,7 @@ from .rationals import (
     is_zero_vector,
     parse_rational,
     parse_vector,
+    to_float,
     vadd,
     vdot,
     vneg,
@@ -511,10 +512,10 @@ def blunt_min_probe(
         raise InfeasiblePoint(f"{xv} is not feasible")
     dc = p.objective
     f0 = dc.evaluate(xv)
-    f0f = float(f0)
-    ef = float(e)
+    f0f = to_float(f0)
+    ef = to_float(e)
     dim = p.constraints.dim
-    xf = np.array([float(v) for v in xv], dtype=float)
+    xf = np.array([to_float(v) for v in xv], dtype=float)
     normals, offsets = _float_rows(a_set.hrep, dim)
     shells: list[dict] = []
     any_feasible = False

@@ -4,9 +4,12 @@ A polyhedron carries an H-representation (finite list of halfspaces
 ``<normal, x> <= offset``) and/or a V-representation (vertices plus recession
 rays; lineality is stored as opposite ray pairs).  Conversion between the two
 runs the double description method on the homogenization cone.  The DD loop
-works on primitive Python-int rays with bitmask zero sets; everything outside
-it, and every value it returns, is ``fractions.Fraction``.  All of it is exact
-— no floating point anywhere.
+works on primitive Python-int rays with bitmask zero sets, and so does all of
+canonicalization: facets are int rows ``(normal..., offset)``, vertices are
+homogeneous int points ``(x..., t)`` with ``t > 0``, and containment and
+support values are decided on these.  ``fractions.Fraction`` appears only at
+the public boundary (parsing, ``hrep``/``vertices``/``rays``, returned values).
+All of it is exact — no floating point anywhere.
 
 Canonical form
 --------------
@@ -46,12 +49,9 @@ from .rationals import (
     format_rational,
     format_vector,
     is_zero_vector,
-    orthogonalize,
     parse_rational,
     parse_vector,
-    primitive,
     primitive_ints,
-    project_off,
     rref,
     vadd,
     vdot,
@@ -78,10 +78,6 @@ class Halfspace(NamedTuple):
 
     normal: Vector
     offset: Fraction
-
-    def scaled_primitive(self) -> "Halfspace":
-        joint = primitive(tuple(self.normal) + (self.offset,))
-        return Halfspace(joint[:-1], joint[-1])
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,16 @@ def _unit_vectors(dim: int) -> list[Vector]:
     return [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
 
 
-def _cone_generators(ineqs: Sequence[Vector], dim: int) -> tuple[list[Vector], list[Vector]]:
+IntVector = tuple[int, ...]
+
+
+def _reduced(v: Sequence[int]) -> IntVector:
+    """`v` divided by the gcd of its entries; all zeros stay zeros."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _cone_generators(ineqs: Sequence[Sequence], dim: int) -> tuple[list[IntVector], list[IntVector]]:
     """Minimal generators (lines, rays) of ``{x : a.x <= 0 for a in ineqs}``.
 
     Incremental double description with the combinatorial adjacency test;
@@ -150,15 +155,11 @@ def _cone_generators(ineqs: Sequence[Vector], dim: int) -> tuple[list[Vector], l
     once to coprime ints (a positive scaling keeps the cone), every update is
     a cross-multiplied integer combination divided by the gcd of its entries,
     and each zero set is an int bitmask over row indices.  This is exact; the
-    generators come back as Fraction tuples, rays primitive.
+    lines and rays come back as primitive int tuples.
     """
     rows = [primitive_ints(a) for a in ineqs]
     lines = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, zero-set bitmask)
-
-    def reduced(v: list[int]) -> tuple[int, ...]:
-        g = math.gcd(*v)
-        return tuple(x // g for x in v) if g > 1 else tuple(v)
+    rays: list[tuple[IntVector, int]] = []  # (ray, zero-set bitmask)
 
     for idx, a in enumerate(rows):
         if not any(a):
@@ -171,13 +172,13 @@ def _cone_generators(ineqs: Sequence[Vector], dim: int) -> tuple[list[Vector], l
             v0 = lvals[pivot]
             r0 = lines[pivot] if v0 < 0 else tuple(-x for x in lines[pivot])
             v0 = abs(v0)
-            lines = [reduced([v0 * x + lv * y for x, y in zip(l, r0)]) if lv else l
+            lines = [_reduced([v0 * x + lv * y for x, y in zip(l, r0)]) if lv else l
                      for i, (l, lv) in enumerate(zip(lines, lvals)) if i != pivot]
             new_rays = []
             for r, mask in rays:
                 rv = sum(map(mul, a, r))
                 if rv:
-                    r = reduced([v0 * x + rv * y for x, y in zip(r, r0)])
+                    r = _reduced([v0 * x + rv * y for x, y in zip(r, r0)])
                 new_rays.append((r, mask | bit))
             new_rays.append((r0, bit - 1))
             rays = new_rays
@@ -204,90 +205,62 @@ def _cone_generators(ineqs: Sequence[Vector], dim: int) -> tuple[list[Vector], l
                 # parents are skipped by index, as equal small-int masks are one object
                 if any(not common & o and k != kp and k != kn for k, o in enumerate(outside)):
                     continue
-                w = reduced([vp * x - vn * y for x, y in zip(rn, rp)])
+                w = _reduced([vp * x - vn * y for x, y in zip(rn, rp)])
                 combos.append((w, common | bit))
                 count = len(keep) + len(combos)
                 if count > CAPS.max_generators:
                     raise CapExceeded(f"generator count {count} exceeds cap {CAPS.max_generators}")
         rays = keep + combos
-    return [tuple(map(Fraction, l)) for l in lines], [tuple(map(Fraction, r)) for r, _ in rays]
+    return lines, [r for r, _ in rays]
 
 
-def _hrep_to_vrep(
-    halfspaces: Sequence[Halfspace], dim: int
-) -> tuple[list[Vector], list[Vector], list[Vector]]:
-    """Raw (vertices, rays, lines) of an H-rep via homogenization."""
-    ineqs = [tuple(h.normal) + (-h.offset,) for h in halfspaces]
-    ineqs.append(vzero(dim) + (-ONE,))  # t >= 0
+def _hrep_to_vrep(rows: Sequence[IntVector], dim: int) -> tuple[list[IntVector], ...]:
+    """Raw (points, rays, lines) of int rows ``(normal..., offset)`` by
+    homogenization; a point is a primitive ``(x..., t)``, t > 0, for x / t."""
+    ineqs = [row[:dim] + (-row[dim],) for row in rows]
+    ineqs.append((0,) * dim + (-1,))  # t >= 0
     lines, rays = _cone_generators(ineqs, dim + 1)
-    for l in lines:
-        if l[dim] != 0:
-            raise AssertionError("homogenization line with nonzero last coordinate")
-    vertices = []
-    cone_rays = []
-    for r in rays:
-        t = r[dim]
-        if t > 0:
-            vertices.append(tuple(x / t for x in r[:dim]))
-        else:
-            cone_rays.append(r[:dim])
-    return vertices, cone_rays, [l[:dim] for l in lines]
+    if any(l[dim] for l in lines):
+        raise AssertionError("homogenization line with nonzero last coordinate")
+    points = [r for r in rays if r[dim] > 0]
+    return points, [r[:dim] for r in rays if not r[dim]], [l[:dim] for l in lines]
 
 
-def _rays_mod_lines(
-    rays: Iterable[Vector], lines: Iterable[Vector]
-) -> tuple[list[Vector], list[Vector]]:
-    """Rays reduced modulo the span of `lines`.
+def _project(v: Sequence[int], ortho: Sequence[tuple[IntVector, int]]) -> IntVector:
+    """Primitive ints along `v` projected off the span of `ortho`, pairs of
+    orthogonal int vectors u and u.u: each step ``v <- (u.u) v - (v.u) u`` is
+    a positive multiple of the rational projection."""
+    for u, uu in ortho:
+        vu = sum(map(mul, v, u))
+        if vu:
+            v = [uu * x - vu * y for x, y in zip(v, u)]
+    return _reduced(v)
 
-    Returns an orthogonal basis of the span, for projecting points off it,
-    and the primitive nonzero projections of `rays` followed by a +/-
-    primitive pair for each line of the span's reduced basis, with
-    duplicates left to the caller."""
-    line_basis = rref(lines)
-    ortho = orthogonalize(line_basis)
-    out = []
-    for r in rays:
-        p = primitive(project_off(r, ortho))
-        if not is_zero_vector(p):
-            out.append(p)
-    for l in line_basis:
-        p = primitive(l)
-        out += (p, vneg(p))
+
+def _mod_lines(rays: Iterable[IntVector], lines: Sequence[IntVector]) -> tuple[list, list[IntVector]]:
+    """An orthogonal int basis of span(lines) with squared norms, for
+    `_project`, and the nonzero projections of `rays` followed by a +/- pair
+    per primitive row of the span's reduced row echelon basis, duplicates kept."""
+    if not lines:
+        return [], list(rays)
+    basis = [primitive_ints(l) for l in rref(lines)]
+    ortho: list[tuple[IntVector, int]] = []
+    for b in basis:
+        u = _project(b, ortho)
+        ortho.append((u, sum(map(mul, u, u))))
+    out = [p for p in (_project(r, ortho) for r in rays) if any(p)]
+    for b in basis:
+        out += (b, tuple(-x for x in b))
     return ortho, out
 
 
-def _canonical_vrep(
-    vertices: Iterable[Vector], rays: Iterable[Vector], lines: Iterable[Vector]
-) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """Project off the lineality span and sort; lines become +/- ray pairs."""
-    ortho, reduced = _rays_mod_lines(rays, lines)
-    verts = sorted({project_off(v, ortho) for v in vertices})
-    return tuple(verts), tuple(sorted(set(reduced)))
-
-
-def _empty_hrep(dim: int) -> tuple[Halfspace, ...]:
-    e1 = tuple(ONE if i == 0 else ZERO for i in range(dim))
-    return (Halfspace(e1, -ONE), Halfspace(vneg(e1), -ONE))
-
-
-def _vrep_to_hrep(
-    vertices: Sequence[Vector], rays: Sequence[Vector], dim: int
-) -> tuple[Halfspace, ...]:
-    """Canonical facets of conv(vertices) + cone(rays) via the polar cone."""
-    if not vertices:
-        return _empty_hrep(dim)
-    gens = {primitive(tuple(v) + (ONE,)) for v in vertices}
-    for r in rays:
-        p = primitive(tuple(r) + (ZERO,))
-        if not is_zero_vector(p):
-            gens.add(p)
-    lines, polar_rays = _cone_generators(sorted(gens), dim + 1)
-    facets = set()
-    for z in _rays_mod_lines(polar_rays, lines)[1]:
-        normal, neg_offset = z[:dim], z[dim]
-        # A zero normal is 0 <= offset with offset >= 0: trivial, dropped.
-        if not is_zero_vector(normal):
-            facets.add(Halfspace(normal, -neg_offset).scaled_primitive())
+def _vrep_to_hrep(points: Iterable[IntVector], rays: Iterable[IntVector], dim: int) -> tuple[IntVector, ...]:
+    """Sorted primitive int facet rows ``(normal..., offset)`` of conv(points)
+    + cone(rays) via the polar cone, for at least one primitive homogeneous
+    point ``(x..., t)``, t > 0, and primitive nonzero rays."""
+    lines, polar_rays = _cone_generators(sorted({*points, *(r + (0,) for r in rays)}), dim + 1)
+    # A zero normal is 0 <= offset with offset >= 0: trivial, dropped.
+    facets = {z[:dim] + (-z[dim],) for z in _mod_lines(polar_rays, lines)[1] if any(z[:dim])}
     if len(facets) > CAPS.max_facets:
         raise CapExceeded(f"facet count {len(facets)} exceeds cap {CAPS.max_facets}")
     return tuple(sorted(facets))
@@ -305,7 +278,8 @@ class Polyhedron:
     public accessors return canonical data.
     """
 
-    __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_vertices", "_rays", "_empty")
+    __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_vertices", "_rays", "_empty",
+                 "_int_hrep", "_int_points", "_int_rays")
 
     def __init__(self, dim: int, raw_hrep=None, raw_vrep=None):
         if dim < 1:
@@ -319,6 +293,9 @@ class Polyhedron:
         self._vertices: tuple[Vector, ...] | None = None
         self._rays: tuple[Vector, ...] | None = None
         self._empty: bool | None = None
+        # The same canonical data in ints: facet rows (normal..., offset),
+        # homogeneous points (x..., t) in the order of _vertices, and rays.
+        self._int_hrep = self._int_points = self._int_rays = None
 
     # -- constructors --------------------------------------------------
 
@@ -355,36 +332,51 @@ class Polyhedron:
     # -- canonicalization ----------------------------------------------
 
     def _canonicalize(self) -> None:
-        """One pass to both canonical representations.
+        """One int pass to both canonical representations.
 
         A V-rep input runs DD twice: V->H gives the canonical facets, H->V
         the vertices and rays.  An H-rep input also runs DD twice: H->V, then
         V->H on the canonical V-rep, which drops its redundant rows.
+        Fractions are built once, for the public hrep, vertices and rays.
         """
         if self._hrep is not None:
             return
-        hrep = None
+        dim = self.dim
+        facets = None
         if self._raw_hrep is not None:
-            raw = sorted({h.scaled_primitive() for h in self._raw_hrep})
-            verts, rays, lines = _hrep_to_vrep(raw, self.dim)
+            rows = sorted({primitive_ints(h.normal + (h.offset,)) for h in self._raw_hrep})
+            points, rays, lines = _hrep_to_vrep(rows, dim)
         else:
-            verts, rays = self._raw_vrep
-            lines = ()
+            verts, raw_rays = self._raw_vrep
+            points, rays, lines = [], [], []
             if verts:
-                hrep = _vrep_to_hrep(verts, rays, self.dim)
-                verts, rays, lines = _hrep_to_vrep(hrep, self.dim)
-                if not verts:
+                points = [primitive_ints(v + (ONE,)) for v in verts]
+                rays = [r for r in map(primitive_ints, raw_rays) if any(r)]
+                facets = _vrep_to_hrep(points, rays, dim)
+                points, rays, lines = _hrep_to_vrep(facets, dim)
+                if not points:
                     raise AssertionError("nonempty V-rep produced an empty H-rep")
-        if not verts:
-            self._vertices, self._rays = (), ()
-            self._hrep = _empty_hrep(self.dim)
-            self._empty = True
-            return
-        self._vertices, self._rays = _canonical_vrep(verts, rays, lines)
-        if hrep is None:
-            hrep = _vrep_to_hrep(self._vertices, self._rays, self.dim)
-        self._hrep = hrep
-        self._empty = False
+        if not points:
+            e1 = (1,) + (0,) * (dim - 1)
+            facets, rays = (e1 + (-1,), (-1,) + e1[1:] + (-1,)), ()
+        else:
+            ortho, rays = _mod_lines(rays, lines)
+            if ortho:
+                # a zero last entry scales each point's t by u.u with its x
+                ortho = [(u + (0,), uu) for u, uu in ortho]
+                points = [_project(p, ortho) for p in points]
+            # In the order of the public vertices: by rational value, read off
+            # the numerators over a common denominator.
+            common = math.lcm(*(p[dim] for p in points))
+            points = sorted(set(points), key=lambda p: tuple(x * (common // p[dim]) for x in p[:dim]))
+            rays = tuple(sorted(set(rays)))
+            if facets is None:
+                facets = _vrep_to_hrep(points, rays, dim)
+        self._int_hrep, self._int_points, self._int_rays = facets, tuple(points), rays
+        self._hrep = tuple(Halfspace(tuple(map(Fraction, z[:-1])), Fraction(z[-1])) for z in facets)
+        self._vertices = tuple(tuple(Fraction(x, p[dim]) for x in p[:dim]) for p in points)
+        self._rays = tuple(tuple(map(Fraction, r)) for r in rays)
+        self._empty = not points
 
     def canonical(self) -> "Polyhedron":
         self._canonicalize()
@@ -527,10 +519,23 @@ def support_function(p: Polyhedron, direction: Sequence) -> Fraction | float:
     d = parse_vector(direction, p.dim)
     if p.is_empty:
         raise EmptySetError("support function of the empty set")
-    for r in p.rays:
-        if vdot(d, r) > 0:
-            return math.inf
-    return max(vdot(d, v) for v in p.vertices)
+    scale = math.lcm(*(x.denominator for x in d))
+    return _support(p, [x.numerator * (scale // x.denominator) for x in d], scale)
+
+
+def _support(p: Polyhedron, n: Sequence[int], scale: int = 1) -> Fraction | float:
+    """sup over a nonempty p of <n, x> / scale for an int direction n."""
+    p._canonicalize()
+    if any(sum(map(mul, n, r)) > 0 for r in p._int_rays):
+        return math.inf
+    # the largest n.x / t over the points (x..., t), by cross-multiplying;
+    # map stops at len(n), before t
+    best, best_t = None, 1
+    for x in p._int_points:
+        value, t = sum(map(mul, n, x)), x[-1]
+        if best is None or value * best_t > best * t:
+            best, best_t = value, t
+    return Fraction(best, best_t * scale)
 
 
 def contains_point(p: Polyhedron, point: Sequence) -> bool:
@@ -547,25 +552,28 @@ def strictly_contains_point(p: Polyhedron, point: Sequence) -> bool:
 
 
 def contains_polyhedron(p: Polyhedron, q: Polyhedron) -> tuple[bool, Vector | None]:
-    """Is q a subset of p?  On failure returns a point of q outside p."""
+    """Is q a subset of p?  On failure returns a point of q outside p: the
+    first canonical vertex of q that violates a facet of p, else a point on
+    the first ray of q that leaves p."""
     _same_dim(p, q)
     if q.is_empty:
         return True, None
     if p.is_empty:
         return False, q.vertices[0]
-    hrep = p.hrep
-    for v in q.vertices:
-        for h in hrep:
-            if vdot(h.normal, v) > h.offset:
-                return False, v
-    base = q.vertices[0]
-    for r in q.rays:
-        for h in hrep:
-            slope = vdot(h.normal, r)
-            if slope > 0:
+    p._canonicalize()
+    q._canonicalize()
+    # (normal, -offset).(x, t) > 0 iff normal.(x / t) > offset, as t > 0
+    violated = [z[:-1] + (-z[-1],) for z in p._int_hrep]
+    for x, v in zip(q._int_points, q._vertices):
+        if any(sum(map(mul, w, x)) > 0 for w in violated):
+            return False, v
+    for r, ray in zip(q._int_rays, q._rays):
+        for z, h in zip(p._int_hrep, p._hrep):
+            if sum(map(mul, z, r)) > 0:  # map stops before z's offset
+                base = q._vertices[0]
                 slack = h.offset - vdot(h.normal, base)
-                t = slack / slope + 1 if slack > 0 else ONE
-                return False, vadd(base, vscale(t, r))
+                t = slack / vdot(h.normal, ray) + 1 if slack > 0 else ONE
+                return False, vadd(base, vscale(t, ray))
     return True, None
 
 
@@ -614,9 +622,10 @@ def star_difference(a: Polyhedron, b: Polyhedron) -> Polyhedron:
         return Polyhedron.whole_space(dim)
     if a.is_empty:
         return Polyhedron.empty(dim)
+    a._canonicalize()
     shifted = []
-    for h in a.hrep:
-        s = support_function(b, h.normal)
+    for z, h in zip(a._int_hrep, a._hrep):
+        s = _support(b, z[:-1])
         if s == math.inf:
             return Polyhedron.empty(dim)
         shifted.append(Halfspace(h.normal, h.offset - s))

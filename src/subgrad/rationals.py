@@ -1,8 +1,9 @@
 """Exact rational scalars and small dense vectors.
 
 Scalars are ``fractions.Fraction`` throughout; vectors are plain tuples of
-Fractions.  Everything here is pure; the double description loop itself runs
-on ints (see ``primitive_ints``) and uses these helpers only at its boundary.
+Fractions.  Everything here is pure.  Polyhedron canonicalization, containment
+and support values run on ints (see ``primitive_ints``) and use these helpers
+only at their boundary.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def parse_rational(text) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
     raise ParseError(f"not a rational: {text!r}")
+
+
+def to_float(value) -> float:
+    """A real input as a float; an exact value beyond float range is bad input."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError("number out of float range") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -132,30 +141,3 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> list[Vector]:
             break
     out = [tuple(row) for row in mat[:pivot_row] if not is_zero_vector(row)]
     return out
-
-
-def orthogonalize(basis: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Gram-Schmidt without normalization (stays rational)."""
-    ortho: list[Vector] = []
-    for b in basis:
-        v = tuple(b)
-        for u in ortho:
-            uu = vdot(u, u)
-            if uu:
-                v = vsub(v, vscale(vdot(v, u) / uu, u))
-        if not is_zero_vector(v):
-            ortho.append(v)
-    return ortho
-
-
-def project_off(vec: Sequence[Fraction], ortho_basis: Sequence[Sequence[Fraction]]) -> Vector:
-    """Component of ``vec`` orthogonal to span(ortho_basis).
-
-    ``ortho_basis`` must already be pairwise orthogonal (see orthogonalize).
-    """
-    v = tuple(vec)
-    for u in ortho_basis:
-        uu = vdot(u, u)
-        if uu:
-            v = vsub(v, vscale(vdot(v, u) / uu, u))
-    return v

@@ -12,7 +12,20 @@ from math import gcd
 import numpy as np
 
 from subgrad.polykernel import Polyhedron
-from subgrad.rationals import ONE, ZERO, is_zero_vector, primitive, vadd, vdot, vneg, vscale, vsub
+from subgrad.rationals import (
+    ONE,
+    ZERO,
+    format_rational,
+    format_vector,
+    is_zero_vector,
+    primitive,
+    rref,
+    vadd,
+    vdot,
+    vneg,
+    vscale,
+    vsub,
+)
 
 
 def point_in_hrep(point, hrep) -> bool:
@@ -21,6 +34,11 @@ def point_in_hrep(point, hrep) -> bool:
         if sum(n * x for n, x in zip(h.normal, point)) > h.offset:
             return False
     return True
+
+
+def dot(a, b) -> Fraction:
+    """Plain sum of products, no library call."""
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def translate_subset(a_hrep, b_vertices, x) -> bool:
@@ -187,6 +205,83 @@ def cone_generators_reference(ineqs, dim):
                     combos.append((primitive(w), common | {idx}))
         rays = keep + combos
     return lines, [r for r, _ in rays]
+
+
+def _project_off(vec, ortho):
+    """Component of vec orthogonal to the span of the pairwise orthogonal ortho."""
+    v = tuple(vec)
+    for u in ortho:
+        v = vsub(v, vscale(vdot(v, u) / vdot(u, u), u))
+    return v
+
+
+def _rays_mod_lines(rays, lines):
+    """Orthogonal basis of span(lines), and the primitive nonzero projections
+    of rays followed by a +/- primitive pair per reduced basis row."""
+    line_basis = rref(lines)
+    ortho = []
+    for b in line_basis:
+        ortho.append(_project_off(b, ortho))
+    out = [p for p in (primitive(_project_off(r, ortho)) for r in rays) if not is_zero_vector(p)]
+    for l in line_basis:
+        p = primitive(l)
+        out += (p, vneg(p))
+    return ortho, out
+
+
+def _hrep_to_vrep_reference(rows, dim):
+    """Raw Fraction (vertices, rays, lines) of rows (normal, offset)."""
+    ineqs = [tuple(n) + (-c,) for n, c in rows]
+    ineqs.append((ZERO,) * dim + (-ONE,))
+    lines, rays = cone_generators_reference(ineqs, dim + 1)
+    vertices = [tuple(x / r[dim] for x in r[:dim]) for r in rays if r[dim] > 0]
+    cone_rays = [r[:dim] for r in rays if r[dim] == 0]
+    return vertices, cone_rays, [l[:dim] for l in lines]
+
+
+def _vrep_to_hrep_reference(vertices, rays, dim):
+    """Sorted primitive facet rows (normal, offset) of conv(vertices) + cone(rays)."""
+    gens = {primitive(tuple(v) + (ONE,)) for v in vertices}
+    gens |= {p for p in (primitive(tuple(r) + (ZERO,)) for r in rays) if not is_zero_vector(p)}
+    lines, polar_rays = cone_generators_reference(sorted(gens), dim + 1)
+    facets = set()
+    for z in _rays_mod_lines(polar_rays, lines)[1]:
+        if not is_zero_vector(z[:dim]):
+            joint = primitive(z[:dim] + (-z[dim],))
+            facets.add((joint[:dim], joint[dim]))
+    return sorted(facets)
+
+
+def canonical_reference(dim, hrep=None, vrep=None) -> dict:
+    """``Polyhedron.to_json()`` of an H-rep (pairs normal, offset) or a V-rep
+    (vertices, rays), recomputed by the kernel's earlier Fraction
+    canonicalization on top of `cone_generators_reference`: vertices and rays
+    projected off the lineality span with Fractions, facets rescaled with
+    `primitive`, everything sorted as Fraction tuples."""
+    facets = None
+    if hrep is not None:
+        rows = sorted({(p[:dim], p[dim]) for p in (primitive(tuple(n) + (c,)) for n, c in hrep)})
+        verts, rays, lines = _hrep_to_vrep_reference(rows, dim)
+    else:
+        verts, rays = vrep
+        lines = []
+        if verts:
+            facets = _vrep_to_hrep_reference(verts, rays, dim)
+            verts, rays, lines = _hrep_to_vrep_reference(facets, dim)
+    if not verts:
+        e1 = tuple(ONE if i == 0 else ZERO for i in range(dim))
+        facets, verts, rays = [(e1, -ONE), (vneg(e1), -ONE)], [], []
+    else:
+        ortho, rays = _rays_mod_lines(rays, lines)
+        verts = sorted({_project_off(v, ortho) for v in verts})
+        rays = sorted(set(rays))
+        if facets is None:
+            facets = _vrep_to_hrep_reference(verts, rays, dim)
+    return {
+        "dim": dim,
+        "hrep": [{"normal": format_vector(n), "offset": format_rational(c)} for n, c in facets],
+        "vrep": {"vertices": [format_vector(v) for v in verts], "rays": [format_vector(r) for r in rays]},
+    }
 
 
 def pa_value(pieces, x) -> Fraction:

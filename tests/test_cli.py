@@ -4,14 +4,19 @@ Exit code contract: 0 verified / holds, 1 claim or certificate fails,
 2 inconclusive or numerically unstable, 3 malformed input or cap hit.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "scenarios" / "data"
@@ -193,6 +198,11 @@ def test_run_malformed_scenario(tmp_path, capsys):
     def calmness_of(function):
         return {"kind": "probe", "probe": "calmness", "point": "0", "function": function}
 
+    def blunt_with_h_intercept(value):
+        sc = _inlined(CORPUS / "probe_blunt_positive.json")
+        sc["problem"]["objective"]["h"]["pieces"][0]["intercept"] = value
+        return sc
+
     shapes = {
         "hrep_not_list": {"kind": "stardiff", "A": {"dim": 1, "hrep": 5}, "B": point},
         "hrep_item_not_object": {"kind": "stardiff", "A": {"dim": 1, "hrep": [5]}, "B": point},
@@ -240,11 +250,102 @@ def test_run_malformed_scenario(tmp_path, capsys):
             "kind": "check", "claim": "equality26", "point": "0", "dc": dc,
             "eps": "1/2", "eta": "1/2", "norm": 5,
         },
+        "point_overflows_float": {
+            **json.loads((EXTRA / "probe_regularity_staircase_convex.json").read_text()),
+            "function": json.loads((DATA / "staircase.json").read_text()),
+            "point": [10**400],
+        },
+        "plan_radius_overflows_float": dini_with_plan({"shell_radii": [10**400]}),
+        # found by test_fuzzed_scenarios_keep_the_exit_contract
+        "slope_overflows_float": {
+            "kind": "probe", "probe": "dini", "point": "1", "direction": "-1",
+            "function": {"type": "pa_convex", "pieces": [{"slope": [-(10**400)], "intercept": "0"}]},
+        },
+        "blunt_intercept_overflows_float": blunt_with_h_intercept(-(10**400)),
+        "coord_index_bool": calmness_of({"type": "blackbox", "dim": 1, "expr": ["coord", False]}),
+        "blackbox_dim_over_cap": calmness_of({"type": "blackbox", "dim": 2**63, "expr": abs_expr}),
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(sc))
         assert cli.main(["run", str(path)]) == 3, (name, capsys.readouterr())
+
+
+def _inlined(path: Path):
+    """A shipped scenario with each referenced data file read in place."""
+    sc = json.loads(path.read_text())
+    for key, value in sc.items():
+        if isinstance(value, str) and value.endswith(".json"):
+            sc[key] = json.loads((path.parent / value).read_text())
+    return sc
+
+
+def _paths(node, prefix=()):
+    """Every subtree of a JSON value, as the key path that reaches it."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+SHIPPED = [
+    (sc, list(_paths(sc)))
+    for sc in (_inlined(p) for d in (CORPUS, EXTRA) for p in sorted(d.glob("*.json")))
+]
+
+# Integers stay small or far beyond any size that could be allocated: a
+# count such as samples_per_shell = 10**8 would have a probe ask for gigabytes.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-1000, max_value=1000),
+    st.sampled_from([10**400, -(10**400), 2**63, 10**20, 0.0, -0.5, 1e-300]),
+    st.floats(),
+    st.integers(min_value=-1000, max_value=1000).map(str),
+    st.sampled_from(["1/0", "0", "-1", "1/3", "-7/2", "1" + "0" * 400, "1e400", "x", "", "l1", "l2approx:8"]),
+    st.text(max_size=4),
+)
+json_values = st.one_of(
+    json_scalars,
+    st.lists(json_scalars, max_size=4),
+    st.recursive(
+        json_scalars,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+        max_leaves=10,
+    ),
+    # deep nests, short of the interpreter's recursion limit
+    st.integers(min_value=20, max_value=200).map(lambda n: json.loads("[" * n + "]" * n)),
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario, data files inlined, with one subtree (possibly
+    the whole scenario) replaced by random JSON."""
+    sc, paths = draw(st.sampled_from(SHIPPED))
+    path = draw(st.sampled_from(paths))
+    new = draw(json_values)
+    if not path:
+        return new
+    sc = copy.deepcopy(sc)
+    node = sc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return sc
+
+
+@given(mutated_scenarios())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzzed_scenarios_keep_the_exit_contract(sc):
+    from subgrad import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(sc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", str(path)])
+    assert code in (0, 1, 2, 3)
 
 
 def test_deeply_nested_json_is_bad_input(tmp_path, capsys):

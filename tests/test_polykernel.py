@@ -22,9 +22,10 @@ from subgrad.errors import (
     UnsupportedNorm,
 )
 from subgrad import cli, polykernel, simplex
-from subgrad.rationals import primitive, rref
+from subgrad.rationals import primitive, primitive_ints, rref
 from subgrad.polykernel import (
     CAPS,
+    Halfspace,
     L1,
     LINF,
     NormSpec,
@@ -148,7 +149,9 @@ def small_vreps(draw):
 def test_vrep_facets_are_the_canonical_facets(vrep):
     vertices, rays, dim = vrep
     p = Polyhedron.from_vrep(vertices, rays, dim=dim)
-    assert p.hrep == polykernel._vrep_to_hrep(p.vertices, p.rays, dim)
+    points = [primitive_ints(v + (1,)) for v in p.vertices]
+    rows = polykernel._vrep_to_hrep(points, [primitive_ints(r) for r in p.rays], dim)
+    assert p.hrep == tuple(Halfspace(z[:-1], z[-1]) for z in rows)
     assert Polyhedron.from_hrep(p.hrep, dim).to_json() == p.to_json()
 
 
@@ -186,6 +189,105 @@ def test_cone_generators_match_reference(system):
     assert all(primitive(r) == r for r in rays), "rays must be primitive ints"
     assert sorted(rays) == sorted(ref_rays)
     assert rref(lines) == rref(ref_lines)
+
+
+@st.composite
+def raw_polyhedra(draw, dim):
+    """An H-rep with redundant, duplicate, positively scaled and sometimes
+    contradicting rows, or a V-rep with repeated and interior points, rays and
+    lines (no points: the empty set); entries p/q with q <= 3."""
+    vec = st.tuples(*[small_rationals] * dim)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(vec, small_rationals), max_size=5))
+        for kind in draw(st.lists(st.sampled_from(["dup", "scaled", "relaxed", "opposite"]), max_size=3)):
+            if not rows:
+                break
+            n, c = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            if kind == "scaled":
+                k = draw(st.sampled_from([F(1, 2), F(2), F(3), F(2, 3)]))
+                n, c = tuple(k * x for x in n), k * c
+            elif kind == "relaxed":
+                c = c + 1
+            elif kind == "opposite":
+                n, c = tuple(-x for x in n), -c - draw(st.sampled_from([0, 1]))
+            rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), (n, F(c)))
+        rows = [(tuple(F(x) for x in n), F(c)) for n, c in rows]
+        return Polyhedron.from_hrep(rows, dim), {"hrep": rows}
+    points = draw(st.lists(vec, max_size=4))
+    if points:
+        points.append(points[0])
+        points.append(tuple(F(x + y, 2) for x, y in zip(points[0], points[-2])))
+    rays = draw(st.lists(vec, max_size=2))
+    for line in draw(st.lists(vec, max_size=1)):
+        rays += [line, tuple(-x for x in line)]
+    points = [tuple(F(x) for x in v) for v in points]
+    rays = [tuple(F(x) for x in r) for r in rays]
+    return Polyhedron.from_vrep(points, rays, dim=dim), {"vrep": (points, rays)}
+
+
+@st.composite
+def polyhedron_pairs(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    (p, p_raw), (q, q_raw) = draw(raw_polyhedra(dim)), draw(raw_polyhedra(dim))
+    if draw(st.booleans()):
+        q, q_raw = intersect(p, q), None  # q inside p
+    direction = draw(st.tuples(*[small_rationals] * dim))
+    return dim, p, p_raw, q, q_raw, direction
+
+
+@given(polyhedron_pairs())
+@settings(max_examples=200, deadline=None)
+def test_canonical_polyhedra_match_fraction_reference(case):
+    dim, p, p_raw, q, q_raw, d = case
+    assert p.to_json() == oracles.canonical_reference(dim, **p_raw)
+    if q_raw is not None:
+        assert q.to_json() == oracles.canonical_reference(dim, **q_raw)
+
+    if p.is_empty:
+        with pytest.raises(EmptySetError):
+            support_function(p, d)
+    elif any(oracles.dot(d, r) > 0 for r in p.rays):
+        assert support_function(p, d) == math.inf
+    else:
+        assert support_function(p, d) == max(oracles.dot(d, v) for v in p.vertices)
+
+    ok, witness = contains_polyhedron(p, q)
+    violators = [v for v in q.vertices if not oracles.point_in_hrep(v, p.hrep)]
+    leaving = [r for r in q.rays if any(oracles.dot(h.normal, r) > 0 for h in p.hrep)]
+    if q.is_empty:
+        assert (ok, witness) == (True, None)
+    elif p.is_empty:
+        assert (ok, witness) == (False, q.vertices[0])
+    else:
+        assert ok == (not violators and not leaving)
+        if violators:
+            assert witness == violators[0]
+        elif leaving:
+            assert oracles.point_in_hrep(witness, q.hrep)
+            assert not oracles.point_in_hrep(witness, p.hrep)
+        else:
+            assert witness is None
+
+
+@pytest.mark.parametrize(
+    "rows, witness",
+    [
+        # all four vertices are outside
+        ([((1, 0), F(1, 4)), ((-1, 0), F(1, 4)), ((0, 1), F(1, 4)), ((0, -1), F(1, 4))], (F(-2), F(1))),
+        # (1/2, 5) comes before (1, 0) by value, after it as an int tuple (1, 10, 2)
+        ([((1, 0), F(0))], (F(1, 2), F(5))),
+        # only (1, 0) is outside
+        ([((0, -1), F(-1, 2))], (F(1), F(0))),
+    ],
+    ids=["all_outside", "value_order", "one_outside"],
+)
+def test_contains_polyhedron_witness_is_first_violating_vertex(rows, witness):
+    p = Polyhedron.from_hrep(rows, 2)
+    q = Polyhedron.from_vrep([(3, 3), (1, 0), (F(1, 2), 5), (-2, 1)], dim=2)
+    assert q.vertices == ((F(-2), F(1)), (F(1, 2), F(5)), (F(1), F(0)), (F(3), F(3)))
+    first = next(v for v in q.vertices if not oracles.point_in_hrep(v, p.hrep))
+    assert first == witness
+    assert contains_polyhedron(p, q) == (False, witness)
 
 
 def test_json_round_trip_random():
