@@ -44,7 +44,6 @@ from .errors import (
 from .polykernel import (
     CAPS,
     L1,
-    Halfspace,
     NormSpec,
     Polyhedron,
     contains_point,
@@ -87,13 +86,11 @@ class AffinePiece:
         return vdot(self.slope, x) + self.intercept
 
 
-def _float_rows(rows: Sequence[Halfspace], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float (normals, offsets) of H-rep rows, for vectorised prefilters."""
-    normals = np.array(
-        [[to_float(a) for a in h.normal] for h in rows], dtype=float
-    ).reshape(len(rows), dim)
-    offsets = np.array([to_float(h.offset) for h in rows], dtype=float)
-    return normals, offsets
+def _float_rows(rows: Sequence[Sequence[int]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float (normals, offsets) of rows ``(normal..., offset)``, for
+    vectorised prefilters."""
+    table = np.array([[to_float(a) for a in z] for z in rows], dtype=float).reshape(len(rows), dim + 1)
+    return table[:, :dim], table[:, dim]
 
 
 class PAConvexFunction:
@@ -394,9 +391,9 @@ def dc_dini_subdifferential_definitional(
     if e != 0:
         target = minkowski_sum(target, dual_norm_ball(norm, e, dim))
     b = dc.h.subdifferential_at(x)
-    target = target.canonical()
+    facets = target.hrep
     for ray in b.rays:
-        if any(vdot(h.normal, ray) > 0 for h in target.hrep):
+        if any(vdot(h.normal, ray) > 0 for h in facets):
             return Polyhedron.empty(dim)
     translates = [translate(target, vneg(v)) for v in b.vertices]
     return intersect_many(translates)

@@ -215,40 +215,18 @@ def normal_cone_feasible(
     return direct, lagrange, agree
 
 
-def _member_of_generated_set(
-    vertices: Sequence[Vector], rays: Sequence[Vector], point: Vector
-) -> bool:
-    """Exact LP feasibility of point in conv(vertices) + cone(rays)."""
-    nv, nr = len(vertices), len(rays)
-    dim = len(point)
-    a_eq = []
-    b_eq = []
-    for j in range(dim):
-        a_eq.append([v[j] for v in vertices] + [r[j] for r in rays])
-        b_eq.append(point[j])
-    a_eq.append([Fraction(1)] * nv + [Fraction(0)] * nr)
-    b_eq.append(Fraction(1))
-    res = solve_lp(
-        [Fraction(0)] * (nv + nr),
-        a_eq=a_eq,
-        b_eq=b_eq,
-        nonneg=[True] * (nv + nr),
-    )
-    return res.status == OPTIMAL
-
-
-def _ray_in_cone(rays: Sequence[Vector], direction: Vector) -> bool:
-    if not rays:
-        return is_zero_vector(direction)
-    dim = len(direction)
-    a_eq = [[r[j] for r in rays] for j in range(dim)]
-    b_eq = list(direction)
-    res = solve_lp(
-        [Fraction(0)] * len(rays),
-        a_eq=a_eq,
-        b_eq=b_eq,
-        nonneg=[True] * len(rays),
-    )
+def _in_generated_set(vertices: Sequence[Vector], rays: Sequence[Vector], point: Vector) -> bool:
+    """Exact LP feasibility of point in conv(vertices) + cone(rays); with no
+    vertices, of a direction in cone(rays)."""
+    if not vertices and not rays:
+        return is_zero_vector(point)
+    gens = list(vertices) + list(rays)
+    a_eq = [[g[j] for g in gens] for j in range(len(point))]
+    b_eq = list(point)
+    if vertices:
+        a_eq.append([Fraction(1)] * len(vertices) + [Fraction(0)] * len(rays))
+        b_eq.append(Fraction(1))
+    res = solve_lp([Fraction(0)] * len(gens), a_eq=a_eq, b_eq=b_eq, nonneg=[True] * len(gens))
     return res.status == OPTIMAL
 
 
@@ -275,10 +253,10 @@ def check_inclusion_28(p: ProblemInstance, x: Sequence) -> tuple[str, Vector | N
     rays = list(dg.rays) + list(na.rays)
     dh = p.objective.h.subdifferential_at(xv)
     for ray in dh.rays:
-        if not _ray_in_cone(rays, ray):
+        if not _in_generated_set((), rays, ray):
             return "Fails", ray
     for v in dh.vertices:
-        if not _member_of_generated_set(verts, rays, v):
+        if not _in_generated_set(verts, rays, v):
             return "Fails", v
     return "Holds", None
 
@@ -516,7 +494,7 @@ def blunt_min_probe(
     ef = to_float(e)
     dim = p.constraints.dim
     xf = np.array([to_float(v) for v in xv], dtype=float)
-    normals, offsets = _float_rows(a_set.hrep, dim)
+    normals, offsets = _float_rows(a_set.canonical()._hrep, dim)
     shells: list[dict] = []
     any_feasible = False
     for k, r in enumerate(plan.shell_radii):

@@ -3,13 +3,15 @@
 A polyhedron carries an H-representation (finite list of halfspaces
 ``<normal, x> <= offset``) and/or a V-representation (vertices plus recession
 rays; lineality is stored as opposite ray pairs).  Conversion between the two
-runs the double description method on the homogenization cone.  The DD loop
-works on primitive Python-int rays with bitmask zero sets, and so does all of
-canonicalization: facets are int rows ``(normal..., offset)``, vertices are
-homogeneous int points ``(x..., t)`` with ``t > 0``, and containment and
-support values are decided on these.  ``fractions.Fraction`` appears only at
-the public boundary (parsing, ``hrep``/``vertices``/``rays``, returned values).
-All of it is exact — no floating point anywhere.
+runs the double description method on the homogenization cone.  Every
+polyhedron holds one integer form, for its raw input and for its canonical
+data alike: halfspaces are primitive int rows ``(normal..., offset)``, points
+are primitive homogeneous int tuples ``(x..., t)`` for ``x / t`` with
+``t > 0``, and rays are primitive nonzero int tuples.  The DD loop (with
+bitmask zero sets), canonicalization and every operation below run on these.
+``fractions.Fraction`` appears only at the public boundary: parsing, the
+``hrep``/``vertices``/``rays`` accessors, and returned values.  All of it is
+exact — no floating point anywhere.
 
 Canonical form
 --------------
@@ -48,13 +50,10 @@ from .rationals import (
     Vector,
     format_rational,
     format_vector,
-    is_zero_vector,
     parse_rational,
     parse_vector,
     primitive_ints,
     rref,
-    vadd,
-    vdot,
     vneg,
     vscale,
     vzero,
@@ -146,22 +145,21 @@ def _reduced(v: Sequence[int]) -> IntVector:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def _cone_generators(ineqs: Sequence[Sequence], dim: int) -> tuple[list[IntVector], list[IntVector]]:
-    """Minimal generators (lines, rays) of ``{x : a.x <= 0 for a in ineqs}``.
+def _cone_generators(ineqs: Sequence[IntVector], dim: int) -> tuple[list[IntVector], list[IntVector]]:
+    """Minimal generators (lines, rays) of ``{x : a.x <= 0 for a in ineqs}``
+    for int rows `ineqs`.
 
     Incremental double description with the combinatorial adjacency test;
     lineality is eliminated eagerly so the ray part stays pointed modulo the
-    line span.  The loop runs on primitive int vectors: each row is scaled
-    once to coprime ints (a positive scaling keeps the cone), every update is
-    a cross-multiplied integer combination divided by the gcd of its entries,
+    line span.  The loop runs on primitive int vectors: every update is a
+    cross-multiplied integer combination divided by the gcd of its entries,
     and each zero set is an int bitmask over row indices.  This is exact; the
     lines and rays come back as primitive int tuples.
     """
-    rows = [primitive_ints(a) for a in ineqs]
     lines = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[IntVector, int]] = []  # (ray, zero-set bitmask)
 
-    for idx, a in enumerate(rows):
+    for idx, a in enumerate(ineqs):
         if not any(a):
             continue
         bit = 1 << idx
@@ -271,50 +269,65 @@ def _vrep_to_hrep(points: Iterable[IntVector], rays: Iterable[IntVector], dim: i
 # ---------------------------------------------------------------------------
 
 
+def _point(p: IntVector) -> Vector:
+    """The rational point ``x / t`` of a homogeneous int point ``(x..., t)``."""
+    t = p[-1]
+    return tuple(Fraction(x, t) for x in p[:-1])
+
+
+def _homogeneous(x: Vector) -> IntVector:
+    """A rational point as a primitive homogeneous int point ``(x..., t)``, t > 0."""
+    return primitive_ints(x + (ONE,))
+
+
 class Polyhedron:
     """A (possibly empty, possibly unbounded) rational polyhedron.
 
-    Instances are value objects; canonicalization is cached in place and all
-    public accessors return canonical data.
+    Instances are value objects that hold primitive ints only.  The raw input
+    is kept up to positive scaling and order, as sorted distinct rows
+    ``(normal..., offset)`` in ``_raw_hrep`` or as sorted distinct
+    homogeneous points ``(x..., t)`` and nonzero rays in ``_raw_vrep``.
+    Canonicalization fills ``_hrep`` (facet rows), ``_points`` (in the order
+    of the public vertices) and ``_rays`` in place, once; ``hrep``,
+    ``vertices``, ``rays`` and ``to_json`` build their Fractions from these
+    on each access.
     """
 
-    __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_vertices", "_rays", "_empty",
-                 "_int_hrep", "_int_points", "_int_rays")
+    __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_points", "_rays")
 
-    def __init__(self, dim: int, raw_hrep=None, raw_vrep=None):
+    def __init__(self, dim: int, raw_hrep: Iterable[Sequence[int]] | None = None,
+                 raw_vrep: tuple[Iterable[Sequence[int]], Iterable[Sequence[int]]] | None = None):
         if dim < 1:
             raise DimensionMismatch("dimension must be >= 1")
         if dim > CAPS.max_dim:
             raise CapExceeded(f"dimension {dim} exceeds cap {CAPS.max_dim}")
         self.dim = dim
-        self._raw_hrep = raw_hrep
+        self._raw_hrep = None if raw_hrep is None else tuple(sorted({_reduced(z) for z in raw_hrep}))
+        if raw_vrep is not None:
+            points, rays = raw_vrep
+            raw_vrep = (tuple(sorted({_reduced(x) for x in points})),
+                        tuple(sorted({_reduced(r) for r in rays if any(r)})))
         self._raw_vrep = raw_vrep
-        self._hrep: tuple[Halfspace, ...] | None = None
-        self._vertices: tuple[Vector, ...] | None = None
-        self._rays: tuple[Vector, ...] | None = None
-        self._empty: bool | None = None
-        # The same canonical data in ints: facet rows (normal..., offset),
-        # homogeneous points (x..., t) in the order of _vertices, and rays.
-        self._int_hrep = self._int_points = self._int_rays = None
+        self._hrep: tuple[IntVector, ...] | None = None
+        self._points: tuple[IntVector, ...] | None = None
+        self._rays: tuple[IntVector, ...] | None = None
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def from_hrep(cls, halfspaces: Iterable, dim: int) -> "Polyhedron":
-        hs = []
+        rows = []
         for h in halfspaces:
-            if not isinstance(h, Halfspace):
-                h = Halfspace(parse_vector(h[0]), parse_rational(h[1]))
-            if len(h.normal) != dim:
+            normal, offset = parse_vector(h[0]), parse_rational(h[1])
+            if len(normal) != dim:
                 raise DimensionMismatch("halfspace normal has wrong length")
-            hs.append(Halfspace(tuple(Fraction(x) for x in h.normal), Fraction(h.offset)))
-        return cls(dim, raw_hrep=tuple(hs))
+            rows.append(primitive_ints(normal + (offset,)))
+        return cls(dim, raw_hrep=rows)
 
     @classmethod
     def from_vrep(cls, vertices: Iterable, rays: Iterable = (), *, dim: int) -> "Polyhedron":
-        vs = [parse_vector(v, dim) for v in vertices]
-        rs = [parse_vector(r, dim) for r in rays]
-        return cls(dim, raw_vrep=(tuple(vs), tuple(rs)))
+        points = [_homogeneous(parse_vector(v, dim)) for v in vertices]
+        return cls(dim, raw_vrep=(points, [primitive_ints(parse_vector(r, dim)) for r in rays]))
 
     @classmethod
     def whole_space(cls, dim: int) -> "Polyhedron":
@@ -332,26 +345,22 @@ class Polyhedron:
     # -- canonicalization ----------------------------------------------
 
     def _canonicalize(self) -> None:
-        """One int pass to both canonical representations.
+        """One int pass to the canonical facets, points and rays.
 
         A V-rep input runs DD twice: V->H gives the canonical facets, H->V
         the vertices and rays.  An H-rep input also runs DD twice: H->V, then
         V->H on the canonical V-rep, which drops its redundant rows.
-        Fractions are built once, for the public hrep, vertices and rays.
         """
         if self._hrep is not None:
             return
         dim = self.dim
         facets = None
         if self._raw_hrep is not None:
-            rows = sorted({primitive_ints(h.normal + (h.offset,)) for h in self._raw_hrep})
-            points, rays, lines = _hrep_to_vrep(rows, dim)
+            points, rays, lines = _hrep_to_vrep(self._raw_hrep, dim)
         else:
-            verts, raw_rays = self._raw_vrep
-            points, rays, lines = [], [], []
-            if verts:
-                points = [primitive_ints(v + (ONE,)) for v in verts]
-                rays = [r for r in map(primitive_ints, raw_rays) if any(r)]
+            points, rays = self._raw_vrep
+            lines = []
+            if points:
                 facets = _vrep_to_hrep(points, rays, dim)
                 points, rays, lines = _hrep_to_vrep(facets, dim)
                 if not points:
@@ -372,11 +381,7 @@ class Polyhedron:
             rays = tuple(sorted(set(rays)))
             if facets is None:
                 facets = _vrep_to_hrep(points, rays, dim)
-        self._int_hrep, self._int_points, self._int_rays = facets, tuple(points), rays
-        self._hrep = tuple(Halfspace(tuple(map(Fraction, z[:-1])), Fraction(z[-1])) for z in facets)
-        self._vertices = tuple(tuple(Fraction(x, p[dim]) for x in p[:dim]) for p in points)
-        self._rays = tuple(tuple(map(Fraction, r)) for r in rays)
-        self._empty = not points
+        self._hrep, self._points, self._rays = facets, tuple(points), rays
 
     def canonical(self) -> "Polyhedron":
         self._canonicalize()
@@ -385,52 +390,53 @@ class Polyhedron:
     @property
     def hrep(self) -> tuple[Halfspace, ...]:
         self._canonicalize()
-        return self._hrep
+        return tuple(Halfspace(tuple(map(Fraction, z[:-1])), Fraction(z[-1])) for z in self._hrep)
 
     @property
-    def _rows(self) -> tuple[Halfspace, ...]:
-        """The rows this polyhedron was built from, else its canonical facets.
+    def _rows(self) -> tuple[IntVector, ...]:
+        """The int rows this polyhedron was built from, else its canonical
+        facets.
 
         Same point set either way; reading the raw rows runs no DD.
         """
-        return self._raw_hrep if self._raw_hrep is not None else self.hrep
+        return self._raw_hrep if self._raw_hrep is not None else self.canonical()._hrep
 
     @property
-    def _gens(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-        """The (points, rays) this polyhedron was built from, else its
-        canonical vertices and rays.
+    def _gens(self) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
+        """The homogeneous int (points, rays) this polyhedron was built from,
+        else its canonical ones.
 
         Same point set either way; reading the raw pair runs no DD.
         """
-        return self._raw_vrep if self._raw_vrep is not None else (self.vertices, self.rays)
+        if self._raw_vrep is not None:
+            return self._raw_vrep
+        self._canonicalize()
+        return self._points, self._rays
 
     @property
     def vertices(self) -> tuple[Vector, ...]:
         self._canonicalize()
-        return self._vertices
+        return tuple(map(_point, self._points))
 
     @property
     def rays(self) -> tuple[Vector, ...]:
         self._canonicalize()
-        return self._rays
+        return tuple(tuple(map(Fraction, r)) for r in self._rays)
 
     @property
     def is_empty(self) -> bool:
-        if self._empty is None:
-            if self._raw_vrep is not None and self._hrep is None:
-                self._empty = not self._raw_vrep[0]
-            else:
-                self._canonicalize()
-        return self._empty
+        if self._hrep is None and self._raw_vrep is not None:
+            return not self._raw_vrep[0]
+        return not self.canonical()._points
 
     def is_bounded(self) -> bool:
-        return not self.is_empty and not self.rays
+        return bool(self.canonical()._points) and not self._rays
 
     # -- comparison / display -------------------------------------------
 
     def _key(self):
         self._canonicalize()
-        return (self.dim, self._hrep, self._vertices, self._rays)
+        return (self.dim, self._hrep, self._points, self._rays)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polyhedron):
@@ -453,16 +459,15 @@ class Polyhedron:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        self._canonicalize()
         return {
             "dim": self.dim,
             "hrep": [
                 {"normal": format_vector(h.normal), "offset": format_rational(h.offset)}
-                for h in self._hrep
+                for h in self.hrep
             ],
             "vrep": {
-                "vertices": [format_vector(v) for v in self._vertices],
-                "rays": [format_vector(r) for r in self._rays],
+                "vertices": [format_vector(v) for v in self.vertices],
+                "rays": [format_vector(r) for r in self.rays],
             },
         }
 
@@ -471,7 +476,7 @@ class Polyhedron:
         if not isinstance(obj, dict) or "dim" not in obj:
             raise ParseError("polyhedron object needs a 'dim' field")
         dim = obj["dim"]
-        if not isinstance(dim, int):
+        if not isinstance(dim, int) or isinstance(dim, bool):
             raise ParseError("'dim' must be an integer")
         have_h = obj.get("hrep") is not None
         have_v = obj.get("vrep") is not None
@@ -514,41 +519,50 @@ def _same_dim(*polys: Polyhedron) -> int:
     return dims.pop()
 
 
+def _slack(z: IntVector, x: IntVector) -> int:
+    """``t·offset - normal·x`` for a row ``(normal..., offset)`` and a point
+    ``(x..., t)``: as t > 0, its sign is the sign of ``offset - normal·(x / t)``."""
+    return z[-1] * x[-1] - sum(map(mul, z[:-1], x))
+
+
+def _satisfies(rows: Iterable[IntVector], x: IntVector) -> bool:
+    return all(_slack(z, x) >= 0 for z in rows)
+
+
 def support_function(p: Polyhedron, direction: Sequence) -> Fraction | float:
     """sup over p of <direction, x>; +inf when unbounded in that direction."""
     d = parse_vector(direction, p.dim)
     if p.is_empty:
         raise EmptySetError("support function of the empty set")
     scale = math.lcm(*(x.denominator for x in d))
-    return _support(p, [x.numerator * (scale // x.denominator) for x in d], scale)
+    best = _support(p, [x.numerator * (scale // x.denominator) for x in d])
+    return math.inf if best is None else Fraction(best[0], best[1] * scale)
 
 
-def _support(p: Polyhedron, n: Sequence[int], scale: int = 1) -> Fraction | float:
-    """sup over a nonempty p of <n, x> / scale for an int direction n."""
+def _support(p: Polyhedron, n: Sequence[int]) -> tuple[int, int] | None:
+    """sup over a nonempty p of <n, x> for an int direction n, as a pair
+    ``(value, t)`` for ``value / t`` with t > 0; None when it is +inf."""
     p._canonicalize()
-    if any(sum(map(mul, n, r)) > 0 for r in p._int_rays):
-        return math.inf
+    if any(sum(map(mul, n, r)) > 0 for r in p._rays):
+        return None
     # the largest n.x / t over the points (x..., t), by cross-multiplying;
     # map stops at len(n), before t
     best, best_t = None, 1
-    for x in p._int_points:
+    for x in p._points:
         value, t = sum(map(mul, n, x)), x[-1]
         if best is None or value * best_t > best * t:
             best, best_t = value, t
-    return Fraction(best, best_t * scale)
+    return best, best_t
 
 
 def contains_point(p: Polyhedron, point: Sequence) -> bool:
-    x = parse_vector(point, p.dim)
-    return all(vdot(h.normal, x) <= h.offset for h in p._rows)
+    return _satisfies(p._rows, _homogeneous(parse_vector(point, p.dim)))
 
 
 def strictly_contains_point(p: Polyhedron, point: Sequence) -> bool:
     """Interior membership (canonical facets satisfied strictly)."""
-    x = parse_vector(point, p.dim)
-    if p.is_empty:
-        return False
-    return all(vdot(h.normal, x) < h.offset for h in p.hrep)
+    x = _homogeneous(parse_vector(point, p.dim))
+    return not p.is_empty and all(_slack(z, x) > 0 for z in p.canonical()._hrep)
 
 
 def contains_polyhedron(p: Polyhedron, q: Polyhedron) -> tuple[bool, Vector | None]:
@@ -558,38 +572,34 @@ def contains_polyhedron(p: Polyhedron, q: Polyhedron) -> tuple[bool, Vector | No
     _same_dim(p, q)
     if q.is_empty:
         return True, None
+    points = q.canonical()._points
     if p.is_empty:
-        return False, q.vertices[0]
-    p._canonicalize()
-    q._canonicalize()
-    # (normal, -offset).(x, t) > 0 iff normal.(x / t) > offset, as t > 0
-    violated = [z[:-1] + (-z[-1],) for z in p._int_hrep]
-    for x, v in zip(q._int_points, q._vertices):
-        if any(sum(map(mul, w, x)) > 0 for w in violated):
-            return False, v
-    for r, ray in zip(q._int_rays, q._rays):
-        for z, h in zip(p._int_hrep, p._hrep):
-            if sum(map(mul, z, r)) > 0:  # map stops before z's offset
-                base = q._vertices[0]
-                slack = h.offset - vdot(h.normal, base)
-                t = slack / vdot(h.normal, ray) + 1 if slack > 0 else ONE
-                return False, vadd(base, vscale(t, ray))
+        return False, _point(points[0])
+    facets = p.canonical()._hrep
+    for x in points:
+        if not _satisfies(facets, x):
+            return False, _point(x)
+    base = points[0]
+    for r in q._rays:
+        for z in facets:
+            along = sum(map(mul, z, r))  # map stops before z's offset
+            if along > 0:
+                # base + s·r leaves p once s > slack / along
+                slack = _slack(z, base)
+                s = Fraction(slack, base[-1] * along) + 1 if slack > 0 else ONE
+                return False, tuple(b + s * y for b, y in zip(_point(base), r))
     return True, None
 
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    dim = _same_dim(p, q)
-    return Polyhedron.from_hrep(p._rows + q._rows, dim)
+    return intersect_many([p, q])
 
 
 def intersect_many(polys: Sequence[Polyhedron]) -> Polyhedron:
     if not polys:
         raise ValueError("intersect_many needs at least one operand")
     dim = _same_dim(*polys)
-    rows: list[Halfspace] = []
-    for p in polys:
-        rows.extend(p._rows)
-    return Polyhedron.from_hrep(rows, dim)
+    return Polyhedron(dim, raw_hrep=[z for p in polys for z in p._rows])
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -598,16 +608,21 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     if p.is_empty or q.is_empty:
         return Polyhedron.empty(dim)
     (p_points, p_rays), (q_points, q_rays) = p._gens, q._gens
-    verts = [vadd(v, w) for v in p_points for w in q_points]
-    return Polyhedron.from_vrep(verts, p_rays + q_rays, dim=dim)
+    # x1 / t1 + x2 / t2 = (x1·t2 + x2·t1) / (t1·t2)
+    points = [tuple(a * w[-1] + b * v[-1] for a, b in zip(v[:-1], w)) + (v[-1] * w[-1],)
+              for v in p_points for w in q_points]
+    return Polyhedron(dim, raw_vrep=(points, p_rays + q_rays))
 
 
 def translate(p: Polyhedron, shift: Sequence) -> Polyhedron:
     t = parse_vector(shift, p.dim)
     if p.is_empty:
         return Polyhedron.empty(p.dim)
-    moved = [Halfspace(h.normal, h.offset + vdot(h.normal, t)) for h in p._rows]
-    return Polyhedron.from_hrep(moved, p.dim)
+    # normal·(x - u / s) <= offset  iff  s·normal·x <= s·offset + normal·u
+    u = _homogeneous(t)
+    s = u[-1]
+    moved = [tuple(s * a for a in z[:-1]) + (s * z[-1] + sum(map(mul, z[:-1], u)),) for z in p._rows]
+    return Polyhedron(p.dim, raw_hrep=moved)
 
 
 def star_difference(a: Polyhedron, b: Polyhedron) -> Polyhedron:
@@ -622,14 +637,15 @@ def star_difference(a: Polyhedron, b: Polyhedron) -> Polyhedron:
         return Polyhedron.whole_space(dim)
     if a.is_empty:
         return Polyhedron.empty(dim)
-    a._canonicalize()
     shifted = []
-    for z, h in zip(a._int_hrep, a._hrep):
-        s = _support(b, z[:-1])
-        if s == math.inf:
+    for z in a.canonical()._hrep:
+        best = _support(b, z[:-1])
+        if best is None:
             return Polyhedron.empty(dim)
-        shifted.append(Halfspace(h.normal, h.offset - s))
-    return Polyhedron.from_hrep(shifted, dim)
+        # normal·x <= offset - value / t, times t
+        value, t = best
+        shifted.append(tuple(t * x for x in z[:-1]) + (t * z[-1] - value,))
+    return Polyhedron(dim, raw_hrep=shifted)
 
 
 def affine_image(p: Polyhedron, matrix: Sequence[Sequence], offset: Sequence | None = None) -> Polyhedron:
@@ -641,32 +657,34 @@ def affine_image(p: Polyhedron, matrix: Sequence[Sequence], offset: Sequence | N
     c = parse_vector(offset, out_dim) if offset is not None else vzero(out_dim)
     if p.is_empty:
         return Polyhedron.empty(out_dim)
+    # M (x / t) + c = (L·M x + L·c t) / (L t), with L clearing the denominators
+    scale = math.lcm(*(v.denominator for r in (*rows, c) for v in r))
+    m = [[int(v * scale) for v in r] for r in rows]
+    shift = [int(v * scale) for v in c]
     points, p_rays = p._gens
-    verts = [vadd(tuple(vdot(r, v) for r in rows), c) for v in points]
-    rays = []
-    for ray in p_rays:
-        img = tuple(vdot(r, ray) for r in rows)
-        if not is_zero_vector(img):
-            rays.append(img)
-    return Polyhedron.from_vrep(verts, rays, dim=out_dim)
+    images = [tuple(sum(map(mul, r, x)) + k * x[-1] for r, k in zip(m, shift)) + (scale * x[-1],)
+              for x in points]
+    return Polyhedron(out_dim, raw_vrep=(images, [[sum(map(mul, r, y)) for r in m] for y in p_rays]))
+
+
+def _active_normals(p: Polyhedron, point: Sequence) -> list[IntVector]:
+    """Int normals of the canonical facets of p that hold with equality at a
+    point of p."""
+    xv = parse_vector(point, p.dim)
+    x = _homogeneous(xv)
+    if not _satisfies(p._rows, x):
+        raise PointNotInSet(f"{xv} is not in the polyhedron")
+    return [z[:-1] for z in p.canonical()._hrep if not _slack(z, x)]
 
 
 def normal_cone_at(p: Polyhedron, point: Sequence) -> Polyhedron:
     """Outer normal cone of p at a point of p (cone of active facet normals)."""
-    x = parse_vector(point, p.dim)
-    if not contains_point(p, x):
-        raise PointNotInSet(f"{x} is not in the polyhedron")
-    active = [h.normal for h in p.hrep if vdot(h.normal, x) == h.offset]
-    return Polyhedron.from_vrep([vzero(p.dim)], active, dim=p.dim)
+    return Polyhedron(p.dim, raw_vrep=([(0,) * p.dim + (1,)], _active_normals(p, point)))
 
 
 def tangent_cone_at(p: Polyhedron, point: Sequence) -> Polyhedron:
     """Cone of feasible directions at a point of p (polar of the normal cone)."""
-    x = parse_vector(point, p.dim)
-    if not contains_point(p, x):
-        raise PointNotInSet(f"{x} is not in the polyhedron")
-    rows = [Halfspace(h.normal, ZERO) for h in p.hrep if vdot(h.normal, x) == h.offset]
-    return Polyhedron.from_hrep(rows, p.dim)
+    return Polyhedron(p.dim, raw_hrep=[n + (0,) for n in _active_normals(p, point)])
 
 
 def cone_is_linear_subspace(c: Polyhedron) -> bool:
@@ -674,10 +692,10 @@ def cone_is_linear_subspace(c: Polyhedron) -> bool:
 
     Raises NotACone unless c is a cone (canonically: single vertex at 0).
     """
-    if c.is_empty or c.vertices != (vzero(c.dim),):
+    if c.canonical()._points != ((0,) * c.dim + (1,),):
         raise NotACone("expected a cone generated by rays from the origin")
-    rays = set(c.rays)
-    return all(vneg(r) in rays for r in rays)
+    rays = set(c._rays)
+    return all(tuple(-x for x in r) in rays for r in rays)
 
 
 def conic_hull(p: Polyhedron) -> Polyhedron:
@@ -685,9 +703,8 @@ def conic_hull(p: Polyhedron) -> Polyhedron:
     if p.is_empty:
         raise EmptySetError("conic hull of the empty set")
     points, rays = p._gens
-    gens = [v for v in points if not is_zero_vector(v)]
-    gens.extend(rays)
-    return Polyhedron.from_vrep([vzero(p.dim)], gens, dim=p.dim)
+    gens = [x[:-1] for x in points if any(x[:-1])]
+    return Polyhedron(p.dim, raw_vrep=([(0,) * p.dim + (1,)], gens + list(rays)))
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +784,9 @@ def gap(a: Polyhedron, b: Polyhedron, norm: NormSpec = L1) -> Fraction | float:
     _same_dim(a, b)
     if a.is_empty or b.is_empty:
         return math.inf
-    if any(contains_point(a, v) for v in b._gens[0]):
+    if any(_satisfies(a._rows, x) for x in b._gens[0]):
         return ZERO
-    if any(contains_point(b, v) for v in a._gens[0]):
+    if any(_satisfies(b._rows, x) for x in a._gens[0]):
         return ZERO
     return _gap_lp(a, b, norm)
 

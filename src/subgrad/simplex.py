@@ -117,16 +117,6 @@ def solve_lp(
         rows.append(expand(row))
         rhs.append(Fraction(b_eq[i]))
 
-    if not rows:
-        # Unconstrained: optimal at 0 unless the objective has a nonzero
-        # coefficient on a free variable or a negative one on x >= 0.
-        for j, c in enumerate(objective):
-            if c == 0:
-                continue
-            if not nonneg[j] or c < 0:
-                return LPResult(UNBOUNDED)
-        return LPResult(OPTIMAL, tuple(ZERO for _ in range(nvars)), ZERO)
-
     for i in range(len(rows)):
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]

@@ -284,6 +284,120 @@ def canonical_reference(dim, hrep=None, vrep=None) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# Fraction operation bodies
+# ---------------------------------------------------------------------------
+# The kernel's operations as they ran on Fractions before every polyhedron
+# held primitive ints, kept to cross-check them.  A polyhedron is passed as
+# its raw input, {"hrep": [(normal, offset), ...]} or {"vrep": (points,
+# rays)} with Fraction entries, and a set-valued result comes back in the
+# same form, for `canonical_reference`.
+
+EMPTY = {"vrep": ([], [])}
+
+
+def _canonical(dim, raw):
+    """Canonical (facet rows, vertices, rays) of a raw input, as Fractions."""
+    body = canonical_reference(dim, **raw)
+    rows = [(tuple(map(Fraction, h["normal"])), Fraction(h["offset"])) for h in body["hrep"]]
+    verts = [tuple(map(Fraction, v)) for v in body["vrep"]["vertices"]]
+    rays = [tuple(map(Fraction, r)) for r in body["vrep"]["rays"]]
+    return rows, verts, rays
+
+
+def _rows(dim, raw):
+    """The rows a polyhedron was built from, else its canonical facets."""
+    return raw["hrep"] if "hrep" in raw else _canonical(dim, raw)[0]
+
+
+def _gens(dim, raw):
+    """The (points, rays) a polyhedron was built from, else its canonical ones."""
+    return raw["vrep"] if "vrep" in raw else _canonical(dim, raw)[1:]
+
+
+def _is_empty(dim, raw):
+    return not _canonical(dim, raw)[1]
+
+
+def contains_point_reference(dim, raw, x) -> bool:
+    return all(vdot(n, x) <= c for n, c in _rows(dim, raw))
+
+
+def strictly_contains_point_reference(dim, raw, x) -> bool:
+    rows, verts, _ = _canonical(dim, raw)
+    return bool(verts) and all(vdot(n, x) < c for n, c in rows)
+
+
+def intersect_many_reference(dim, raws) -> dict:
+    return {"hrep": [row for raw in raws for row in _rows(dim, raw)]}
+
+
+def minkowski_sum_reference(dim, p, q) -> dict:
+    if _is_empty(dim, p) or _is_empty(dim, q):
+        return EMPTY
+    (p_points, p_rays), (q_points, q_rays) = _gens(dim, p), _gens(dim, q)
+    return {"vrep": ([vadd(v, w) for v in p_points for w in q_points], list(p_rays) + list(q_rays))}
+
+
+def translate_reference(dim, p, shift) -> dict:
+    if _is_empty(dim, p):
+        return EMPTY
+    return {"hrep": [(n, c + vdot(n, shift)) for n, c in _rows(dim, p)]}
+
+
+def star_difference_reference(dim, a, b) -> dict:
+    if _is_empty(dim, b):
+        return {"hrep": []}
+    if _is_empty(dim, a):
+        return EMPTY
+    _, b_verts, b_rays = _canonical(dim, b)
+    shifted = []
+    for n, c in _canonical(dim, a)[0]:
+        if any(vdot(n, r) > 0 for r in b_rays):
+            return EMPTY
+        shifted.append((n, c - max(vdot(n, v) for v in b_verts)))
+    return {"hrep": shifted}
+
+
+def affine_image_reference(dim, p, matrix, offset) -> dict:
+    if _is_empty(dim, p):
+        return EMPTY
+    points, rays = _gens(dim, p)
+    verts = [vadd(tuple(vdot(r, v) for r in matrix), offset) for v in points]
+    images = [tuple(vdot(r, ray) for r in matrix) for ray in rays]
+    return {"vrep": (verts, [i for i in images if not is_zero_vector(i)])}
+
+
+def _active_normals(dim, p, x):
+    """Normals of the canonical facets tight at x, or None when x is outside p."""
+    if not contains_point_reference(dim, p, x):
+        return None
+    return [n for n, c in _canonical(dim, p)[0] if vdot(n, x) == c]
+
+
+def normal_cone_reference(dim, p, x) -> dict | None:
+    active = _active_normals(dim, p, x)
+    return None if active is None else {"vrep": ([(ZERO,) * dim], active)}
+
+
+def tangent_cone_reference(dim, p, x) -> dict | None:
+    active = _active_normals(dim, p, x)
+    return None if active is None else {"hrep": [(n, ZERO) for n in active]}
+
+
+def conic_hull_reference(dim, p) -> dict:
+    points, rays = _gens(dim, p)
+    return {"vrep": ([(ZERO,) * dim], [v for v in points if not is_zero_vector(v)] + list(rays))}
+
+
+def gap_shortcut_reference(dim, a, b) -> bool:
+    """Whether a generator point of either nonempty set satisfies the other
+    set's rows, which makes the gap 0 without an LP."""
+    return any(contains_point_reference(dim, a, v) for v in _gens(dim, b)[0]) or any(
+        contains_point_reference(dim, b, v) for v in _gens(dim, a)[0]
+    )
+
+
 def pa_value(pieces, x) -> Fraction:
     """max over affine pieces, raw arithmetic."""
     return max(sum(a * xi for a, xi in zip(p.slope, x)) + p.intercept for p in pieces)

@@ -264,6 +264,7 @@ def test_run_malformed_scenario(tmp_path, capsys):
         "blunt_intercept_overflows_float": blunt_with_h_intercept(-(10**400)),
         "coord_index_bool": calmness_of({"type": "blackbox", "dim": 1, "expr": ["coord", False]}),
         "blackbox_dim_over_cap": calmness_of({"type": "blackbox", "dim": 2**63, "expr": abs_expr}),
+        "polyhedron_dim_bool": {"kind": "stardiff", "A": {"dim": True, "vrep": {"vertices": [["0"]]}}, "B": point},
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"

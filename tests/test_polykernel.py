@@ -7,6 +7,7 @@ unit and property tests with independent brute-force comparisons.
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def cone_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_cone_generators_match_reference(system):
     rows, dim = system
-    lines, rays = polykernel._cone_generators(rows, dim)
+    lines, rays = polykernel._cone_generators([primitive_ints(r) for r in rows], dim)
     ref_lines, ref_rays = oracles.cone_generators_reference(rows, dim)
     assert all(primitive(r) == r for r in rays), "rays must be primitive ints"
     assert sorted(rays) == sorted(ref_rays)
@@ -267,6 +268,68 @@ def test_canonical_polyhedra_match_fraction_reference(case):
             assert not oracles.point_in_hrep(witness, p.hrep)
         else:
             assert witness is None
+
+
+@st.composite
+def operation_cases(draw):
+    """Two raw polyhedra, a point (random, a vertex of the first, or the
+    midpoint of two of its vertices) and an affine map into dimension 1..3."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    (p, p_raw), (q, q_raw) = draw(raw_polyhedra(dim)), draw(raw_polyhedra(dim))
+    vec = st.tuples(*[small_rationals] * dim)
+    points = [tuple(F(x) for x in draw(vec))]
+    if not p.is_empty:
+        verts = p.vertices
+        points += [verts[0], tuple((x + y) / 2 for x, y in zip(verts[0], verts[-1]))]
+    point = draw(st.sampled_from(points))
+    out_dim = draw(st.integers(min_value=1, max_value=3))
+    matrix = [tuple(F(x) for x in draw(vec)) for _ in range(out_dim)]
+    offset = draw(st.one_of(st.none(), st.tuples(*[small_rationals] * out_dim)))
+    offset = None if offset is None else tuple(F(x) for x in offset)
+    return dim, p, p_raw, q, q_raw, point, matrix, offset
+
+
+@given(operation_cases())
+@settings(max_examples=120, deadline=None)
+def test_int_operations_match_fraction_reference(case):
+    dim, p, p_raw, q, q_raw, x, matrix, offset = case
+
+    def matches(got, want, out_dim=dim):
+        assert got.to_json() == oracles.canonical_reference(out_dim, **want)
+
+    assert contains_point(p, x) == oracles.contains_point_reference(dim, p_raw, x)
+    assert strictly_contains_point(p, x) == oracles.strictly_contains_point_reference(dim, p_raw, x)
+    matches(intersect_many([p, q]), oracles.intersect_many_reference(dim, [p_raw, q_raw]))
+    matches(minkowski_sum(p, q), oracles.minkowski_sum_reference(dim, p_raw, q_raw))
+    matches(translate(p, x), oracles.translate_reference(dim, p_raw, x))
+    matches(star_difference(p, q), oracles.star_difference_reference(dim, p_raw, q_raw))
+    c = offset if offset is not None else (F(0),) * len(matrix)
+    matches(affine_image(p, matrix, offset), oracles.affine_image_reference(dim, p_raw, matrix, c), len(matrix))
+
+    normal = oracles.normal_cone_reference(dim, p_raw, x)
+    if normal is None:
+        for cone_at in (normal_cone_at, tangent_cone_at):
+            with pytest.raises(PointNotInSet):
+                cone_at(p, x)
+    else:
+        matches(normal_cone_at(p, x), normal)
+        matches(tangent_cone_at(p, x), oracles.tangent_cone_reference(dim, p_raw, x))
+
+    if p.is_empty:
+        with pytest.raises(EmptySetError):
+            conic_hull(p)
+    else:
+        matches(conic_hull(p), oracles.conic_hull_reference(dim, p_raw))
+
+    if p.is_empty or q.is_empty:
+        assert gap(p, q) == math.inf
+        return
+    with mock.patch.object(polykernel, "_gap_lp", wraps=polykernel._gap_lp) as lp:
+        value = gap(p, q)
+    if oracles.gap_shortcut_reference(dim, p_raw, q_raw):
+        assert value == 0 and not lp.called
+    else:
+        assert lp.called
 
 
 @pytest.mark.parametrize(
