@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calculus import (
+    CLAIM_IDS,
     Certificate,
     check_corollary11,
     check_corollary12,
@@ -47,18 +48,7 @@ from .optimality import ProblemInstance, blunt_min_probe, certify_blunt_minimize
 from .polykernel import CAPS, NormSpec, Polyhedron, star_difference
 from .rationals import format_rational, parse_rational
 
-_CLAIM_TOKENS = {
-    "sumrule12": "SumRule12",
-    "inclusion13": "Inclusion13",
-    "equality22": "Equality22",
-    "equality26": "Equality26",
-    "intersection27": "Intersection27",
-    "cor11": "Cor11",
-    "cor12a": "Cor12a",
-    "cor12b": "Cor12b",
-    "localmin": "LocalMinNecessary",
-    "localminnecessary": "LocalMinNecessary",
-}
+_CLAIM_TOKENS = {claim.lower(): claim for claim in CLAIM_IDS} | {"localmin": "LocalMinNecessary"}
 
 _PROBE_KINDS = ("dini", "calmness", "membership", "regularity", "gap", "blunt")
 

@@ -19,6 +19,15 @@ resolution gate classifies each sample: quotients whose worst-case rounding
 error exceeds a precision budget are kept for divergence detection only, and
 samples whose numerator is smaller than the evaluation noise floor are
 discarded outright.
+
+Shell search
+------------
+The membership, regularity and blunt-minimality probes share one verdict
+rule, kept in ``_shell_search``.  Shell k draws only from ``plan.rng(tag,
+k)`` and records {"radius", "inf"}, with "inf" the least margin over its
+usable samples.  The first shell holding a violation that survives the
+probe's own re-check ends the search with FailsWithWitness.  When no shell
+had a usable sample the verdict is Inconclusive; otherwise it is Holds.
 """
 
 from __future__ import annotations
@@ -248,6 +257,35 @@ def _as_float_vec(x: Sequence, dim: int) -> np.ndarray:
     return np.array([to_float(v) for v in exact], dtype=float)
 
 
+def _eval_float(f, x: Sequence) -> float:
+    """f at one point, through the batch evaluator every probe uses."""
+    return float(f.evaluate_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+
+
+def _shell_search(plan: SamplingPlan, tag: int, shell, no_samples_note: str) -> ProbeVerdict:
+    """The shell-verdict rule of the module docstring.
+
+    ``shell(rng, radius)`` draws and evaluates one shell.  It returns the
+    mask of usable samples, their margins, and None or a verified
+    ``(witness, note)``.
+    """
+    shells: list[dict] = []
+    any_usable = False
+    for k, r in enumerate(plan.shell_radii):
+        usable, margins, found = shell(plan.rng(tag, k), r)
+        any_usable = any_usable or bool(usable.any())
+        inf_margin = float(np.min(margins[usable])) if usable.any() else math.inf
+        shells.append({"radius": float(r), "inf": inf_margin})
+        if found is not None:
+            witness, note = found
+            return ProbeVerdict("FailsWithWitness", witness, shells, notes=(note,))
+    if not any_usable:
+        return ProbeVerdict("Inconclusive", None, shells, notes=(no_samples_note,))
+    return ProbeVerdict(
+        "Holds", None, shells, notes=("no violation found under this plan",)
+    )
+
+
 def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag: int = _TAG_DINI) -> DiniEstimate:
     """Sampled lower Dini-Hadamard derivative of f at x in direction h.
 
@@ -262,7 +300,7 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     dim = f.dim
     xf = _as_float_vec(x, dim)
     hf = _as_float_vec(h, dim)
-    fx = f.eval_float(xf)
+    fx = _eval_float(f, xf)
     if not math.isfinite(fx):
         raise EvaluationFailure("f is not finite at the base point")
     res = _RES_FACTOR * _EPS_MACH * max(1.0, abs(fx))
@@ -401,56 +439,41 @@ def eps_subgradient_membership_probe(
     dim = f.dim
     xf = _as_float_vec(x, dim)
     sf = _as_float_vec(xstar, dim)
-    fx = f.eval_float(xf)
+    fx = _eval_float(f, xf)
     if not math.isfinite(fx):
         return ProbeVerdict(
             "Inconclusive", None, [], notes=("f is not finite at the base point",)
         )
     scale = max(1.0, abs(fx))
-    shells: list[dict] = []
-    any_finite = False
-    for k, r in enumerate(plan.shell_radii):
-        rng = plan.rng(_TAG_MEMBER, k)
+
+    def shell(rng, r):
         w = _l1_ball_points(rng, plan.samples_per_shell, dim, r)
         pts = xf[None, :] + w
         fv = f.evaluate_batch(pts)
         norms = np.abs(w).sum(axis=1)
         margin = fv - fx - w @ sf + (a + e) * norms
-        finite = np.isfinite(fv) & (norms > 0)
-        any_finite = any_finite or bool(finite.any())
-        inf_margin = float(np.min(margin[finite])) if finite.any() else math.inf
-        shells.append({"radius": float(r), "inf": inf_margin})
-        bad = finite & (margin < -_VERIFY_RTOL * scale)
-        if bad.any():
-            idxs = np.flatnonzero(bad)
-            best = min(idxs, key=_lex_key(pts, margin))
-            witness = {
-                "x": [float(z) for z in pts[best]],
-                "f_x": float(fv[best]),
-                "margin": float(margin[best]),
-            }
-            return ProbeVerdict(
-                "FailsWithWitness",
-                witness,
-                shells,
-                notes=("inequality violated at the witness point",),
-            )
-    if not any_finite:
-        return ProbeVerdict(
-            "Inconclusive", None, shells, notes=("no evaluable samples",)
-        )
+        usable = np.isfinite(fv) & (norms > 0)
+        bad = np.flatnonzero(usable & (margin < -_VERIFY_RTOL * scale))
+        if not len(bad):
+            return usable, margin, None
+        best = min(bad, key=_lex_key(pts, margin))
+        witness = {
+            "x": [float(z) for z in pts[best]],
+            "f_x": float(fv[best]),
+            "margin": float(margin[best]),
+        }
+        return usable, margin, (witness, "inequality violated at the witness point")
+
+    verdict = _shell_search(plan, _TAG_MEMBER, shell, "no evaluable samples")
+    if not verdict.holds:
+        return verdict
     calm = calmness_probe(f, x, plan)
     if calm.holds:
-        return ProbeVerdict(
-            "Holds",
-            None,
-            shells,
-            notes=("no violation found under this plan",) + calm.notes,
-        )
+        return replace(verdict, notes=verdict.notes + calm.notes)
     return ProbeVerdict(
         "Inconclusive",
         None,
-        shells,
+        verdict.shells,
         notes=("no violation found, but calmness is " + calm.status,),
     )
 
@@ -460,7 +483,7 @@ def _approx_margins(f, xs, ys, ts, eps_f, fx_vals, fy_vals):
     fm = f.evaluate_batch(mids)
     dist = np.abs(xs - ys).sum(axis=1)
     rhs = ts * fx_vals + (1.0 - ts) * fy_vals + eps_f * ts * (1.0 - ts) * dist
-    return rhs - fm, mids
+    return rhs - fm
 
 
 def approx_regularity_probe(
@@ -494,17 +517,15 @@ def approx_regularity_probe(
         df = _as_float_vec(direction, f.dim)
     dim = f.dim
     xf = _as_float_vec(x, dim)
-    fx = f.eval_float(xf)
+    fx = _eval_float(f, xf)
     if not math.isfinite(fx):
         return ProbeVerdict(
             "Inconclusive", None, [], notes=("f is not finite at the base point",)
         )
     scale = max(1.0, abs(fx))
     t_anchor = np.array([0.25, 0.5, 0.75])
-    shells: list[dict] = []
-    any_finite = False
-    for k, r in enumerate(plan.shell_radii):
-        rng = plan.rng(_TAG_APPROX, k)
+
+    def shell(rng, r):
         n = plan.samples_per_shell
         if mode == "convex":
             w_cap = 0.999 * min(r / 2.0, e)
@@ -529,47 +550,34 @@ def approx_regularity_probe(
         ts = np.concatenate([np.repeat(t_anchor, n), t_rand])
         fxv = np.tile(f.evaluate_batch(xs0), reps)
         fyv = np.tile(f.evaluate_batch(ys0), reps)
-        margin, _ = _approx_margins(f, xs, ys, ts, e, fxv, fyv)
-        finite = np.isfinite(margin)
-        any_finite = any_finite or bool(finite.any())
-        inf_margin = float(np.min(margin[finite])) if finite.any() else math.inf
-        shells.append({"radius": float(r), "inf": inf_margin})
-        bad = finite & (margin < -_VERIFY_RTOL * scale)
-        if bad.any():
-            idxs = np.flatnonzero(bad)
-            best = min(idxs, key=_lex_key(xs, ys, ts))
-            xw = [float(z) for z in xs[best]]
-            yw = [float(z) for z in ys[best]]
-            tw = float(ts[best])
-            lhs = f.eval_float(np.array(xw) * tw + np.array(yw) * (1.0 - tw))
-            rhs = (
-                tw * f.eval_float(xw)
-                + (1.0 - tw) * f.eval_float(yw)
-                + e * tw * (1.0 - tw) * float(np.abs(np.array(xw) - np.array(yw)).sum())
-            )
-            if not lhs > rhs:
-                continue
-            witness = {
-                "x": xw,
-                "y": yw,
-                "t": tw,
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": float(margin[best]),
-            }
-            return ProbeVerdict(
-                "FailsWithWitness",
-                witness,
-                shells,
-                notes=(f"{mode} inequality violated at the witness",),
-            )
-    if not any_finite:
-        return ProbeVerdict(
-            "Inconclusive", None, shells, notes=("no evaluable samples",)
+        margin = _approx_margins(f, xs, ys, ts, e, fxv, fyv)
+        usable = np.isfinite(margin)
+        bad = np.flatnonzero(usable & (margin < -_VERIFY_RTOL * scale))
+        if not len(bad):
+            return usable, margin, None
+        best = min(bad, key=_lex_key(xs, ys, ts))
+        xw = [float(z) for z in xs[best]]
+        yw = [float(z) for z in ys[best]]
+        tw = float(ts[best])
+        lhs = _eval_float(f, np.array(xw) * tw + np.array(yw) * (1.0 - tw))
+        rhs = (
+            tw * _eval_float(f, xw)
+            + (1.0 - tw) * _eval_float(f, yw)
+            + e * tw * (1.0 - tw) * float(np.abs(np.array(xw) - np.array(yw)).sum())
         )
-    return ProbeVerdict(
-        "Holds", None, shells, notes=("no violation found under this plan",)
-    )
+        if not lhs > rhs:
+            return usable, margin, None
+        witness = {
+            "x": xw,
+            "y": yw,
+            "t": tw,
+            "lhs": lhs,
+            "rhs": rhs,
+            "margin": float(margin[best]),
+        }
+        return usable, margin, (witness, f"{mode} inequality violated at the witness")
+
+    return _shell_search(plan, _TAG_APPROX, shell, "no evaluable samples")
 
 
 def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:

@@ -100,9 +100,9 @@ class PAConvexFunction:
     domain is the whole space.
     """
 
-    __slots__ = ("pieces", "domain", "name", "_float_cache")
+    __slots__ = ("pieces", "domain", "_float_cache")
 
-    def __init__(self, pieces: Iterable, domain: Polyhedron | None = None, name: str = ""):
+    def __init__(self, pieces: Iterable, domain: Polyhedron | None = None):
         parsed = []
         for p in pieces:
             if not isinstance(p, AffinePiece):
@@ -127,7 +127,6 @@ class PAConvexFunction:
                 unique.append(p)
         self.pieces = tuple(unique)
         self.domain = domain
-        self.name = name
         self._float_cache = None
 
     @property
@@ -162,9 +161,6 @@ class PAConvexFunction:
             outside = (xs @ normals.T > offsets).any(axis=1)
             vals = np.where(outside, np.inf, vals)
         return vals
-
-    def eval_float(self, x: Sequence) -> float:
-        return float(self.evaluate_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     # -- exact calculus ----------------------------------------------------
 
@@ -224,7 +220,7 @@ class PAConvexFunction:
         dom = intersect(self.domain, a)
         if dom.is_empty:
             raise EmptyDomain("restriction has an empty effective domain")
-        return PAConvexFunction(self.pieces, dom, name=self.name)
+        return PAConvexFunction(self.pieces, dom)
 
     # -- serialization ------------------------------------------------------
 
@@ -313,9 +309,9 @@ class DCFunction:
     convention (+inf) - (+inf) = +inf.
     """
 
-    __slots__ = ("g", "h", "name")
+    __slots__ = ("g", "h")
 
-    def __init__(self, g: PAConvexFunction, h: PAConvexFunction, name: str = ""):
+    def __init__(self, g: PAConvexFunction, h: PAConvexFunction):
         if g.dim != h.dim:
             raise DimensionMismatch("g and h have different dimensions")
         ok, witness = contains_polyhedron(h.domain, g.domain)
@@ -323,7 +319,6 @@ class DCFunction:
             raise ParseError(f"dom g must be contained in dom h; {witness} escapes")
         self.g = g
         self.h = h
-        self.name = name
 
     @property
     def dim(self) -> int:
@@ -340,9 +335,6 @@ class DCFunction:
         hv = self.h.evaluate_batch(xs)
         out = gv - hv
         return np.where(np.isinf(gv), np.inf, out)
-
-    def eval_float(self, x: Sequence) -> float:
-        return float(self.evaluate_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def to_json(self) -> dict:
         return {"type": "dc", "g": self.g.to_json(), "h": self.h.to_json()}
@@ -481,9 +473,9 @@ class BlackBoxFunction:
     The optional box domain sends points outside it to +inf.
     """
 
-    __slots__ = ("expr", "dim", "box", "name")
+    __slots__ = ("expr", "dim", "box")
 
-    def __init__(self, expr, dim: int, box: Sequence | None = None, name: str = ""):
+    def __init__(self, expr, dim: int, box: Sequence | None = None):
         if dim < 1:
             raise DimensionMismatch("dimension must be >= 1")
         if dim > CAPS.max_dim:
@@ -495,7 +487,6 @@ class BlackBoxFunction:
             if len(box) != dim:
                 raise DimensionMismatch("box must have one (lo, hi) pair per coordinate")
         self.box = box
-        self.name = name
         self._validate(expr)
 
     def _validate(self, node) -> None:
@@ -573,9 +564,6 @@ class BlackBoxFunction:
             vals = np.where(outside, np.inf, vals)
         return vals
 
-    def eval_float(self, x: Sequence) -> float:
-        return float(self.evaluate_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def to_json(self) -> dict:
         out = {"type": "blackbox", "expr": self.expr, "dim": self.dim}
         if self.box is not None:
@@ -600,7 +588,7 @@ class BlackBoxFunction:
         return cls(obj["expr"], dim, box)
 
     def __repr__(self) -> str:
-        return f"BlackBoxFunction(dim={self.dim}, name={self.name!r})"
+        return f"BlackBoxFunction(dim={self.dim})"
 
 
 def function_from_json(obj: dict):
@@ -624,11 +612,11 @@ def function_from_json(obj: dict):
 
 def abs_function() -> PAConvexFunction:
     """|x| on the line."""
-    return PAConvexFunction([((1,), 0), ((-1,), 0)], name="abs")
+    return PAConvexFunction([((1,), 0), ((-1,), 0)])
 
 
 def linear_function(slope: Sequence, intercept=0) -> PAConvexFunction:
-    return PAConvexFunction([(slope, intercept)], name="linear")
+    return PAConvexFunction([(slope, intercept)])
 
 
 def l1_norm_function(dim: int) -> PAConvexFunction:
@@ -637,7 +625,7 @@ def l1_norm_function(dim: int) -> PAConvexFunction:
     for bits in range(2 ** dim):
         sigma = tuple(1 if (bits >> i) & 1 else -1 for i in range(dim))
         pieces.append((sigma, 0))
-    return PAConvexFunction(pieces, name="l1")
+    return PAConvexFunction(pieces)
 
 
 def linf_norm_function(dim: int) -> PAConvexFunction:
@@ -647,4 +635,4 @@ def linf_norm_function(dim: int) -> PAConvexFunction:
         for s in (1, -1):
             slope = tuple(s if j == i else 0 for j in range(dim))
             pieces.append((slope, 0))
-    return PAConvexFunction(pieces, name="linf")
+    return PAConvexFunction(pieces)

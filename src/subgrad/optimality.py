@@ -10,14 +10,13 @@ witness that replays by plain evaluation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .dinioracle import _TAG_BLUNT, DEFAULT_PLAN, ProbeVerdict, SamplingPlan, _l1_ball_points
+from .dinioracle import _TAG_BLUNT, DEFAULT_PLAN, ProbeVerdict, SamplingPlan, _l1_ball_points, _shell_search
 from .errors import (
     DimensionMismatch,
     InfeasiblePoint,
@@ -495,10 +494,8 @@ def blunt_min_probe(
     dim = p.constraints.dim
     xf = np.array([to_float(v) for v in xv], dtype=float)
     normals, offsets = _float_rows(a_set.canonical()._hrep, dim)
-    shells: list[dict] = []
-    any_feasible = False
-    for k, r in enumerate(plan.shell_radii):
-        rng = plan.rng(_TAG_BLUNT, k)
+
+    def shell(rng, r):
         w = _l1_ball_points(rng, plan.samples_per_shell, dim, r)
         pts = xf[None, :] + w
         feas = (
@@ -509,9 +506,6 @@ def blunt_min_probe(
         fv = dc.evaluate_batch(pts)
         margins = fv - f0f + ef * np.abs(w).sum(axis=1)
         usable = feas & np.isfinite(fv)
-        any_feasible = any_feasible or bool(usable.any())
-        inf_margin = float(np.min(margins[usable])) if usable.any() else math.inf
-        shells.append({"radius": float(r), "inf": inf_margin})
         cand = np.flatnonzero(usable & (margins < 1e-9))
         cand = sorted(cand, key=lambda i: tuple(float(z) for z in pts[i]))
         for i in cand:
@@ -527,16 +521,7 @@ def blunt_min_probe(
                     "f_x": format_rational(fy),
                     "margin": format_rational(fy - f0 + e * dist),
                 }
-                return ProbeVerdict(
-                    "FailsWithWitness",
-                    witness,
-                    shells,
-                    notes=("violation verified in exact arithmetic",),
-                )
-    if not any_feasible:
-        return ProbeVerdict(
-            "Inconclusive", None, shells, notes=("no feasible samples",)
-        )
-    return ProbeVerdict(
-        "Holds", None, shells, notes=("no violation found under this plan",)
-    )
+                return usable, margins, (witness, "violation verified in exact arithmetic")
+        return usable, margins, None
+
+    return _shell_search(plan, _TAG_BLUNT, shell, "no feasible samples")

@@ -73,10 +73,6 @@ def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vneg(a: Sequence[Fraction]) -> Vector:
     return tuple(-x for x in a)
 

@@ -24,8 +24,12 @@ from subgrad.rationals import (
     vdot,
     vneg,
     vscale,
-    vsub,
 )
+
+
+def vsub(a, b) -> tuple:
+    """Componentwise difference."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def point_in_hrep(point, hrep) -> bool:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import vsub
 from subgrad.errors import ParseError
 from subgrad.rationals import (
     format_rational,
@@ -18,7 +19,6 @@ from subgrad.rationals import (
     vdot,
     vneg,
     vscale,
-    vsub,
     vzero,
 )
 
