@@ -483,7 +483,9 @@ def _approx_margins(f, xs, ys, ts, eps_f, fx_vals, fy_vals):
     fm = f.evaluate_batch(mids)
     dist = np.abs(xs - ys).sum(axis=1)
     rhs = ts * fx_vals + (1.0 - ts) * fy_vals + eps_f * ts * (1.0 - ts) * dist
-    return rhs - fm
+    # inf - inf off the domain gives NaN, which the caller masks out as unusable
+    with np.errstate(invalid="ignore"):
+        return rhs - fm
 
 
 def approx_regularity_probe(

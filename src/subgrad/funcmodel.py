@@ -55,7 +55,6 @@ from .polykernel import (
     normal_cone_at,
     star_difference,
     strictly_contains_point,
-    tangent_cone_at,
     translate,
 )
 from .rationals import (
@@ -204,15 +203,6 @@ class PAConvexFunction:
                 f"{p} is not interior to the effective domain"
             )
         d = parse_vector(h, self.dim)
-        return max(vdot(pc.slope, d) for pc in self.active_pieces(p))
-
-    def one_sided_derivative(self, x: Sequence, h: Sequence) -> Fraction | float:
-        """Directional derivative valid on the whole domain: +inf when the
-        direction leaves the domain's tangent cone."""
-        p = self._require_in_domain(x)
-        d = parse_vector(h, self.dim)
-        if not contains_point(tangent_cone_at(self.domain, p), d):
-            return math.inf
         return max(vdot(pc.slope, d) for pc in self.active_pieces(p))
 
     def restrict(self, a: Polyhedron) -> "PAConvexFunction":

@@ -53,7 +53,6 @@ from .rationals import (
     parse_rational,
     parse_vector,
     primitive_ints,
-    rref,
     vneg,
     vscale,
     vzero,
@@ -149,12 +148,23 @@ def _cone_generators(ineqs: Sequence[IntVector], dim: int) -> tuple[list[IntVect
     """Minimal generators (lines, rays) of ``{x : a.x <= 0 for a in ineqs}``
     for int rows `ineqs`.
 
-    Incremental double description with the combinatorial adjacency test;
-    lineality is eliminated eagerly so the ray part stays pointed modulo the
-    line span.  The loop runs on primitive int vectors: every update is a
-    cross-multiplied integer combination divided by the gcd of its entries,
-    and each zero set is an int bitmask over row indices.  This is exact; the
-    lines and rays come back as primitive int tuples.
+    Incremental double description; lineality is eliminated eagerly so the
+    ray part stays pointed modulo the line span.  The loop runs on primitive
+    int vectors: every update is a cross-multiplied integer combination
+    divided by the gcd of its entries, and each zero set is an int bitmask
+    over row indices.  This is exact; the lines and rays come back as
+    primitive int tuples.
+
+    Adjacency.  A row with rays on both sides keeps the rays on its
+    nonpositive side and adds one combination per adjacent pair of a
+    positive and a negative ray.  Two extreme rays are adjacent when no third
+    ray is tight on every row they share.  Before that scan, a counting bound
+    rejects most pairs (Fukuda & Prodon, "Double description method
+    revisited", 1996): the shared rows cut out a 2-dimensional face modulo
+    the lines, so they have rank ``dim - len(lines) - 2`` and at least that
+    many bits in common.  Rank never exceeds row count, also for implicit
+    equalities, zero rows and duplicates, so the bound only skips pairs that
+    the scan would reject.
     """
     lines = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[IntVector, int]] = []  # (ray, zero-set bitmask)
@@ -195,10 +205,13 @@ def _cone_generators(ineqs: Sequence[IntVector], dim: int) -> tuple[list[IntVect
             else:
                 keep.append((r, mask | bit))
         outside = [~mask for _, mask in rays]
+        need = dim - len(lines) - 2
         combos = []
         for kp, rp, mp, vp in pos:
             for kn, rn, mn, vn in neg:
                 common = mp & mn
+                if common.bit_count() < need:
+                    continue
                 # adjacent unless a third ray's zero set holds the common one;
                 # parents are skipped by index, as equal small-int masks are one object
                 if any(not common & o and k != kp and k != kn for k, o in enumerate(outside)):
@@ -235,13 +248,39 @@ def _project(v: Sequence[int], ortho: Sequence[tuple[IntVector, int]]) -> IntVec
     return _reduced(v)
 
 
+def _echelon(rows: Iterable[IntVector]) -> list[IntVector]:
+    """The reduced row echelon basis of the span of int `rows`, each row
+    scaled to primitive ints with a positive pivot; zero rows dropped.
+
+    Fraction-free Gauss-Jordan elimination on primitive rows.  A pivot row is
+    negated if needed so that its pivot p is positive; clearing its column
+    replaces another row by ``p * row - row[col] * pivot_row`` divided by the
+    gcd of its entries, which keeps earlier pivots positive.  Each result row
+    is zero on every other pivot column, so it is a positive multiple of the
+    rational rref row."""
+    mat = [_reduced(r) for r in rows if any(r)]
+    done = 0
+    for col in range(len(mat[0]) if mat else 0):
+        sel = next((i for i in range(done, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        piv = mat[sel] if mat[sel][col] > 0 else tuple(-x for x in mat[sel])
+        mat[sel] = mat[done]
+        mat[done] = piv
+        p = piv[col]
+        mat = [_reduced([p * x - r[col] * y for x, y in zip(r, piv)]) if i != done and r[col] else r
+               for i, r in enumerate(mat)]
+        done += 1
+    return mat[:done]
+
+
 def _mod_lines(rays: Iterable[IntVector], lines: Sequence[IntVector]) -> tuple[list, list[IntVector]]:
     """An orthogonal int basis of span(lines) with squared norms, for
     `_project`, and the nonzero projections of `rays` followed by a +/- pair
-    per primitive row of the span's reduced row echelon basis, duplicates kept."""
+    per row of the span's `_echelon` basis, duplicates kept."""
     if not lines:
         return [], list(rays)
-    basis = [primitive_ints(l) for l in rref(lines)]
+    basis = _echelon(lines)
     ortho: list[tuple[IntVector, int]] = []
     for b in basis:
         u = _project(b, ortho)
@@ -336,11 +375,6 @@ class Polyhedron:
     @classmethod
     def empty(cls, dim: int) -> "Polyhedron":
         return cls(dim, raw_vrep=((), ()))
-
-    @classmethod
-    def singleton(cls, point: Sequence, dim: int | None = None) -> "Polyhedron":
-        p = parse_vector(point)
-        return cls.from_vrep([p], dim=dim or len(p))
 
     # -- canonicalization ----------------------------------------------
 

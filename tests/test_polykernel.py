@@ -164,10 +164,11 @@ small_rationals = st.one_of(
 
 @st.composite
 def cone_systems(draw):
-    """Rows for the DD kernel, with zero rows, duplicates and scaled copies."""
+    """Rows for the DD kernel, with zero rows, duplicates, scaled copies and
+    negated copies (implicit equalities, so cones that are not full-dimensional)."""
     dim = draw(st.integers(min_value=1, max_value=4))
     rows = draw(st.lists(st.tuples(*[small_rationals] * dim), max_size=7))
-    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "scaled"]), max_size=3)):
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "scaled", "opposite"]), max_size=3)):
         if kind == "zero":
             row = (F(0),) * dim
         elif not rows:
@@ -177,6 +178,8 @@ def cone_systems(draw):
             if kind == "scaled":
                 c = draw(st.sampled_from([F(1, 2), F(2), F(3), F(2, 3)]))
                 row = tuple(c * x for x in row)
+            elif kind == "opposite":
+                row = tuple(-x for x in row)
         rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
     return [tuple(F(x) for x in r) for r in rows], dim
 
@@ -190,6 +193,35 @@ def test_cone_generators_match_reference(system):
     assert all(primitive(r) == r for r in rays), "rays must be primitive ints"
     assert sorted(rays) == sorted(ref_rays)
     assert rref(lines) == rref(ref_lines)
+
+
+@st.composite
+def line_sets(draw):
+    """Int rows with zero rows, duplicates, scaled copies and sums of rows."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.tuples(*[st.integers(min_value=-4, max_value=4)] * dim), max_size=5))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "scaled", "sum"]), max_size=4)):
+        if kind == "zero":
+            row = (0,) * dim
+        elif not rows:
+            continue
+        else:
+            pick = st.integers(min_value=0, max_value=len(rows) - 1)
+            row = rows[draw(pick)]
+            if kind == "scaled":
+                c = draw(st.sampled_from([-3, -1, 2, 5]))
+                row = tuple(c * x for x in row)
+            elif kind == "sum":
+                c = draw(st.sampled_from([-2, -1, 1, 3]))
+                row = tuple(x + c * y for x, y in zip(row, rows[draw(pick)]))
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows
+
+
+@given(line_sets())
+@settings(max_examples=300, deadline=None)
+def test_echelon_is_primitive_rref(rows):
+    assert polykernel._echelon(rows) == [primitive_ints(r) for r in rref(rows)]
 
 
 @st.composite
@@ -556,7 +588,7 @@ def test_conic_hull_and_subspace_test():
     assert cone_is_linear_subspace(hull)
     ray = conic_hull(Polyhedron.from_vrep([(frac(0),), (frac(1),)], dim=1))
     assert not cone_is_linear_subspace(ray)
-    point_cone = conic_hull(Polyhedron.singleton((frac(0), frac(0))))
+    point_cone = conic_hull(Polyhedron.from_vrep([(frac(0), frac(0))], dim=2))
     assert cone_is_linear_subspace(point_cone)  # {0} is the trivial subspace
 
 

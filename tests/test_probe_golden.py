@@ -10,6 +10,7 @@ a note shows up here.  Re-record only for an intended change, with
 """
 
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,13 +38,14 @@ def _problem(h_slope, k_matrix):
     return ProblemInstance(DCFunction(l1_norm_function(2), linear_function(h_slope)), cs)
 
 
-def _outcomes() -> dict:
+def _cases() -> dict:
+    """Each golden case as a zero-argument callable, by name."""
     origin1, origin2 = (F(0),), (F(0), F(0))
     tail = SamplingPlan(shell_radii=tuple(2.0**-k for k in range(4, 21)))
     star = SamplingPlan(shell_radii=tuple(2.0**-k for k in range(3, 21)))
     halfplane = [["-1", "0"]]
     point = [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]
-    cases = {
+    return {
         "membership_fails_l1": lambda: eps_subgradient_membership_probe(
             l1_norm_function(2), origin2, (F(2), F(0)), F(1, 4), F(1, 4)
         ),
@@ -74,7 +76,10 @@ def _outcomes() -> dict:
         ),
         "blunt_no_feasible_samples": lambda: blunt_min_probe(_problem(["1", "0"], point), origin2, F(1, 2)),
     }
-    return {name: run().to_json() for name, run in cases.items()}
+
+
+def _outcomes() -> dict:
+    return {name: run().to_json() for name, run in _cases().items()}
 
 
 def _dump(outcomes: dict) -> str:
@@ -98,6 +103,14 @@ def test_probe_outcomes_match_golden():
         "blunt_no_feasible_samples": "Inconclusive",
     }
     assert _dump(outcomes) == GOLDEN.read_text()
+
+
+def test_unusable_samples_raise_no_warning():
+    # every sample is off the domain, so each margin is inf - inf: NaN, unusable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcome = _cases()["regularity_no_samples"]().to_json()
+    assert outcome == json.loads(GOLDEN.read_text())["regularity_no_samples"]
 
 
 if __name__ == "__main__":
