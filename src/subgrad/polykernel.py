@@ -38,6 +38,7 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     EmptySetError,
+    InternalCheckError,
     NegativeEps,
     NotACone,
     ParseError,
@@ -232,7 +233,7 @@ def _hrep_to_vrep(rows: Sequence[IntVector], dim: int) -> tuple[list[IntVector],
     ineqs.append((0,) * dim + (-1,))  # t >= 0
     lines, rays = _cone_generators(ineqs, dim + 1)
     if any(l[dim] for l in lines):
-        raise AssertionError("homogenization line with nonzero last coordinate")
+        raise InternalCheckError("homogenization line with nonzero last coordinate")
     points = [r for r in rays if r[dim] > 0]
     return points, [r[:dim] for r in rays if not r[dim]], [l[:dim] for l in lines]
 
@@ -398,7 +399,7 @@ class Polyhedron:
                 facets = _vrep_to_hrep(points, rays, dim)
                 points, rays, lines = _hrep_to_vrep(facets, dim)
                 if not points:
-                    raise AssertionError("nonempty V-rep produced an empty H-rep")
+                    raise InternalCheckError("nonempty V-rep produced an empty H-rep")
         if not points:
             e1 = (1,) + (0,) * (dim - 1)
             facets, rays = (e1 + (-1,), (-1,) + e1[1:] + (-1,)), ()
@@ -847,5 +848,5 @@ def _gap_lp(a: Polyhedron, b: Polyhedron, norm: NormSpec) -> Fraction | float:
     nonneg = [False] * (2 * dim) + [True]
     res = solve_lp(objective, a_ub, b_ub, nonneg=nonneg)
     if res.status != OPTIMAL:
-        raise AssertionError(f"gap LP should be solvable, got {res.status}")
+        raise InternalCheckError(f"gap LP should be solvable, got {res.status}")
     return res.value
