@@ -30,7 +30,6 @@ from .polykernel import (
     Polyhedron,
     contains_point,
     contains_polyhedron,
-    dual_norm_ball,
     intersect_many,
     minkowski_sum,
     star_difference,
@@ -137,12 +136,20 @@ def check_sum_rule(
     return Certificate("SumRule12", lhs, rhs, verdict, witness, report)
 
 
-def _difference_sides(
-    dc: DCFunction, x: Sequence, eps, eta, norm: NormSpec
-) -> tuple[Polyhedron, Polyhedron]:
+def _erosion_certificate(
+    claim: str, dc: DCFunction, x: Sequence, eps, eta, norm: NormSpec, notes: tuple[str, ...] = ()
+) -> Certificate:
+    """The definitional eps-subdifferential of g - h against the erosion of
+    the (eps+eta)-subdifferential of g by the eta-subdifferential of h.
+
+    The two sides never share code: the left side reduces membership to a
+    translate intersection over the vertices of the subdifferential of h,
+    the right side erodes facets by support values.
+    """
     lhs = dc_dini_subdifferential_definitional(dc, x, eps, norm)
     rhs = dc_dini_subdifferential(dc, x, eps, eta, norm)
-    return lhs, rhs
+    verdict, witness = _two_way_verdict(lhs, rhs)
+    return Certificate(claim, lhs, rhs, verdict, witness, dc_hypothesis_report(dc, x), notes)
 
 
 def check_difference_formula(
@@ -151,18 +158,10 @@ def check_difference_formula(
     """Definitional eps-subdifferential of g - h against the erosion formula.
 
     eps = eta = 0 is the plain equality claim; other parameters exercise the
-    two-parameter version.  The two sides never share code: the left side
-    reduces membership to a translate intersection over the vertices of the
-    subdifferential of h, the right side erodes facets by support values.
+    two-parameter version.
     """
-    e = parse_rational(eps)
-    n = parse_rational(eta)
-    lhs, rhs = _difference_sides(dc, x, e, n, norm)
-    verdict, witness = _two_way_verdict(lhs, rhs)
-    claim = "Equality22" if e == 0 and n == 0 else "Equality26"
-    return Certificate(
-        claim, lhs, rhs, verdict, witness, dc_hypothesis_report(dc, x)
-    )
+    claim = "Equality22" if parse_rational(eps) == 0 == parse_rational(eta) else "Equality26"
+    return _erosion_certificate(claim, dc, x, eps, eta, norm)
 
 
 def check_inclusion_13(
@@ -170,13 +169,7 @@ def check_inclusion_13(
 ) -> Certificate:
     """One-directional form: the definitional set must sit inside the erosion,
     with no interiority hypothesis.  Fails is a genuine counterexample."""
-    e = parse_rational(eps)
-    n = parse_rational(eta)
-    lhs, rhs = _difference_sides(dc, x, e, n, norm)
-    verdict, witness = _two_way_verdict(lhs, rhs)
-    return Certificate(
-        "Inclusion13", lhs, rhs, verdict, witness, dc_hypothesis_report(dc, x)
-    )
+    return _erosion_certificate("Inclusion13", dc, x, eps, eta, norm)
 
 
 def check_intersection_formula(
@@ -221,12 +214,8 @@ def check_corollary11(
         raise ParseError("eta values must be nonnegative")
     if Fraction(0) not in etas:
         raise ParseError("eta_list must include 0")
-    inclusions = {}
-    for n in etas:
-        a = dc.h.eps_subdifferential_at(x, n)
-        b = dc.g.eps_subdifferential_at(x, n)
-        ok, _ = contains_polyhedron(b, a)
-        inclusions[n] = ok
+    sides = {n: (dc.h.eps_subdifferential_at(x, n), dc.g.eps_subdifferential_at(x, n)) for n in etas}
+    inclusions = {n: contains_polyhedron(b, a)[0] for n, (a, b) in sides.items()}
     stmt_i = any(inclusions.values())
     stmt_iii = all(inclusions.values())
     dim = dc.dim
@@ -245,8 +234,7 @@ def check_corollary11(
             f"equivalence broken on the eta grid: exists={stmt_i}, "
             f"zero-membership={stmt_ii}, forall={stmt_iii}"
         )
-    lhs = dc.h.subdifferential_at(x)
-    rhs = dc.g.subdifferential_at(x)
+    lhs, rhs = sides[0]
     verdict, witness = _two_way_verdict(lhs, rhs)
     notes = (
         "eta grid: " + ", ".join(str(v) for v in etas),
@@ -265,26 +253,8 @@ def check_corollary12(
     coincide here; the variant is recorded on the claim id."""
     if variant not in ("a", "b"):
         raise ParseError(f"variant must be 'a' or 'b', got {variant!r}")
-    e = parse_rational(eps)
-    dim = dc.dim
-    lhs = dc_dini_subdifferential_definitional(dc, x, e, norm)
-    fat_g = dc.g.subdifferential_at(x)
-    if e != 0:
-        fat_g = minkowski_sum(fat_g, dual_norm_ball(norm, e, dim))
-    rhs = star_difference(fat_g, dc.h.subdifferential_at(x))
-    verdict, witness = _two_way_verdict(lhs, rhs)
-    notes = ()
-    if variant == "b":
-        notes = ("variants coincide: g is piecewise-affine convex",)
-    return Certificate(
-        "Cor12a" if variant == "a" else "Cor12b",
-        lhs,
-        rhs,
-        verdict,
-        witness,
-        dc_hypothesis_report(dc, x),
-        notes,
-    )
+    notes = ("variants coincide: g is piecewise-affine convex",) if variant == "b" else ()
+    return _erosion_certificate("Cor12" + variant, dc, x, eps, 0, norm, notes)
 
 
 def local_min_necessary(dc: DCFunction, x: Sequence) -> Certificate:

@@ -607,7 +607,7 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
         )
     dim = f.dim
     exact_x = parse_vector(x, dim)
-    xf = np.array([to_float(v) for v in exact_x], dtype=float)
+    xf = _as_float_vec(exact_x, dim)
     base = map_at(exact_x)
     n = min(plan.samples_per_shell, 16)
     shells: list[dict] = []

@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dinioracle import _TAG_BLUNT, DEFAULT_PLAN, ProbeVerdict, SamplingPlan, _l1_ball_points, _shell_search
+from .dinioracle import (
+    _TAG_BLUNT,
+    DEFAULT_PLAN,
+    ProbeVerdict,
+    SamplingPlan,
+    _as_float_vec,
+    _l1_ball_points,
+    _shell_search,
+)
 from .errors import (
     DimensionMismatch,
     InfeasiblePoint,
@@ -492,7 +500,7 @@ def blunt_min_probe(
     f0f = to_float(f0)
     ef = to_float(e)
     dim = p.constraints.dim
-    xf = np.array([to_float(v) for v in xv], dtype=float)
+    xf = _as_float_vec(xv, dim)
     normals, offsets = _float_rows(a_set.canonical()._hrep, dim)
 
     def shell(rng, r):

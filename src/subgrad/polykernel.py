@@ -24,10 +24,19 @@ therefore decides set equality.
 
 The empty set is canonically ``x1 <= -1, -x1 <= -1`` with no vertices; the
 whole space has an empty facet list.
+
+Norms
+-----
+Each polyhedral norm is one vertex list W of its dual unit ball, with
+``||x|| = max_{w in W} <w, x>`` (polar duality; Rockafellar, *Convex
+Analysis*, sections 14-15).  The unit ball is the H-rep ``<w, x> <= 1`` and
+the dual ball of radius eps the V-rep ``eps W``, so an eps-enlargement
+``S + eps B*`` sums raw generators and never converts the ball.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,10 +139,6 @@ LINF = NormSpec("linf")
 # ---------------------------------------------------------------------------
 # Double description core
 # ---------------------------------------------------------------------------
-
-
-def _unit_vectors(dim: int) -> list[Vector]:
-    return [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
 
 
 IntVector = tuple[int, ...]
@@ -769,43 +774,50 @@ def _l2approx_directions(k: int) -> list[Vector]:
     return out
 
 
+def _dual_vertices(norm: NormSpec, dim: int) -> list[Vector]:
+    """The vertices W of the dual unit ball, so that ``||x|| = max_{w in W} <w, x>``.
+
+    l1 in dimension >= 2: the 2^dim sign vectors; linf and any norm in
+    dimension 1: the +/- unit vectors; l2approx in the plane: the vertices of
+    ``{y : <u, y> <= 1}`` over its directions u, one per pair of neighbours by
+    angle.
+    """
+    if norm.kind == "l1" and dim > 1:
+        if 2 ** dim > CAPS.max_generators:
+            raise CapExceeded(f"l1 dual ball has 2^{dim} vertices, over the generator cap "
+                              f"{CAPS.max_generators}")
+        return list(itertools.product((ONE, -ONE), repeat=dim))
+    if norm.kind != "l2approx" or dim == 1:
+        return [tuple(s if j == i else ZERO for j in range(dim)) for i in range(dim) for s in (ONE, -ONE)]
+    if dim != 2:
+        raise UnsupportedNorm("l2approx is available in dimensions 1 and 2 only")
+    # unit vectors by angle: the upper half circle by falling x, then the lower
+    # by rising x; every tangent line <u, y> = 1 is a facet, so neighbours meet
+    # at a vertex
+    dirs = sorted(_l2approx_directions(norm.facets),
+                  key=lambda u: (0, -u[0]) if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (1, u[0]))
+    out = []
+    for a, b in zip(dirs, dirs[1:] + dirs[:1]):
+        det = a[0] * b[1] - a[1] * b[0]
+        out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
+    return out
+
+
 def norm_unit_ball(norm: NormSpec, dim: int) -> Polyhedron:
-    """Unit ball of the (primal) norm; for l2approx it is inscribed in the
-    Euclidean ball (touching at rational points), so the approx norm dominates
-    the Euclidean norm."""
-    if norm.kind == "l1":
-        units = _unit_vectors(dim)
-        return Polyhedron.from_vrep([u for v in units for u in (v, vneg(v))], dim=dim)
-    if norm.kind == "linf":
-        rows = [Halfspace(s, ONE) for v in _unit_vectors(dim) for s in (v, vneg(v))]
-        return Polyhedron.from_hrep(rows, dim)
-    if dim == 1:
-        return Polyhedron.from_vrep([(ONE,), (-ONE,)], dim=1)
-    if dim == 2:
-        return Polyhedron.from_vrep(_l2approx_directions(norm.facets), dim=2)
-    raise UnsupportedNorm("l2approx is available in dimensions 1 and 2 only")
+    """Unit ball ``{x : <w, x> <= 1 for w in W}`` of the (primal) norm; for
+    l2approx it is inscribed in the Euclidean ball (touching at rational
+    points), so the approx norm dominates the Euclidean norm."""
+    return Polyhedron.from_hrep([(w, ONE) for w in _dual_vertices(norm, dim)], dim)
 
 
 def dual_norm_ball(norm: NormSpec, eps, dim: int) -> Polyhedron:
-    """Ball of radius eps in the dual norm (l1 <-> linf; l2approx's dual ball
-    circumscribes the Euclidean eps-ball with k facets)."""
+    """Ball ``conv(eps W)`` of radius eps in the dual norm (l1 <-> linf;
+    l2approx's dual ball circumscribes the Euclidean eps-ball with k facets).
+    It stays a raw V-rep, so a Minkowski sum with it runs no DD on the ball."""
     e = parse_rational(eps)
     if e < 0:
         raise NegativeEps(f"radius must be nonnegative, got {e}")
-    if norm.kind == "l1":
-        rows = [Halfspace(s, e) for v in _unit_vectors(dim) for s in (v, vneg(v))]
-        return Polyhedron.from_hrep(rows, dim)
-    if norm.kind == "linf":
-        units = _unit_vectors(dim)
-        return Polyhedron.from_vrep(
-            [vscale(e, u) for v in units for u in (v, vneg(v))], dim=dim
-        )
-    if dim == 1:
-        return Polyhedron.from_vrep([(e,), (-e,)], dim=1)
-    if dim == 2:
-        rows = [Halfspace(u, e) for u in _l2approx_directions(norm.facets)]
-        return Polyhedron.from_hrep(rows, 2)
-    raise UnsupportedNorm("l2approx is available in dimensions 1 and 2 only")
+    return Polyhedron.from_vrep([vscale(e, w) for w in _dual_vertices(norm, dim)], dim=dim)
 
 
 def gap(a: Polyhedron, b: Polyhedron, norm: NormSpec = L1) -> Fraction | float:

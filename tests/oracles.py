@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from subgrad.polykernel import Polyhedron
+from subgrad.polykernel import Polyhedron, _l2approx_directions
 from subgrad.rationals import (
     ONE,
     ZERO,
@@ -402,6 +402,40 @@ def gap_shortcut_reference(dim, a, b) -> bool:
     return any(contains_point_reference(dim, a, v) for v in _gens(dim, b)[0]) or any(
         contains_point_reference(dim, b, v) for v in _gens(dim, a)[0]
     )
+
+
+def _unit_vectors(dim):
+    return [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
+
+
+def norm_unit_ball_reference(norm, dim) -> Polyhedron:
+    """The primal unit ball as two descriptions per norm kind: l1 from its
+    +/- unit vertices, linf from its box facets, l2approx from its
+    directions as vertices."""
+    if norm.kind == "l1":
+        units = _unit_vectors(dim)
+        return Polyhedron.from_vrep([u for v in units for u in (v, vneg(v))], dim=dim)
+    if norm.kind == "linf":
+        rows = [(s, ONE) for v in _unit_vectors(dim) for s in (v, vneg(v))]
+        return Polyhedron.from_hrep(rows, dim)
+    if dim == 1:
+        return Polyhedron.from_vrep([(ONE,), (-ONE,)], dim=1)
+    return Polyhedron.from_vrep(_l2approx_directions(norm.facets), dim=2)
+
+
+def dual_norm_ball_reference(norm, e, dim) -> Polyhedron:
+    """The dual ball of radius e: l1 from its box facets, linf from its
+    +/- e unit vertices, l2approx from one facet per direction."""
+    if norm.kind == "l1":
+        rows = [(s, e) for v in _unit_vectors(dim) for s in (v, vneg(v))]
+        return Polyhedron.from_hrep(rows, dim)
+    if norm.kind == "linf":
+        units = _unit_vectors(dim)
+        return Polyhedron.from_vrep([vscale(e, u) for v in units for u in (v, vneg(v))], dim=dim)
+    if dim == 1:
+        return Polyhedron.from_vrep([(e,), (-e,)], dim=1)
+    rows = [(u, e) for u in _l2approx_directions(norm.facets)]
+    return Polyhedron.from_hrep(rows, 2)
 
 
 def pa_value(pieces, x) -> Fraction:

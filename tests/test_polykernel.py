@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from subgrad.errors import (
     CapExceeded,
+    DimensionMismatch,
     EmptySetError,
     NotACone,
     ParseError,
@@ -620,6 +621,46 @@ def test_dual_norm_balls():
         (frac(0), frac(1)),
         (frac(0), frac(-1)),
     }
+
+
+NORM_CASES = [(n, d) for n in (L1, LINF) for d in (1, 2, 3, 4)] + [
+    (NormSpec.parse(f"l2approx:{k}"), d) for k in (4, 8, 16) for d in (1, 2)
+]
+
+
+@pytest.mark.parametrize("norm,dim", NORM_CASES, ids=[f"{n.to_json()}-d{d}" for n, d in NORM_CASES])
+def test_norm_balls_match_reference(norm, dim):
+    # one vertex list per norm gives the same sets as two descriptions per kind
+    assert norm_unit_ball(norm, dim).to_json() == oracles.norm_unit_ball_reference(norm, dim).to_json()
+    p = Polyhedron.from_vrep([(frac(1, 2),) * dim], dim=dim)
+    for e in (frac(0), frac(1, 3), frac(2)):
+        ball = dual_norm_ball(norm, e, dim)
+        minkowski_sum(p, ball)
+        assert ball._hrep is None  # a summand ball runs no DD
+        assert ball.to_json() == oracles.dual_norm_ball_reference(norm, e, dim).to_json()
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_norm_balls_reject_nonpositive_dims(dim):
+    cases = ((L1, DimensionMismatch), (LINF, DimensionMismatch), (NormSpec("l2approx", 4), UnsupportedNorm))
+    for norm, error in cases:
+        with pytest.raises(error):
+            norm_unit_ball(norm, dim)
+        with pytest.raises(error):
+            dual_norm_ball(norm, 1, dim)
+
+
+def test_l1_ball_cap_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(CAPS, "max_dim", 40)
+    # 2^40 sign vectors would not fit in memory; the cap stops the list first
+    with mock.patch.object(polykernel.itertools, "product", side_effect=AssertionError("allocated")):
+        with pytest.raises(CapExceeded):
+            dual_norm_ball(L1, 1, 40)
+    monkeypatch.setattr(CAPS, "max_generators", 6)
+    with pytest.raises(CapExceeded):
+        dual_norm_ball(L1, 1, 3)
+    with pytest.raises(CapExceeded):
+        norm_unit_ball(L1, 3)
 
 
 def test_l2approx_ball_dims():
