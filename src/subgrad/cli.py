@@ -4,6 +4,11 @@ Exit codes: 0 the claim holds (Equal / Holds / certified), 1 a failure with
 witness, 2 inconclusive, 3 input or validation error.  Text goes to stdout;
 --json writes a machine report whose bytes depend only on inputs and seed,
 never on wall time.
+
+Only the sampling probes use floats: the probe module (`dinioracle`, and
+NumPy with it) is imported when a probe scenario runs, so an exact command
+never loads it.  A corpus imports it once before its first scenario, so the
+one-time import is not charged to whichever probe happens to run first.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .calculus import (
     CLAIM_IDS,
@@ -27,15 +33,6 @@ from .calculus import (
     check_sum_rule,
     local_min_necessary,
 )
-from .dinioracle import (
-    DEFAULT_PLAN,
-    SamplingPlan,
-    approx_regularity_probe,
-    calmness_probe,
-    dini_directional_estimate,
-    eps_subgradient_membership_probe,
-    gap_continuity_probe,
-)
 from .errors import ParseError, SubgradError
 from .funcmodel import (
     DCFunction,
@@ -47,6 +44,9 @@ from .funcmodel import (
 from .optimality import ProblemInstance, blunt_min_probe, certify_blunt_minimizer
 from .polykernel import CAPS, NormSpec, Polyhedron, star_difference
 from .rationals import format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from .dinioracle import SamplingPlan
 
 _CLAIM_TOKENS = {claim.lower(): claim for claim in CLAIM_IDS} | {"localmin": "LocalMinNecessary"}
 
@@ -99,6 +99,8 @@ def _parse_point(value) -> tuple:
 
 
 def _plan_from(sc: dict, base: Path) -> SamplingPlan:
+    from .dinioracle import DEFAULT_PLAN, SamplingPlan
+
     plan = DEFAULT_PLAN
     if "plan" in sc:
         plan = SamplingPlan.from_json(_load_ref(sc["plan"], base))
@@ -304,6 +306,14 @@ def _run_certify(name: str, sc: dict, base: Path) -> RunOutcome:
 
 
 def _run_probe(name: str, sc: dict, base: Path) -> RunOutcome:
+    from .dinioracle import (
+        approx_regularity_probe,
+        calmness_probe,
+        dini_directional_estimate,
+        eps_subgradient_membership_probe,
+        gap_continuity_probe,
+    )
+
     kind = sc.get("probe")
     if kind not in _PROBE_KINDS:
         raise ParseError(f"unknown probe {kind!r}; expected one of {_PROBE_KINDS}")
@@ -407,6 +417,8 @@ def corpus_run(directory: Path, pattern: str, jobs: int, flags: dict) -> RunOutc
     files = sorted(directory.glob(pattern), key=lambda p: p.name)
     if not files:
         raise ParseError(f"no scenario files matching {pattern!r} in {directory}")
+    # load the probe side here, outside the per-scenario times
+    from . import dinioracle  # noqa: F401
 
     rows = []
     for path in files:

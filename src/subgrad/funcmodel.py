@@ -19,6 +19,10 @@ with D the dual-norm unit ball.  That containment is what
 ``dc_dini_subdifferential_definitional`` computes, by intersecting translates
 over the vertices of subdiff(h, xb) and guarding recession rays.  The erosion
 route in ``dc_dini_subdifferential`` never shares code with it.
+
+The float evaluators (``evaluate_batch`` and the helpers under it) serve the
+sampling probes only and import NumPy when first called, so exact calculus
+never loads it.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     CapExceeded,
@@ -69,6 +71,9 @@ from .rationals import (
     vneg,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class AffinePiece:
@@ -88,6 +93,8 @@ class AffinePiece:
 def _float_rows(rows: Sequence[Sequence[int]], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Float (normals, offsets) of rows ``(normal..., offset)``, for
     vectorised prefilters."""
+    import numpy as np
+
     table = np.array([[to_float(a) for a in z] for z in rows], dtype=float).reshape(len(rows), dim + 1)
     return table[:, :dim], table[:, dim]
 
@@ -143,6 +150,8 @@ class PAConvexFunction:
 
     def _float_data(self):
         if self._float_cache is None:
+            import numpy as np
+
             slopes = np.array(
                 [[to_float(a) for a in p.slope] for p in self.pieces], dtype=float
             )
@@ -153,6 +162,8 @@ class PAConvexFunction:
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Float values for an (N, dim) array; +inf outside the domain."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
         slopes, intercepts, normals, offsets = self._float_data()
         vals = (xs @ slopes.T + intercepts).max(axis=1)
@@ -321,6 +332,8 @@ class DCFunction:
         return gv - self.h.evaluate(x)
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         gv = self.g.evaluate_batch(xs)
         hv = self.h.evaluate_batch(xs)
         out = gv - hv
@@ -435,6 +448,8 @@ def _staircase_scalar(v: np.ndarray) -> np.ndarray:
     two-regime pattern indexed by m = ceil(1/v): slope 1/m segments through
     rational breakpoints for even m, and for odd m = 2n+1 the affine bridge
     (v - 1/(2n))/(2n+1) + 1/(2n)^2 with an upward jump at its left end."""
+    import numpy as np
+
     av = np.abs(np.asarray(v, dtype=float))
     out = np.full(av.shape, np.inf)
     zero = av == 0.0
@@ -513,6 +528,8 @@ class BlackBoxFunction:
             raise ParseError(f"unknown expression operator {op!r}")
 
     def _eval(self, node, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         op = node[0]
         if op == "const":
             c = node[1]
@@ -541,6 +558,8 @@ class BlackBoxFunction:
         raise EvaluationFailure(f"unknown operator {op!r}")
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
         with np.errstate(invalid="raise", over="ignore"):
             try:

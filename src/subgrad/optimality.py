@@ -12,19 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .dinioracle import (
-    _TAG_BLUNT,
-    DEFAULT_PLAN,
-    ProbeVerdict,
-    SamplingPlan,
-    _as_float_vec,
-    _l1_ball_points,
-    _shell_search,
-)
 from .errors import (
     DimensionMismatch,
     InfeasiblePoint,
@@ -62,6 +51,9 @@ from .rationals import (
     vzero,
 )
 from .simplex import OPTIMAL, solve_lp
+
+if TYPE_CHECKING:
+    from .dinioracle import ProbeVerdict, SamplingPlan
 
 
 def _parse_matrix(rows: Sequence[Sequence], width: int | None = None) -> tuple[Vector, ...]:
@@ -480,14 +472,27 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
 
 
 def blunt_min_probe(
-    p: ProblemInstance, x: Sequence, eps, plan: SamplingPlan = DEFAULT_PLAN
+    p: ProblemInstance, x: Sequence, eps, plan: SamplingPlan | None = None
 ) -> ProbeVerdict:
     """Samples feasible points hunting for f(y) < f(x) - eps * ||y - x||_1.
 
     Candidates pass a float prefilter, then feasibility and the violation
     inequality are re-verified in exact rational arithmetic, so a reported
-    witness is a proof.
+    witness is a proof.  ``plan`` defaults to ``dinioracle.DEFAULT_PLAN``; the
+    sampling side is imported here, so the exact certificates never load it.
     """
+    import numpy as np
+
+    from .dinioracle import (
+        _TAG_BLUNT,
+        DEFAULT_PLAN,
+        _as_float_vec,
+        _l1_ball_points,
+        _shell_search,
+    )
+
+    if plan is None:
+        plan = DEFAULT_PLAN
     e = parse_rational(eps)
     if e <= 0:
         raise NegativeEps(f"eps must be positive, got {eps}")

@@ -843,7 +843,6 @@ def _gap_lp(a: Polyhedron, b: Polyhedron, norm: NormSpec) -> Fraction | float:
     dim = a.dim
     from .simplex import OPTIMAL, solve_lp
 
-    ball = norm_unit_ball(norm, dim)
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
     for h in a.hrep:
@@ -852,9 +851,10 @@ def _gap_lp(a: Polyhedron, b: Polyhedron, norm: NormSpec) -> Fraction | float:
     for h in b.hrep:
         a_ub.append([ZERO] * dim + list(h.normal) + [ZERO])
         b_ub.append(h.offset)
-    for h in ball.hrep:
-        row = list(h.normal) + [-x for x in h.normal] + [-h.offset]
-        a_ub.append(row)
+    # ||x - y|| <= t as <w, x - y> <= t over the dual ball's vertices: the
+    # unit ball's own rows, with no DD run to canonicalize it
+    for w in _dual_vertices(norm, dim):
+        a_ub.append(list(w) + [-x for x in w] + [-ONE])
         b_ub.append(ZERO)
     objective = [ZERO] * (2 * dim) + [ONE]
     nonneg = [False] * (2 * dim) + [True]

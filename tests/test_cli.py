@@ -518,3 +518,30 @@ def test_max_dim_flag():
         "--max-dim", "0",
     )
     assert r.returncode == 3
+
+
+_EXACT_SIDE = """
+import json, sys
+import subgrad, subgrad.cli, subgrad.calculus, subgrad.optimality, subgrad.funcmodel
+from subgrad import cli
+codes = [cli.main(["run", path]) for path in sys.argv[1:]]
+exact_numpy = "numpy" in sys.modules
+from subgrad import dinioracle
+lazy_ok = subgrad.calmness_probe is dinioracle.calmness_probe
+print(json.dumps([codes, exact_numpy, lazy_ok, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_commands_never_import_numpy():
+    # a fresh interpreter: only a probe may load the sampling side
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", _EXACT_SIDE, str(CORPUS / "check_equality22.json"), str(EXTRA / "bad_kind.json")],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    codes, exact_numpy, lazy_ok, probe_numpy = json.loads(r.stdout.strip().splitlines()[-1])
+    assert codes == [0, 3]
+    assert not exact_numpy, "an exact or malformed run imported numpy"
+    assert lazy_ok and probe_numpy, "the probe side still loads on demand"

@@ -56,6 +56,20 @@ STAIRCASE = BlackBoxFunction(["staircase", ["coord", 0]], 1)
 # ---------------------------------------------------------------------------
 
 
+def test_package_names_resolve():
+    import subgrad
+    from subgrad import dinioracle
+
+    for name in subgrad.__all__:
+        getattr(subgrad, name)
+    lazy = {name for name in subgrad.__all__ if name not in vars(subgrad)}
+    assert lazy == subgrad._PROBE_NAMES
+    for name in lazy:
+        assert getattr(subgrad, name) is getattr(dinioracle, name)
+    with pytest.raises(AttributeError):
+        subgrad.no_such_name
+
+
 def test_plan_validation():
     with pytest.raises(ParseError):
         SamplingPlan(shell_radii=(0.5, 0.5))  # not strictly decreasing

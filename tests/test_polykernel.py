@@ -689,6 +689,27 @@ def test_gap_values():
     assert gap(a, translate(box2(), (frac(1), frac(0)))) == 0
 
 
+@pytest.mark.parametrize(
+    "norm, dim, value",
+    [(L1, 4, F(12)), (LINF, 4, F(3)), (NormSpec("l2approx", 8), 2, F(5910, 1393))],
+    ids=["l1", "linf", "l2approx"],
+)
+def test_gap_lp_runs_no_dd_on_the_unit_ball(monkeypatch, norm, dim, value):
+    a = Polyhedron.from_vrep([tuple(int(i == j) for j in range(dim)) for i in range(dim)], dim=dim)
+    b = translate(a, (F(3),) * dim)
+    a.hrep, b.hrep  # the operands' own canonicalization is not the ball's
+    runs = []
+    original = polykernel._cone_generators
+
+    def counted(ineqs, d):
+        runs.append(d)
+        return original(ineqs, d)
+
+    monkeypatch.setattr(polykernel, "_cone_generators", counted)
+    assert gap(a, b, norm) == value
+    assert not runs, "the ball rows come from the dual vertices, not from a DD run"
+
+
 @st.composite
 def gap_operand(draw, dim, shift, bounded):
     """A nonempty V-rep or H-rep with entries in -3..3, moved by shift along x1."""
