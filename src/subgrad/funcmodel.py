@@ -437,12 +437,6 @@ def dc_hypothesis_report(dc: DCFunction, x: Sequence) -> list[dict]:
 # Black-box expression functions for the sampling oracles
 # ---------------------------------------------------------------------------
 
-_LEAF_OPS = ("const", "coord")
-_UNARY_OPS = ("neg", "abs", "sqrtabs", "staircase")
-_BINARY_OPS = ("add", "sub", "mul")
-_NARY_OPS = ("max", "min")
-
-
 def _staircase_scalar(v: np.ndarray) -> np.ndarray:
     """Even 1-d test function: 0 at 0, +inf for |v| >= 1, and on (0, 1) a
     two-regime pattern indexed by m = ceil(1/v): slope 1/m segments through
@@ -469,16 +463,68 @@ def _staircase_scalar(v: np.ndarray) -> np.ndarray:
     return out
 
 
+# The black-box operators: name -> (number of subexpressions, None for one
+# or more; float body).  A body takes NumPy, the batch and the values of its
+# subexpressions in order.  The leaves ["const", c] and ["coord", i] take a
+# literal instead and are compiled by ``_compile``.
+_OPS = {
+    "neg": (1, lambda np, xs, a: -a),
+    "abs": (1, lambda np, xs, a: np.abs(a)),
+    "sqrtabs": (1, lambda np, xs, a: np.sqrt(np.abs(a))),
+    "staircase": (1, lambda np, xs, a: _staircase_scalar(a)),
+    "add": (2, lambda np, xs, a, b: a + b),
+    "sub": (2, lambda np, xs, a, b: a - b),
+    "mul": (2, lambda np, xs, a, b: a * b),
+    "max": (None, lambda np, xs, *args: np.maximum.reduce(args)),
+    "min": (None, lambda np, xs, *args: np.minimum.reduce(args)),
+}
+
+
+def _compile(node, dim: int, program: list) -> None:
+    """Check one expression node and append its postfix steps to ``program``.
+
+    A step ``(body, n)`` pops the last n values and pushes
+    ``body(np, xs, *values)``; constants are parsed to floats here, once.
+    """
+    if not isinstance(node, (list, tuple)) or not node:
+        raise ParseError(f"bad expression node {node!r}")
+    op = node[0]
+    if op == "const":
+        c = node[1] if len(node) == 2 else None
+        if isinstance(c, bool) or not isinstance(c, (str, int, float)):
+            raise ParseError(f"const takes one number or rational string, got {node!r}")
+        value = to_float(parse_rational(c) if isinstance(c, str) else c)
+        if not math.isfinite(value):
+            raise ParseError(f"const {c!r} is not a finite number")
+        program.append((lambda np, xs: np.full(xs.shape[0], value), 0))
+    elif op == "coord":
+        i = node[1] if len(node) == 2 else None
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
+            raise ParseError(f"coord takes one integer index in [0, {dim}), got {node!r}")
+        program.append((lambda np, xs: xs[:, i], 0))
+    else:
+        arity, body = _OPS.get(op, (None, None)) if isinstance(op, str) else (None, None)
+        if body is None:
+            raise ParseError(f"unknown expression operator {op!r}")
+        if len(node) == 1 or arity is not None and len(node) != arity + 1:
+            raise ParseError(f"{op} takes {arity or 'one or more'} subexpressions, got {len(node) - 1}")
+        for child in node[1:]:
+            _compile(child, dim, program)
+        program.append((body, len(node) - 1))
+
+
 class BlackBoxFunction:
     """Expression tree evaluated in floating point, for the sampling probes.
 
     Grammar (prefix lists): ["const", c], ["coord", i], ["neg", e],
     ["abs", e], ["sqrtabs", e], ["staircase", e], ["add", a, b],
     ["sub", a, b], ["mul", a, b], ["max", e...], ["min", e...].
-    The optional box domain sends points outside it to +inf.
+    A constant is a finite number or a rational string.  The tree is checked
+    and compiled to a postfix program once, at construction.  The optional
+    box domain sends points outside it to +inf.
     """
 
-    __slots__ = ("expr", "dim", "box")
+    __slots__ = ("expr", "dim", "box", "_program")
 
     def __init__(self, expr, dim: int, box: Sequence | None = None):
         if dim < 1:
@@ -491,81 +537,26 @@ class BlackBoxFunction:
             box = [(to_float(lo), to_float(hi)) for lo, hi in box]
             if len(box) != dim:
                 raise DimensionMismatch("box must have one (lo, hi) pair per coordinate")
+            if any(math.isnan(v) for pair in box for v in pair):
+                raise ParseError("box bounds must not be NaN")
         self.box = box
-        self._validate(expr)
-
-    def _validate(self, node) -> None:
-        if not isinstance(node, (list, tuple)) or not node:
-            raise ParseError(f"bad expression node {node!r}")
-        op = node[0]
-        if op == "const":
-            if len(node) != 2:
-                raise ParseError("const takes one value")
-            c = node[1]
-            if isinstance(c, bool) or not isinstance(c, (str, int, float)):
-                raise ParseError(f"const takes a number or a rational string, got {c!r}")
-            to_float(parse_rational(c) if isinstance(c, str) else c)
-        elif op == "coord":
-            if len(node) != 2 or not isinstance(node[1], int) or isinstance(node[1], bool):
-                raise ParseError("coord takes one integer index")
-            if not 0 <= node[1] < self.dim:
-                raise ParseError(f"coordinate index {node[1]} out of range")
-        elif op in _UNARY_OPS:
-            if len(node) != 2:
-                raise ParseError(f"{op} takes one argument")
-            self._validate(node[1])
-        elif op in _BINARY_OPS:
-            if len(node) != 3:
-                raise ParseError(f"{op} takes two arguments")
-            self._validate(node[1])
-            self._validate(node[2])
-        elif op in _NARY_OPS:
-            if len(node) < 2:
-                raise ParseError(f"{op} takes at least one argument")
-            for child in node[1:]:
-                self._validate(child)
-        else:
-            raise ParseError(f"unknown expression operator {op!r}")
-
-    def _eval(self, node, xs: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        op = node[0]
-        if op == "const":
-            c = node[1]
-            val = float(parse_rational(c)) if isinstance(c, str) else float(c)
-            return np.full(xs.shape[0], val)
-        if op == "coord":
-            return xs[:, node[1]]
-        if op == "neg":
-            return -self._eval(node[1], xs)
-        if op == "abs":
-            return np.abs(self._eval(node[1], xs))
-        if op == "sqrtabs":
-            return np.sqrt(np.abs(self._eval(node[1], xs)))
-        if op == "staircase":
-            return _staircase_scalar(self._eval(node[1], xs))
-        if op == "add":
-            return self._eval(node[1], xs) + self._eval(node[2], xs)
-        if op == "sub":
-            return self._eval(node[1], xs) - self._eval(node[2], xs)
-        if op == "mul":
-            return self._eval(node[1], xs) * self._eval(node[2], xs)
-        if op == "max":
-            return np.maximum.reduce([self._eval(c, xs) for c in node[1:]])
-        if op == "min":
-            return np.minimum.reduce([self._eval(c, xs) for c in node[1:]])
-        raise EvaluationFailure(f"unknown operator {op!r}")
+        self._program = []
+        _compile(expr, dim, self._program)
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         import numpy as np
 
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
+        stack = []
         with np.errstate(invalid="raise", over="ignore"):
             try:
-                vals = self._eval(self.expr, xs)
+                for body, n in self._program:
+                    args = stack[len(stack) - n:]
+                    del stack[len(stack) - n:]
+                    stack.append(body(np, xs, *args))
             except FloatingPointError as exc:
                 raise EvaluationFailure(str(exc)) from exc
+        vals = stack.pop()
         if self.box is not None:
             lo = np.array([b[0] for b in self.box])
             hi = np.array([b[1] for b in self.box])

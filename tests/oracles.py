@@ -453,6 +453,60 @@ def pa_directional(pieces, x, d) -> Fraction:
     return max(sum(a * di for a, di in zip(p.slope, d)) for v, p in vals if v == top)
 
 
+def _blackbox_walk(node, xs: np.ndarray) -> np.ndarray:
+    """Values of one expression node by recursion over the tree, parsing each
+    constant where it is met."""
+    from subgrad.funcmodel import _staircase_scalar
+    from subgrad.rationals import parse_rational
+
+    op = node[0]
+    if op == "const":
+        c = node[1]
+        val = float(parse_rational(c)) if isinstance(c, str) else float(c)
+        return np.full(xs.shape[0], val)
+    if op == "coord":
+        return xs[:, node[1]]
+    if op == "neg":
+        return -_blackbox_walk(node[1], xs)
+    if op == "abs":
+        return np.abs(_blackbox_walk(node[1], xs))
+    if op == "sqrtabs":
+        return np.sqrt(np.abs(_blackbox_walk(node[1], xs)))
+    if op == "staircase":
+        return _staircase_scalar(_blackbox_walk(node[1], xs))
+    if op == "add":
+        return _blackbox_walk(node[1], xs) + _blackbox_walk(node[2], xs)
+    if op == "sub":
+        return _blackbox_walk(node[1], xs) - _blackbox_walk(node[2], xs)
+    if op == "mul":
+        return _blackbox_walk(node[1], xs) * _blackbox_walk(node[2], xs)
+    if op == "max":
+        return np.maximum.reduce([_blackbox_walk(c, xs) for c in node[1:]])
+    if op == "min":
+        return np.minimum.reduce([_blackbox_walk(c, xs) for c in node[1:]])
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def blackbox_reference(expr, dim, box, xs) -> np.ndarray:
+    """Float values of a valid black-box expression at the rows of ``xs``
+    (+inf outside ``box``), by a direct tree walk; an invalid float operation
+    raises ``EvaluationFailure``, as ``BlackBoxFunction.evaluate_batch`` does."""
+    from subgrad.errors import EvaluationFailure
+
+    xs = np.asarray(xs, dtype=float).reshape(-1, dim)
+    with np.errstate(invalid="raise", over="ignore"):
+        try:
+            vals = _blackbox_walk(expr, xs)
+        except FloatingPointError as exc:
+            raise EvaluationFailure(str(exc)) from exc
+    if box is not None:
+        lo = np.array([float(b[0]) for b in box])
+        hi = np.array([float(b[1]) for b in box])
+        outside = ((xs < lo) | (xs > hi)).any(axis=1)
+        vals = np.where(outside, np.inf, vals)
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # linear programming
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -265,6 +266,22 @@ def test_run_malformed_scenario(tmp_path, capsys):
         "coord_index_bool": calmness_of({"type": "blackbox", "dim": 1, "expr": ["coord", False]}),
         "blackbox_dim_over_cap": calmness_of({"type": "blackbox", "dim": 2**63, "expr": abs_expr}),
         "polyhedron_dim_bool": {"kind": "stardiff", "A": {"dim": True, "vrep": {"vertices": [["0"]]}}, "B": point},
+        # JSON NaN and Infinity, which Python's json reads and writes
+        "blackbox_const_nan_membership": {
+            **json.loads((CORPUS / "probe_membership_abs.json").read_text()),
+            "function": {"type": "blackbox", "dim": 1, "expr": ["add", abs_expr, ["const", math.nan]]},
+        },
+        "blackbox_const_infinity_regularity": {
+            **json.loads((CORPUS / "probe_regularity_abssq.json").read_text()),
+            "function": {"type": "blackbox", "dim": 1, "expr": ["add", abs_expr, ["const", math.inf]]},
+        },
+        "blackbox_const_nan_calmness": calmness_of(
+            {"type": "blackbox", "dim": 1, "expr": ["add", abs_expr, ["const", math.nan]]}
+        ),
+        "blackbox_box_nan_regularity": {
+            **json.loads((CORPUS / "probe_regularity_abssq.json").read_text()),
+            "function": {"type": "blackbox", "dim": 1, "expr": abs_expr, "box": [[-1, math.nan]]},
+        },
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"
@@ -532,16 +549,22 @@ print(json.dumps([codes, exact_numpy, lazy_ok, "numpy" in sys.modules]))
 """
 
 
-def test_exact_commands_never_import_numpy():
+def test_exact_commands_never_import_numpy(tmp_path):
     # a fresh interpreter: only a probe may load the sampling side
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # a black box is built before subdiff rejects it, so building one must not load NumPy
+    subdiff_blackbox = tmp_path / "subdiff_blackbox.json"
+    subdiff_blackbox.write_text(json.dumps({
+        "kind": "subdiff", "point": "0", "function": json.loads((DATA / "abs_sq.json").read_text()),
+    }))
+    inputs = [CORPUS / "check_equality22.json", EXTRA / "bad_kind.json", subdiff_blackbox]
     r = subprocess.run(
-        [sys.executable, "-c", _EXACT_SIDE, str(CORPUS / "check_equality22.json"), str(EXTRA / "bad_kind.json")],
+        [sys.executable, "-c", _EXACT_SIDE, *map(str, inputs)],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
     )
     assert r.returncode == 0, r.stderr
     codes, exact_numpy, lazy_ok, probe_numpy = json.loads(r.stdout.strip().splitlines()[-1])
-    assert codes == [0, 3]
+    assert codes == [0, 3, 3]
     assert not exact_numpy, "an exact or malformed run imported numpy"
     assert lazy_ok and probe_numpy, "the probe side still loads on demand"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from subgrad.errors import (
@@ -259,12 +259,111 @@ def test_staircase_frozen_values():
 
 
 def test_blackbox_validation_errors():
-    with pytest.raises(ParseError):
-        BlackBoxFunction(["nope", ["coord", 0]], 1)
-    with pytest.raises(ParseError):
-        BlackBoxFunction(["coord", 5], 2)
-    with pytest.raises(ParseError):
-        BlackBoxFunction(["add"], 1)
+    x0 = ["coord", 0]
+    # name -> (expression, box) in dimension 2; each is a grammar error
+    cases = {
+        "const_without_value": (["const"], None),
+        "const_with_two_values": (["const", 1, 2], None),
+        "unary_without_argument": (["neg"], None),
+        "unary_with_two_arguments": (["abs", x0, x0], None),
+        "binary_without_arguments": (["add"], None),
+        "binary_with_one_argument": (["sub", x0], None),
+        "binary_with_three_arguments": (["mul", x0, x0, x0], None),
+        "nary_without_arguments": (["max"], None),
+        "const_bool": (["const", True], None),
+        "const_object": (["const", {}], None),
+        "const_string_overflows_float": (["const", "1e400"], None),
+        "const_nan": (["const", math.nan], None),
+        "const_infinite": (["const", -math.inf], None),
+        "coord_bool": (["coord", True], None),
+        "coord_negative": (["coord", -1], None),
+        "coord_equal_to_dim": (["coord", 2], None),
+        "node_not_a_list": (["neg", 5], None),
+        "node_empty": (["neg", []], None),
+        "operator_number": ([5, x0], None),
+        "operator_unhashable": ([["coord", 0]], None),
+        "operator_unknown": (["nope", x0], None),
+        "box_bound_nan": (x0, [[-1, 1], [-1, math.nan]]),
+    }
+
+    def outcome(expr, box):
+        try:
+            BlackBoxFunction(expr, 2, box)
+        except ParseError:
+            return "ParseError"
+        except Exception as exc:
+            return repr(exc)
+        return "accepted"
+
+    wrong = {name: got for name, case in cases.items() if (got := outcome(*case)) != "ParseError"}
+    assert not wrong, wrong
+
+
+def _blackbox_trees(dim):
+    consts = st.one_of(
+        st.integers(-5, 5),
+        st.floats(-5, 5, allow_nan=False),
+        st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    )
+    leaves = st.one_of(
+        consts.map(lambda c: ["const", c]), st.integers(0, dim - 1).map(lambda i: ["coord", i])
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["neg", "abs", "sqrtabs", "staircase"]), children),
+            st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children),
+            st.builds(
+                lambda op, args: [op, *args],
+                st.sampled_from(["max", "min"]),
+                st.lists(children, min_size=1, max_size=3),
+            ),
+        ).map(list)
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@st.composite
+def blackbox_cases(draw):
+    dim = draw(st.integers(1, 3))
+    expr = draw(_blackbox_trees(dim))
+    bound = st.floats(-2, 2, allow_nan=False)
+    box = draw(st.none() | st.lists(st.tuples(bound, bound).map(sorted), min_size=dim, max_size=dim))
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(-3, 3))
+    rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    return expr, dim, box, np.array(rows)
+
+
+def _values_or_failure(evaluate, xs):
+    try:
+        return evaluate(xs)
+    except EvaluationFailure as exc:
+        return exc
+
+
+EVERY_OPERATOR = [
+    "max",
+    ["neg", ["staircase", ["coord", 0]]],
+    ["sqrtabs", ["mul", ["const", 3], ["coord", 1]]],
+    ["min", ["abs", ["coord", 1]], ["add", ["const", -0.25], ["const", "1/3"]]],
+    ["sub", ["staircase", ["coord", 0]], ["staircase", ["coord", 0]]],
+]
+
+
+@given(blackbox_cases())
+@example((EVERY_OPERATOR, 2, None, np.array([[0.5, -2.0], [2.0, 1.0]])))
+@example((EVERY_OPERATOR, 2, [(-1.0, 1.0), (0.0, 0.5)], np.array([[0.0, 0.25], [0.5, 3.0]])))
+@settings(max_examples=200, deadline=None)
+def test_compiled_blackbox_matches_tree_walk(case):
+    expr, dim, box, xs = case
+    got = _values_or_failure(BlackBoxFunction(expr, dim, box).evaluate_batch, xs)
+    want = _values_or_failure(lambda x: oracles.blackbox_reference(expr, dim, box, x), xs)
+    if isinstance(want, EvaluationFailure):
+        assert isinstance(got, EvaluationFailure) and str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_blackbox_evaluation_failure_on_nan():
