@@ -34,7 +34,7 @@ from .polykernel import (
     minkowski_sum,
     star_difference,
 )
-from .rationals import Vector, format_vector, parse_rational, vzero
+from .rationals import Vector, parse_rational, record_json, vzero
 
 CLAIM_IDS = (
     "SumRule12",
@@ -75,16 +75,7 @@ class Certificate:
         return self.verdict in ("Equal", "StrictInclusion")
 
     def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else format_vector(self.witness),
-            "hypothesis_report": self.hypothesis_report,
-            "theorem_certified": self.theorem_certified,
-            "notes": list(self.notes),
-        }
+        return record_json(self, "theorem_certified")
 
 
 def _two_way_verdict(lhs: Polyhedron, rhs: Polyhedron) -> tuple[str, Vector | None]:

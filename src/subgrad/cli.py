@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -105,7 +105,7 @@ def _plan_from(sc: dict, base: Path) -> SamplingPlan:
     if "plan" in sc:
         plan = SamplingPlan.from_json(_load_ref(sc["plan"], base))
     if "seed" in sc:
-        plan = plan.with_overrides(seed=sc["seed"])
+        plan = replace(plan, seed=sc["seed"])
     return plan
 
 
@@ -214,16 +214,19 @@ def _run_subdiff(name: str, sc: dict, base: Path) -> RunOutcome:
         poly = fn.eps_subdifferential_at(point, eps, norm)
     else:
         raise ParseError("subdiff needs an exact function model, not a black box")
-    payload = {"kind": "subdiff", "exit": 0, "polyhedron": poly.to_json()}
-    return RunOutcome(0, json.dumps(poly.to_json(), indent=2, sort_keys=True), payload)
+    return _polyhedron_outcome("subdiff", poly)
 
 
 def _run_stardiff(name: str, sc: dict, base: Path) -> RunOutcome:
     a = Polyhedron.from_json(_load_ref(sc["A"], base))
     b = Polyhedron.from_json(_load_ref(sc["B"], base))
-    poly = star_difference(a, b)
-    payload = {"kind": "stardiff", "exit": 0, "polyhedron": poly.to_json()}
-    return RunOutcome(0, json.dumps(poly.to_json(), indent=2, sort_keys=True), payload)
+    return _polyhedron_outcome("stardiff", star_difference(a, b))
+
+
+def _polyhedron_outcome(kind: str, poly: Polyhedron) -> RunOutcome:
+    obj = poly.to_json()
+    payload = {"kind": kind, "exit": 0, "polyhedron": obj}
+    return RunOutcome(0, json.dumps(obj, indent=2, sort_keys=True), payload)
 
 
 def _as_dc(obj) -> DCFunction:

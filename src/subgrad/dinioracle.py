@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import EvaluationFailure, NegativeEps, ParseError, SubgradError
 from .funcmodel import DCFunction, PAConvexFunction, dc_dini_subdifferential
 from .polykernel import L1, gap
-from .rationals import parse_rational, parse_vector, to_float
+from .rationals import parse_rational, parse_vector, record_json, to_float
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _RES_FACTOR = 8.0
@@ -59,6 +59,12 @@ _TAG_MEMBER = 2
 _TAG_APPROX = 3
 _TAG_GAP = 4
 _TAG_BLUNT = 5  # optimality.blunt_min_probe
+
+
+# One convex-mode regularity probe at d = 8 peaks near 155 MB of resident
+# memory at this count, about 2 KB a sample (x86-64 Linux, NumPy 2.4): 256
+# times the default count, far short of the gigabytes a count of 10**8 asks for.
+MAX_SAMPLES_PER_SHELL = 2**16
 
 
 def _default_radii() -> tuple[float, ...]:
@@ -94,18 +100,21 @@ class SamplingPlan:
             if not _is_int(getattr(self, key)):
                 raise ParseError(f"{key} must be an integer")
         for key in ("stabilization_tol", "divergence_threshold"):
-            if not _is_real(getattr(self, key)):
-                raise ParseError(f"{key} must be a number")
+            value = getattr(self, key)
+            if not _is_real(value) or not math.isfinite(to_float(value)):
+                raise ParseError(f"{key} must be a finite number")
         radii = tuple(to_float(r) for r in self.shell_radii)
         if not radii:
             raise ParseError("shell_radii must be nonempty")
+        if not all(math.isfinite(r) for r in radii):
+            raise ParseError("shell radii must be finite")
         if any(r <= 0 for r in radii):
             raise ParseError("shell radii must be positive")
         if any(a <= b for a, b in zip(radii, radii[1:])):
             raise ParseError("shell radii must decrease strictly")
         object.__setattr__(self, "shell_radii", radii)
-        if self.samples_per_shell < 8:
-            raise ParseError("samples_per_shell must be at least 8")
+        if not 8 <= self.samples_per_shell <= MAX_SAMPLES_PER_SHELL:
+            raise ParseError(f"samples_per_shell must be between 8 and {MAX_SAMPLES_PER_SHELL}")
         if self.stabilization_window < 2:
             raise ParseError("stabilization_window must be at least 2")
         if self.stabilization_tol <= 0:
@@ -117,18 +126,8 @@ class SamplingPlan:
         )
         return np.random.Generator(np.random.PCG64(seq))
 
-    def with_overrides(self, **kw) -> "SamplingPlan":
-        return replace(self, **kw)
-
     def to_json(self) -> dict:
-        return {
-            "shell_radii": list(self.shell_radii),
-            "samples_per_shell": self.samples_per_shell,
-            "seed": self.seed,
-            "stabilization_window": self.stabilization_window,
-            "stabilization_tol": self.stabilization_tol,
-            "divergence_threshold": self.divergence_threshold,
-        }
+        return record_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingPlan":
@@ -137,43 +136,10 @@ class SamplingPlan:
         radii = obj.get("shell_radii", [])
         if not isinstance(radii, list) or not all(_is_real(r) for r in radii):
             raise ParseError("shell_radii must be a list of numbers")
-        kw = {}
-        for key in (
-            "shell_radii",
-            "samples_per_shell",
-            "seed",
-            "stabilization_window",
-            "stabilization_tol",
-            "divergence_threshold",
-        ):
-            if key in obj:
-                kw[key] = tuple(obj[key]) if key == "shell_radii" else obj[key]
-        return cls(**kw)
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 DEFAULT_PLAN = SamplingPlan()
-
-
-def _sanitize(value):
-    """JSON-safe copy: non-finite floats become strings, exact types decay."""
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
 
 
 @dataclass
@@ -190,14 +156,7 @@ class ProbeVerdict:
         return self.status == "Holds"
 
     def to_json(self) -> dict:
-        return _sanitize(
-            {
-                "status": self.status,
-                "witness": self.witness,
-                "shells": self.shells,
-                "notes": list(self.notes),
-            }
-        )
+        return record_json(self)
 
 
 @dataclass
@@ -211,15 +170,7 @@ class DiniEstimate:
     witness: dict | None
 
     def to_json(self) -> dict:
-        return _sanitize(
-            {
-                "estimate": self.estimate,
-                "stable": self.stable,
-                "diverged": self.diverged,
-                "shells": self.shells,
-                "witness": self.witness,
-            }
-        )
+        return record_json(self)
 
 
 def _random_signs(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

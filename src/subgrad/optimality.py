@@ -43,6 +43,7 @@ from .rationals import (
     is_zero_vector,
     parse_rational,
     parse_vector,
+    record_json,
     to_float,
     vadd,
     vdot,
@@ -321,36 +322,7 @@ class OptimalityCertificate:
         return all(e["status"] == "holds" for e in self.hypothesis_report)
 
     def to_json(self) -> dict:
-        descent = None
-        if self.descent is not None:
-            descent = {
-                "direction": format_vector(self.descent["direction"]),
-                "rate": format_rational(self.descent["rate"]),
-                "step": format_rational(self.descent["step"]),
-                "violation_margin": format_rational(self.descent["violation_margin"]),
-                "f_base": format_rational(self.descent["f_base"]),
-                "f_step": format_rational(self.descent["f_step"]),
-            }
-        return {
-            "feasible_at": self.feasible_at,
-            "qualification": self.qualification,
-            "qualification_cone": None
-            if self.qualification_cone is None
-            else self.qualification_cone.to_json(),
-            "normal_cone_direct": self.normal_cone_direct.to_json(),
-            "normal_cone_lagrange": self.normal_cone_lagrange.to_json(),
-            "routes_agree": self.routes_agree,
-            "inclusion28": self.inclusion28,
-            "inclusion_witness": None
-            if self.inclusion_witness is None
-            else format_vector(self.inclusion_witness),
-            "verdict": self.verdict,
-            "descent": descent,
-            "lagrange_validated": self.lagrange_validated,
-            "hypothesis_report": self.hypothesis_report,
-            "theorem_certified": self.theorem_certified,
-            "notes": list(self.notes),
-        }
+        return record_json(self, "theorem_certified")
 
 
 def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertificate:

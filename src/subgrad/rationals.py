@@ -8,8 +8,9 @@ at their boundary.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, isnan, lcm
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -49,6 +50,32 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def to_json_value(value):
+    """A report value as JSON data.
+
+    Fractions become canonical ``p/q`` strings, tuples become lists, and
+    non-finite floats become ``"inf"``, ``"-inf"`` or ``"nan"``; an object
+    with a ``to_json`` method writes itself.
+    """
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, float) and not isfinite(value):
+        return "nan" if isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, (list, tuple)):
+        return [to_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json_value(v) for k, v in value.items()}
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return value
+
+
+def record_json(record, *properties: str) -> dict:
+    """A dataclass record as JSON: each field, then each named property."""
+    names = [f.name for f in fields(record)] + list(properties)
+    return {name: to_json_value(getattr(record, name)) for name in names}
 
 
 def parse_vector(items: Sequence, dim: int | None = None) -> Vector:

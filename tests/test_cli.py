@@ -6,6 +6,7 @@ Exit code contract: 0 verified / holds, 1 claim or certificate fails,
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from subgrad.dinioracle import SamplingPlan
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "scenarios" / "data"
@@ -257,6 +260,15 @@ def test_run_malformed_scenario(tmp_path, capsys):
             "point": [10**400],
         },
         "plan_radius_overflows_float": dini_with_plan({"shell_radii": [10**400]}),
+        "plan_radius_nan": dini_with_plan({"shell_radii": [math.nan]}),
+        "plan_radius_infinity": dini_with_plan({"shell_radii": [math.inf, 1]}),
+        "plan_tol_infinity": dini_with_plan({"stabilization_tol": math.inf}),
+        "plan_tol_nan": dini_with_plan({"stabilization_tol": math.nan}),
+        "plan_threshold_nan": dini_with_plan({"divergence_threshold": math.nan}),
+        "plan_threshold_minus_infinity": dini_with_plan({"divergence_threshold": -math.inf}),
+        # far past any count that could be allocated: MemoryError, ValueError
+        "plan_samples_10e13": dini_with_plan({"samples_per_shell": 10**13}),
+        "plan_samples_10e20": dini_with_plan({"samples_per_shell": 10**20}),
         # found by test_fuzzed_scenarios_keep_the_exit_contract
         "slope_overflows_float": {
             "kind": "probe", "probe": "dini", "point": "1", "direction": "-1",
@@ -311,8 +323,9 @@ SHIPPED = [
     for sc in (_inlined(p) for d in (CORPUS, EXTRA) for p in sorted(d.glob("*.json")))
 ]
 
-# Integers stay small or far beyond any size that could be allocated: a
-# count such as samples_per_shell = 10**8 would have a probe ask for gigabytes.
+# Integers stay small or far beyond any size that could be allocated, so that
+# a count that lacks its bound fails at once: samples_per_shell = 10**8 would
+# have a probe ask for gigabytes before anything failed.
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -336,10 +349,19 @@ json_values = st.one_of(
 )
 
 
+PROBES = [sc for sc, _ in SHIPPED if sc["kind"] == "probe"]
+PLAN_FIELDS = [f.name for f in dataclasses.fields(SamplingPlan)]
+
+
 @st.composite
 def mutated_scenarios(draw):
     """A shipped scenario, data files inlined, with one subtree (possibly
-    the whole scenario) replaced by random JSON."""
+    the whole scenario) replaced by random JSON or, in a probe scenario,
+    one sampling-plan field set to a random scalar."""
+    if draw(st.booleans()):
+        sc = copy.deepcopy(draw(st.sampled_from(PROBES)))
+        sc.setdefault("plan", {})[draw(st.sampled_from(PLAN_FIELDS))] = draw(json_scalars)
+        return sc
     sc, paths = draw(st.sampled_from(SHIPPED))
     path = draw(st.sampled_from(paths))
     new = draw(json_values)

@@ -9,6 +9,7 @@ assertions always re-verify the witness by direct evaluation.
 import json
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from subgrad.dinioracle import (
     DEFAULT_PLAN,
+    MAX_SAMPLES_PER_SHELL,
     SamplingPlan,
     _l1_ball_points,
     _l1_sphere_points,
@@ -77,12 +79,15 @@ def test_plan_validation():
         SamplingPlan(shell_radii=(0.5, -0.25))
     with pytest.raises(ParseError):
         SamplingPlan(samples_per_shell=4)
+    SamplingPlan(samples_per_shell=MAX_SAMPLES_PER_SHELL)
+    with pytest.raises(ParseError):
+        SamplingPlan(samples_per_shell=MAX_SAMPLES_PER_SHELL + 1)
     with pytest.raises(ParseError):
         SamplingPlan(stabilization_window=1)
 
 
 def test_plan_json_round_trip():
-    plan = DEFAULT_PLAN.with_overrides(seed=9, samples_per_shell=64)
+    plan = replace(DEFAULT_PLAN, seed=9, samples_per_shell=64)
     again = SamplingPlan.from_json(plan.to_json())
     assert again == plan
 
@@ -187,7 +192,7 @@ def test_dini_determinism_same_seed():
         b.to_json(), sort_keys=True
     )
     c = dini_directional_estimate(
-        ABS_SQ, (F(0),), (F(1),), DEFAULT_PLAN.with_overrides(seed=1)
+        ABS_SQ, (F(0),), (F(1),), replace(DEFAULT_PLAN, seed=1)
     )
     assert c.to_json() != a.to_json()
 

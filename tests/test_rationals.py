@@ -1,5 +1,8 @@
 """Exact scalar and vector helpers."""
 
+import json
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from subgrad.rationals import (
     parse_rational,
     parse_vector,
     primitive,
+    record_json,
     rref,
     vadd,
     vdot,
@@ -67,6 +71,39 @@ def test_vector_algebra(vals, data):
     assert vdot(v, w) == vdot(w, v)
     c = data.draw(fractions)
     assert vdot(vscale(c, v), w) == c * vdot(v, w)
+
+
+def test_record_json_encodes_each_report_value():
+    class Written:
+        def to_json(self):
+            return {"written": True}
+
+    @dataclass
+    class Record:
+        exact: Fraction
+        vector: tuple
+        floats: list
+        nested: dict
+        notes: tuple = ()
+
+        @property
+        def derived(self):
+            return len(self.notes)
+
+    record = Record(
+        Fraction(-6, 4),
+        (Fraction(3), Fraction(1, 3)),
+        [0.5, math.inf, -math.inf, math.nan],
+        {"set": Written(), "none": None, "flag": False},
+        ("a",),
+    )
+    obj = record_json(record, "derived")
+    assert list(obj) == ["exact", "vector", "floats", "nested", "notes", "derived"]
+    assert json.dumps(obj) == (
+        '{"exact": "-3/2", "vector": ["3", "1/3"], "floats": [0.5, "inf", "-inf", "nan"], '
+        '"nested": {"set": {"written": true}, "none": null, "flag": false}, '
+        '"notes": ["a"], "derived": 1}'
+    )
 
 
 def test_is_zero_vector():
