@@ -532,7 +532,11 @@ _NOT_FIELDS = ("command", "json", "max_dim", "scenario", "directory", "filter", 
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "inconclusive" here
+        return 3 if exc.code == 2 else exc.code
     env_cap = os.environ.get("SUBGRAD_MAX_FACETS")
     try:
         max_facets = int(env_cap) if env_cap else CAPS.max_facets

@@ -133,10 +133,14 @@ class SamplingPlan:
     def from_json(cls, obj: dict) -> "SamplingPlan":
         if not isinstance(obj, dict):
             raise ParseError("a sampling plan must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        unknown = [str(k) for k in obj if k not in names]
+        if unknown:
+            raise ParseError(f"unknown sampling plan fields: {', '.join(unknown)}")
         radii = obj.get("shell_radii", [])
         if not isinstance(radii, list) or not all(_is_real(r) for r in radii):
             raise ParseError("shell_radii must be a list of numbers")
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+        return cls(**obj)
 
 
 DEFAULT_PLAN = SamplingPlan()
@@ -566,10 +570,12 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
     for k, r in enumerate(plan.shell_radii):
         rng = plan.rng(_TAG_GAP, k)
         w = _l1_ball_points(rng, n, dim, r)
-        pts = xf[None, :] + w
+        with np.errstate(over="ignore"):
+            pts = xf[None, :] + w
         gaps = []
         used = []
-        for row in pts:
+        # a sample past float range has no exact point to promote
+        for row in pts[np.isfinite(pts).all(axis=1)]:
             p = tuple(Fraction(float(v)) for v in row)
             try:
                 g = gap(base, map_at(p), L1)
@@ -585,8 +591,8 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
         shells.append(
             {
                 "radius": float(r),
-                "inf": float(lo) if lo != math.inf else math.inf,
-                "sup": float(hi) if hi != math.inf else math.inf,
+                "inf": to_float(lo),
+                "sup": to_float(hi),
             }
         )
         records.append((k, gaps, used))
@@ -605,7 +611,7 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
             px, pg = pairs[0]
             witness = {
                 "x": px,
-                "gap": float(pg) if pg != math.inf else math.inf,
+                "gap": to_float(pg),
             }
             return ProbeVerdict(
                 "FailsWithWitness",

@@ -41,13 +41,14 @@ from .errors import (
     ParseError,
     PointOutsideDomain,
     PointOutsideDomainInterior,
-    UnsupportedNorm,
 )
 from .polykernel import (
     CAPS,
     L1,
+    LINF,
     NormSpec,
     Polyhedron,
+    _dual_vertices,
     contains_point,
     contains_polyhedron,
     dual_norm_ball,
@@ -69,6 +70,7 @@ from .rationals import (
     vadd,
     vdot,
     vneg,
+    vscale,
 )
 
 if TYPE_CHECKING:
@@ -269,32 +271,20 @@ def pa_sum(f: PAConvexFunction, g: PAConvexFunction) -> PAConvexFunction:
 
 
 def f_eps_expand(f: PAConvexFunction, x: Sequence, eps, norm: NormSpec = L1) -> PAConvexFunction:
-    """Exact PA form of f + eps * ||. - x||_1.
+    """Exact PA form of f + eps * ||. - x||.
 
-    The l1 term is the max over sign vectors sigma of <sigma, . - x>, so each
-    piece splits into 2^dim shifted pieces.  Only the l1 norm keeps the
-    result piecewise-affine.
+    ||y|| is the max of <w, y> over the vertices w of the dual unit ball, so
+    each piece splits into one shifted piece per vertex.
     """
-    if norm.kind != "l1":
-        raise UnsupportedNorm("f_eps_expand supports the l1 norm only")
     e = parse_rational(eps)
     if e < 0:
         raise NegativeEps(f"eps must be nonnegative, got {e}")
     xb = parse_vector(x, f.dim)
     if e == 0:
         return f
-    sign_patterns = []
-    for bits in range(2 ** f.dim):
-        sigma = tuple(
-            Fraction(1) if (bits >> i) & 1 else Fraction(-1) for i in range(f.dim)
-        )
-        sign_patterns.append(sigma)
-    pieces = []
-    for p in f.pieces:
-        for sigma in sign_patterns:
-            slope = vadd(p.slope, tuple(e * s for s in sigma))
-            intercept = p.intercept - e * vdot(sigma, xb)
-            pieces.append(AffinePiece(slope, intercept))
+    ws = _dual_vertices(norm, f.dim)
+    pieces = [AffinePiece(vadd(p.slope, vscale(e, w)), p.intercept - e * vdot(w, xb))
+              for p in f.pieces for w in ws]
     return PAConvexFunction(pieces, f.domain)
 
 
@@ -620,19 +610,10 @@ def linear_function(slope: Sequence, intercept=0) -> PAConvexFunction:
 
 
 def l1_norm_function(dim: int) -> PAConvexFunction:
-    """||x||_1 as a max over all sign patterns."""
-    pieces = []
-    for bits in range(2 ** dim):
-        sigma = tuple(1 if (bits >> i) & 1 else -1 for i in range(dim))
-        pieces.append((sigma, 0))
-    return PAConvexFunction(pieces)
+    """||x||_1 as a max over the vertices of its dual ball."""
+    return PAConvexFunction([(w, 0) for w in _dual_vertices(L1, dim)])
 
 
 def linf_norm_function(dim: int) -> PAConvexFunction:
-    """||x||_inf as a max over signed coordinates."""
-    pieces = []
-    for i in range(dim):
-        for s in (1, -1):
-            slope = tuple(s if j == i else 0 for j in range(dim))
-            pieces.append((slope, 0))
-    return PAConvexFunction(pieces)
+    """||x||_inf as a max over the vertices of its dual ball."""
+    return PAConvexFunction([(w, 0) for w in _dual_vertices(LINF, dim)])

@@ -26,7 +26,9 @@ from .errors import (
 )
 from .funcmodel import DCFunction, _float_rows
 from .polykernel import (
+    LINF,
     Polyhedron,
+    _dual_vertices,
     affine_image,
     cone_is_linear_subspace,
     conic_hull,
@@ -168,6 +170,16 @@ def feasible_set(cs: ConstraintSystem) -> Polyhedron:
     return Polyhedron.from_hrep(rows, cs.dim)
 
 
+def _feasible_point(cs: ConstraintSystem, x: Sequence) -> tuple[Polyhedron, Vector]:
+    """The feasible set and x parsed as a point of it; raises InfeasiblePoint
+    when x lies outside."""
+    a_set = feasible_set(cs)
+    xv = parse_vector(x, cs.dim)
+    if not contains_point(a_set, xv):
+        raise InfeasiblePoint(f"{xv} is not feasible")
+    return a_set, xv
+
+
 def qualification_check(cs: ConstraintSystem) -> tuple[str, Polyhedron]:
     """Tests whether the cone spanned by k(C) + K is a linear subspace.
 
@@ -197,10 +209,7 @@ def normal_cone_feasible(
     of M^T z* over dual-cone generators z* annihilating k(x), plus the
     normal cone of C; exactness of the second route rests on k being affine.
     """
-    a_set = feasible_set(cs)
-    xv = parse_vector(x, cs.dim)
-    if not contains_point(a_set, xv):
-        raise InfeasiblePoint(f"{xv} is not feasible")
+    a_set, xv = _feasible_point(cs, x)
     direct = normal_cone_at(a_set, xv)
     kx = cs.k_value(xv)
     rays = []
@@ -231,10 +240,7 @@ def _in_generated_set(vertices: Sequence[Vector], rays: Sequence[Vector], point:
 
 
 def _require_certifiable(p: ProblemInstance, x: Sequence) -> tuple[Polyhedron, Vector]:
-    a_set = feasible_set(p.constraints)
-    xv = parse_vector(x, p.constraints.dim)
-    if not contains_point(a_set, xv):
-        raise InfeasiblePoint(f"{xv} is not feasible")
+    a_set, xv = _feasible_point(p.constraints, x)
     if not strictly_contains_point(p.objective.g.domain, xv):
         raise PointNotInteriorDomG(f"{xv} is not interior to dom g")
     return a_set, xv
@@ -280,14 +286,8 @@ def _descent_direction(
     for r in tc.rays:
         a_ub.append(list(r) + [Fraction(0)])
         b_ub.append(Fraction(0))
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        a_ub.append(e + [Fraction(0)])
-        b_ub.append(Fraction(1))
-        e2 = [Fraction(0)] * dim
-        e2[i] = Fraction(-1)
-        a_ub.append(e2 + [Fraction(0)])
+    for w in _dual_vertices(LINF, dim):
+        a_ub.append(list(w) + [Fraction(0)])
         b_ub.append(Fraction(1))
     objective = [Fraction(0)] * dim + [Fraction(-1)]
     res = solve_lp(objective, a_ub=a_ub, b_ub=b_ub)
@@ -468,10 +468,7 @@ def blunt_min_probe(
     e = parse_rational(eps)
     if e <= 0:
         raise NegativeEps(f"eps must be positive, got {eps}")
-    a_set = feasible_set(p.constraints)
-    xv = parse_vector(x, p.constraints.dim)
-    if not contains_point(a_set, xv):
-        raise InfeasiblePoint(f"{xv} is not feasible")
+    a_set, xv = _feasible_point(p.constraints, x)
     dc = p.objective
     f0 = dc.evaluate(xv)
     f0f = to_float(f0)

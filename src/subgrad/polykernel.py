@@ -581,14 +581,18 @@ def support_function(p: Polyhedron, direction: Sequence) -> Fraction | float:
 
 def _support(p: Polyhedron, n: Sequence[int]) -> tuple[int, int] | None:
     """sup over a nonempty p of <n, x> for an int direction n, as a pair
-    ``(value, t)`` for ``value / t`` with t > 0; None when it is +inf."""
-    p._canonicalize()
-    if any(sum(map(mul, n, r)) > 0 for r in p._rays):
+    ``(value, t)`` for ``value / t`` with t > 0; None when it is +inf.
+
+    Reads the generators p was built from: over any generating set, the sup
+    is +inf when a ray has a positive dot, else the largest point value.
+    """
+    points, rays = p._gens
+    if any(sum(map(mul, n, r)) > 0 for r in rays):
         return None
     # the largest n.x / t over the points (x..., t), by cross-multiplying;
     # map stops at len(n), before t
     best, best_t = None, 1
-    for x in p._points:
+    for x in points:
         value, t = sum(map(mul, n, x)), x[-1]
         if best is None or value * best_t > best * t:
             best, best_t = value, t

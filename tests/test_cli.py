@@ -269,6 +269,17 @@ def test_run_malformed_scenario(tmp_path, capsys):
         # far past any count that could be allocated: MemoryError, ValueError
         "plan_samples_10e13": dini_with_plan({"samples_per_shell": 10**13}),
         "plan_samples_10e20": dini_with_plan({"samples_per_shell": 10**20}),
+        # misspelled fields, which would otherwise run the defaults
+        "plan_sample_per_shell": dini_with_plan({"sample_per_shell": 8}),
+        "plan_shell_radius": dini_with_plan({"shell_radius": [0.5]}),
+        # exact gaps of 2 * 10**400 between sampled subdifferentials
+        "gap_overflows_float": {
+            "kind": "probe", "probe": "gap", "point": "1", "eps": "1/2",
+            "function": {"type": "pa_convex", "pieces": [
+                {"slope": ["1e400"], "intercept": "0"}, {"slope": ["-1e400"], "intercept": "0"},
+            ]},
+            "plan": {"shell_radii": [4]},
+        },
         # found by test_fuzzed_scenarios_keep_the_exit_contract
         "slope_overflows_float": {
             "kind": "probe", "probe": "dini", "point": "1", "direction": "-1",
@@ -299,6 +310,32 @@ def test_run_malformed_scenario(tmp_path, capsys):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(sc))
         assert cli.main(["run", str(path)]) == 3, (name, capsys.readouterr())
+
+
+def test_gap_probe_skips_samples_past_float_range(tmp_path, capsys):
+    from subgrad import cli
+
+    # every sample of the shell around 1e308 leaves float range in one
+    # direction or the other
+    sc = {
+        **_inlined(CORPUS / "probe_gap_abs.json"),
+        "point": "1e308",
+        "plan": {"shell_radii": [1e308]},
+    }
+    path = tmp_path / "gap_1e308.json"
+    path.write_text(json.dumps(sc))
+    assert cli.main(["run", str(path)]) in (0, 1, 2), capsys.readouterr()
+
+
+def test_usage_errors_exit_3(capsys):
+    from subgrad import cli
+
+    # argparse's own status for these, 2, would read "inconclusive"
+    assert run_cli("check", "--point", "0").returncode == 3
+    for argv in (["probe", "--probe", "nosuch"], ["corpus", str(CORPUS), "--jobs", "x"]):
+        assert cli.main(argv) == 3, argv
+    assert cli.main(["--help"]) == 0
+    assert "usage: subgrad" in capsys.readouterr().out
 
 
 def _inlined(path: Path):

@@ -35,6 +35,7 @@ from subgrad.funcmodel import (
 from subgrad.polykernel import (
     L1,
     LINF,
+    NormSpec,
     Polyhedron,
     dual_norm_ball,
     minkowski_sum,
@@ -153,22 +154,28 @@ def test_eps_subdifferential_rejects_negative():
 
 def test_f_eps_expand_matches_inflated_subdifferential():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        dim = int(rng.integers(1, 3))
-        f = oracles.rand_pa(rng, dim)
-        x = oracles.rand_vector(rng, dim, span=3)
-        eps = F(int(rng.integers(0, 4)), 2)
-        g = f_eps_expand(f, x, eps)
-        assert g.subdifferential_at(x) == f.eps_subdifferential_at(x, eps)
-        # the expansion is pointwise f(y) + eps * ||y - x||_1
-        y = oracles.rand_vector(rng, dim, span=3)
-        dist = sum(abs(a - b) for a, b in zip(y, x))
-        assert g.evaluate(y) == f.evaluate(y) + eps * dist
-
-
-def test_f_eps_expand_l1_only():
+    for norm in (L1, LINF, NormSpec("l2approx", 4), NormSpec("l2approx", 8)):
+        max_dim = 2 if norm.kind == "l2approx" else 3
+        for case in range(8):
+            dim = int(rng.integers(1, max_dim + 1))
+            f = oracles.rand_pa(rng, dim)
+            x = oracles.rand_vector(rng, dim, span=3)
+            if case % 2:
+                # every piece active at x, so the subdifferential there is
+                # the hull of all the slopes
+                f = PAConvexFunction([(p.slope, -oracles.dot(p.slope, x)) for p in f.pieces])
+            eps = F(int(rng.integers(0, 4)), 2)
+            g = f_eps_expand(f, x, eps, norm)
+            assert g.subdifferential_at(x) == f.eps_subdifferential_at(x, eps, norm)
+            # the expansion is pointwise f(y) + eps * ||y - x||, the norm being
+            # the support function of the reference dual unit ball
+            unit = oracles.dual_norm_ball_reference(norm, F(1), dim)
+            for _ in range(3):
+                y = oracles.rand_vector(rng, dim, span=3)
+                dist = support_function(unit, oracles.vsub(y, x))
+                assert g.evaluate(y) == f.evaluate(y) + eps * dist
     with pytest.raises(UnsupportedNorm):
-        f_eps_expand(abs_function(), (F(0),), F(1), norm=LINF)
+        f_eps_expand(l1_norm_function(3), (0, 0, 0), 1, NormSpec("l2approx", 4))
 
 
 @given(small_dims, seeds)

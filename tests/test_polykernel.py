@@ -777,6 +777,49 @@ def test_gap_probe_solves_no_lp(monkeypatch):
     assert len(dd_runs) <= 4, "the base set and the domain, each canonicalized once"
 
 
+@given(small_dims.flatmap(lambda d: st.tuples(
+    sum_operands(d).filter(lambda p: p._raw_vrep is not None),
+    st.lists(st.tuples(*[small_entries] * d), min_size=1, max_size=3),
+)))
+@settings(max_examples=80, deadline=None)
+def test_support_function_of_generators_is_the_canonical_value(case):
+    p, directions = case
+    got = [support_function(p, d) for d in directions]
+    assert p._hrep is None, "the sup over the given generators runs no DD"
+    for d, value in zip(directions, got):
+        # over the canonical vertices and rays, lines as +/- pairs
+        if any(oracles.dot(r, d) > 0 for r in p.rays):
+            assert value == math.inf
+        else:
+            assert value == max(oracles.dot(v, d) for v in p.vertices)
+
+
+def test_star_difference_runs_no_dd_on_a_raw_vrep(monkeypatch):
+    a = box2()
+    a.hrep  # the eroded set's own canonicalization
+    # a segment given with a duplicate and an interior point
+    b = Polyhedron.from_vrep(
+        [(frac(0), frac(-1, 4)), (frac(0), frac(1, 4)), (frac(0), frac(1, 4)), (frac(0), frac(0))], dim=2
+    )
+    runs = []
+    original = polykernel._cone_generators
+
+    def counted(ineqs, d):
+        runs.append(d)
+        return original(ineqs, d)
+
+    monkeypatch.setattr(polykernel, "_cone_generators", counted)
+    star = star_difference(a, b)
+    assert not runs and b._hrep is None, "the support values come from b's own generators"
+    monkeypatch.undo()
+    expected = Polyhedron.from_hrep(
+        [((frac(1), frac(0)), frac(1)), ((frac(-1), frac(0)), frac(1)),
+         ((frac(0), frac(1)), frac(3, 4)), ((frac(0), frac(-1)), frac(3, 4))],
+        2,
+    )
+    assert star == expected
+
+
 def test_support_function_unbounded_direction():
     ray = Polyhedron.from_vrep([(frac(0),)], rays=[(frac(1),)], dim=1)
     assert support_function(ray, (frac(1),)) == math.inf
