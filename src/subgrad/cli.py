@@ -531,6 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
 _NOT_FIELDS = ("command", "json", "max_dim", "scenario", "directory", "filter", "jobs")
 
 
+def _write_report(path: str, report: dict) -> bool:
+    """Writes the --json report; says on stderr why it could not."""
+    try:
+        Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -562,10 +572,7 @@ def main(argv=None) -> int:
     except SubgradError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.json:
-            report = {"exit": 3, "error": f"{type(exc).__name__}: {exc}"}
-            Path(args.json).write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n"
-            )
+            _write_report(args.json, {"exit": 3, "error": f"{type(exc).__name__}: {exc}"})
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -573,10 +580,8 @@ def main(argv=None) -> int:
     finally:
         CAPS.max_dim, CAPS.max_facets = saved
     print(outcome.text)
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(outcome.payload, indent=2, sort_keys=True) + "\n"
-        )
+    if args.json and not _write_report(args.json, outcome.payload):
+        return 3
     return outcome.exit_code
 
 

@@ -279,11 +279,12 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
                 hf + _l1_ball_points(rng, n_ann + n_deep, dim, r),
             ]
         )
-        pts = xf[None, :] + t[:, None] * u
-        fv = f.evaluate_batch(pts)
-        delta = fv - fx
-        finite = np.isfinite(fv)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # samples past float range become inf and fail `finite`
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pts = xf[None, :] + t[:, None] * u
+            fv = f.evaluate_batch(pts)
+            delta = fv - fx
+            finite = np.isfinite(fv)
             q = np.where(finite, delta / t, np.inf)
         precise = finite & (res / t <= _PRECISE_RTOL)
         coarse = finite & ~precise & (np.abs(delta) > res)
@@ -403,7 +404,8 @@ def eps_subgradient_membership_probe(
 
     def shell(rng, r):
         w = _l1_ball_points(rng, plan.samples_per_shell, dim, r)
-        pts = xf[None, :] + w
+        with np.errstate(over="ignore"):
+            pts = xf[None, :] + w
         fv = f.evaluate_batch(pts)
         norms = np.abs(w).sum(axis=1)
         margin = fv - fx - w @ sf + (a + e) * norms

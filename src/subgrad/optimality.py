@@ -239,25 +239,17 @@ def _in_generated_set(vertices: Sequence[Vector], rays: Sequence[Vector], point:
     return res.status == OPTIMAL
 
 
-def _require_certifiable(p: ProblemInstance, x: Sequence) -> tuple[Polyhedron, Vector]:
-    a_set, xv = _feasible_point(p.constraints, x)
-    if not strictly_contains_point(p.objective.g.domain, xv):
-        raise PointNotInteriorDomG(f"{xv} is not interior to dom g")
-    return a_set, xv
+def check_inclusion_28(
+    dh: Polyhedron, dg: Polyhedron, na: Polyhedron
+) -> tuple[str, Vector | None]:
+    """Exact test of inclusion (28): is dh inside dg + na?
 
-
-def check_inclusion_28(p: ProblemInstance, x: Sequence) -> tuple[str, Vector | None]:
-    """Vertex-by-vertex exact test of subdiff(h) inside subdiff(g) + N(A, x).
-
-    Convexity of the right side makes vertex (plus recession ray)
-    membership sufficient.  Returns the first failing vertex as witness.
+    Convexity of the right side makes membership of every recession ray and
+    every vertex of dh sufficient; each is one LP.  Returns the first failing
+    ray or vertex as witness.
     """
-    a_set, xv = _require_certifiable(p, x)
-    dg = p.objective.g.subdifferential_at(xv)
-    na = normal_cone_at(a_set, xv)
     verts = dg.vertices
-    rays = list(dg.rays) + list(na.rays)
-    dh = p.objective.h.subdifferential_at(xv)
+    rays = dg.rays + na.rays
     for ray in dh.rays:
         if not _in_generated_set((), rays, ray):
             return "Fails", ray
@@ -267,9 +259,7 @@ def check_inclusion_28(p: ProblemInstance, x: Sequence) -> tuple[str, Vector | N
     return "Holds", None
 
 
-def _descent_direction(
-    target: Polyhedron, vertex: Vector, dim: int
-) -> tuple[Vector, Fraction]:
+def _descent_direction(target: Polyhedron, vertex: Vector, dim: int) -> Vector:
     """Max-margin separator of a point from a polyhedron, inf-norm box 1.
 
     Maximizes t subject to <d, vertex - w> >= t for every vertex w of the
@@ -293,10 +283,9 @@ def _descent_direction(
     res = solve_lp(objective, a_ub=a_ub, b_ub=b_ub)
     if res.status != OPTIMAL:
         raise InternalCheckError(f"separator LP ended {res.status}")
-    margin = -res.value
-    if margin <= 0:
+    if res.value >= 0:
         raise InternalCheckError("separator margin is not positive")
-    return tuple(res.x[:dim]), margin
+    return tuple(res.x[:dim])
 
 
 @dataclass
@@ -336,9 +325,11 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
     When the qualification fails (or C is unbounded), the verdict comes from
     the restricted-function route and the Lagrange form is left unvalidated.
     """
-    a_set, xv = _require_certifiable(p, x)
     dc = p.objective
     cs = p.constraints
+    a_set, xv = _feasible_point(cs, x)
+    if not strictly_contains_point(dc.g.domain, xv):
+        raise PointNotInteriorDomG(f"{xv} is not interior to dom g")
     notes: list[str] = []
     try:
         qualification, qcone = qualification_check(cs)
@@ -346,16 +337,15 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
         qualification, qcone = "Fails", None
         notes.append("C unbounded: qualification not evaluated")
     direct, lagrange, agree = normal_cone_feasible(cs, xv)
-    inclusion28, witness28 = check_inclusion_28(p, xv)
-    g_restricted = dc.g.restrict(a_set)
-    s30 = g_restricted.subdifferential_at(xv)
-    s29 = minkowski_sum(dc.g.subdifferential_at(xv), direct)
-    if s29 != s30:
+    dg = dc.g.subdifferential_at(xv)
+    dh = dc.h.subdifferential_at(xv)
+    inclusion28, witness28 = check_inclusion_28(dh, dg, direct)
+    s30 = dc.g.restrict(a_set).subdifferential_at(xv)
+    if minkowski_sum(dg, direct) != s30:
         raise InternalCheckError(
             "restricted subdifferential disagrees with the sum of "
             "subdiff(g) and the feasible normal cone"
         )
-    dh = dc.h.subdifferential_at(xv)
     inc30, _ = contains_polyhedron(s30, dh)
     if inc30 != (inclusion28 == "Holds"):
         raise InternalCheckError("vertex LP route and containment route disagree")
@@ -370,7 +360,7 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
         verdict = "BluntMinimizerAllEps"
     else:
         verdict = "NotBluntMinimizer"
-        d, _margin = _descent_direction(s30, witness28, cs.dim)
+        d = _descent_direction(s30, witness28, cs.dim)
         rate = dc.g.directional_derivative(xv, d) - dc.h.directional_derivative(xv, d)
         if rate >= 0:
             raise InternalCheckError("descent direction has nonnegative rate")

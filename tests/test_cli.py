@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -327,6 +328,22 @@ def test_gap_probe_skips_samples_past_float_range(tmp_path, capsys):
     assert cli.main(["run", str(path)]) in (0, 1, 2), capsys.readouterr()
 
 
+@pytest.mark.parametrize("probe,code", [("dini", 2), ("membership", 0)])
+def test_probes_past_float_range_do_not_warn(tmp_path, capsys, probe, code):
+    from subgrad import cli
+
+    sc = {
+        **_inlined(CORPUS / f"probe_{probe}_abs.json"),
+        "point": "1e308",
+        "plan": {"shell_radii": [1e308]},
+    }
+    path = tmp_path / f"{probe}_1e308.json"
+    path.write_text(json.dumps(sc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(path)]) == code, capsys.readouterr()
+
+
 def test_usage_errors_exit_3(capsys):
     from subgrad import cli
 
@@ -336,6 +353,18 @@ def test_usage_errors_exit_3(capsys):
         assert cli.main(argv) == 3, argv
     assert cli.main(["--help"]) == 0
     assert "usage: subgrad" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("scenario", [CORPUS / "subdiff_abs.json", CORPUS / "no_such_scenario.json"],
+                         ids=["good_scenario", "missing_scenario"])
+def test_unwritable_json_report_exits_3(tmp_path, capsys, target, scenario):
+    from subgrad import cli
+
+    # exit 1 would read "fails with witness"
+    out = tmp_path / "missing" / "out.json" if target == "missing_dir" else tmp_path
+    assert cli.main(["run", str(scenario), "--json", str(out)]) == 3
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
 
 
 def _inlined(path: Path):

@@ -36,7 +36,7 @@ from subgrad.optimality import (
     normal_cone_feasible,
     qualification_check,
 )
-from subgrad.polykernel import Polyhedron, contains_point
+from subgrad.polykernel import Polyhedron, contains_point, contains_polyhedron, minkowski_sum
 from subgrad.rationals import parse_rational, parse_vector
 
 F = Fraction
@@ -128,12 +128,47 @@ def test_qualification_trio():
         qualification_check(ConstraintSystem(unbounded, [["1", "0"]], ["0"]))
 
 
+def inclusion28_sets(p, x):
+    """The three sets of inclusion (28) at x: dh, dg and N(A, x)."""
+    dc = p.objective
+    na, _, _ = normal_cone_feasible(p.constraints, x)
+    return dc.h.subdifferential_at(x), dc.g.subdifferential_at(x), na
+
+
 def test_inclusion28_positive_and_negative():
-    status, w = check_inclusion_28(cone_problem(["1", "0"]), (F(0), F(0)))
+    status, w = check_inclusion_28(*inclusion28_sets(cone_problem(["1", "0"]), (F(0), F(0))))
     assert status == "Holds" and w is None
-    status, w = check_inclusion_28(cone_problem(["3", "0"]), (F(0), F(0)))
+    status, w = check_inclusion_28(*inclusion28_sets(cone_problem(["3", "0"]), (F(0), F(0))))
     assert status == "Fails"
     assert w == (F(3), F(0))
+
+
+def test_inclusion28_ray_witness():
+    # dh = {0} + cone{(0, 1)}: its ray leaves cone(dg.rays + na.rays) = cone{(-1, 0)}
+    _, dg, na = inclusion28_sets(cone_problem(["0", "0"]), (F(0), F(0)))
+    origin = (F(0), F(0))
+    dh = Polyhedron.from_vrep([origin], rays=[(F(0), F(1))], dim=2)
+    assert check_inclusion_28(dh, dg, na) == ("Fails", (F(0), F(1)))
+    dh = Polyhedron.from_vrep([origin], rays=[(F(-2), F(0))], dim=2)
+    assert check_inclusion_28(dh, dg, na) == ("Holds", None)
+
+
+def inclusion28_cases():
+    x = (F(0), F(0))
+    for slope in (["1", "0"], ["3", "0"], ["-3", "0"], ["0", "1"], ["1", "1"],
+                  ["0", "-2"], ["-1", "-1"], ["5", "-1"]):
+        yield inclusion28_sets(cone_problem(slope), x)
+    _, dg, na = inclusion28_sets(cone_problem(["0", "0"]), x)
+    for ray in ((F(0), F(1)), (F(-2), F(0)), (F(1), F(0))):
+        yield Polyhedron.from_vrep([x], rays=[ray], dim=2), dg, na
+    yield Polyhedron.whole_space(2), dg, na
+
+
+@pytest.mark.parametrize("dh,dg,na", list(inclusion28_cases()))
+def test_inclusion28_matches_containment(dh, dg, na):
+    status, w = check_inclusion_28(dh, dg, na)
+    assert (status == "Holds") == contains_polyhedron(minkowski_sum(dg, na), dh)[0]
+    assert (w is None) == (status == "Holds")
 
 
 def test_certify_positive():
