@@ -511,7 +511,8 @@ class BlackBoxFunction:
     ["sub", a, b], ["mul", a, b], ["max", e...], ["min", e...].
     A constant is a finite number or a rational string.  The tree is checked
     and compiled to a postfix program once, at construction.  The optional
-    box domain sends points outside it to +inf.
+    box domain sends points outside it to +inf; any other point with a
+    non-finite coordinate evaluates to NaN, so the probes drop it.
     """
 
     __slots__ = ("expr", "dim", "box", "_program")
@@ -537,16 +538,24 @@ class BlackBoxFunction:
         import numpy as np
 
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
+        # a row past float range is not evaluated, so that inf - inf there
+        # cannot read as a fault of the expression
+        finite = np.isfinite(xs).all(axis=1)
+        run = xs if finite.all() else xs[finite]
         stack = []
         with np.errstate(invalid="raise", over="ignore"):
             try:
                 for body, n in self._program:
                     args = stack[len(stack) - n:]
                     del stack[len(stack) - n:]
-                    stack.append(body(np, xs, *args))
+                    stack.append(body(np, run, *args))
             except FloatingPointError as exc:
                 raise EvaluationFailure(str(exc)) from exc
         vals = stack.pop()
+        if run is not xs:
+            out = np.full(len(xs), np.nan)
+            out[finite] = vals
+            vals = out
         if self.box is not None:
             lo = np.array([b[0] for b in self.box])
             hi = np.array([b[1] for b in self.box])

@@ -22,6 +22,11 @@ is brought to reduced row echelon form and emitted as +/- ray pairs, and all
 lists are sorted lexicographically.  Structural comparison of canonical forms
 therefore decides set equality.
 
+One DD run gives a canonical form.  It converts the input to the other side,
+and the zero sets of its output rays prune the input side: a generator (a
+row) is kept exactly when it spans an extreme ray modulo the lineality space,
+which the incidence alone decides (see ``_extreme``).
+
 The empty set is canonically ``x1 <= -1, -x1 <= -1`` with no vertices; the
 whole space has an empty facet list.
 
@@ -36,11 +41,12 @@ the dual ball of radius eps the V-rep ``eps W``, so an eps-enlargement
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -150,9 +156,11 @@ def _reduced(v: Sequence[int]) -> IntVector:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def _cone_generators(ineqs: Sequence[IntVector], dim: int) -> tuple[list[IntVector], list[IntVector]]:
+def _cone_generators(ineqs: Sequence[IntVector], dim: int) -> tuple[list[IntVector], list[IntVector], list[int]]:
     """Minimal generators (lines, rays) of ``{x : a.x <= 0 for a in ineqs}``
-    for int rows `ineqs`.
+    for int rows `ineqs`, and each ray's zero set: an int bitmask whose bit i
+    says ``ineqs[i]`` is tight on the ray (for a zero row the bit is
+    meaningless).
 
     Incremental double description; lineality is eliminated eagerly so the
     ray part stays pointed modulo the line span.  The loop runs on primitive
@@ -228,19 +236,7 @@ def _cone_generators(ineqs: Sequence[IntVector], dim: int) -> tuple[list[IntVect
                 if count > CAPS.max_generators:
                     raise CapExceeded(f"generator count {count} exceeds cap {CAPS.max_generators}")
         rays = keep + combos
-    return lines, [r for r, _ in rays]
-
-
-def _hrep_to_vrep(rows: Sequence[IntVector], dim: int) -> tuple[list[IntVector], ...]:
-    """Raw (points, rays, lines) of int rows ``(normal..., offset)`` by
-    homogenization; a point is a primitive ``(x..., t)``, t > 0, for x / t."""
-    ineqs = [row[:dim] + (-row[dim],) for row in rows]
-    ineqs.append((0,) * dim + (-1,))  # t >= 0
-    lines, rays = _cone_generators(ineqs, dim + 1)
-    if any(l[dim] for l in lines):
-        raise InternalCheckError("homogenization line with nonzero last coordinate")
-    points = [r for r in rays if r[dim] > 0]
-    return points, [r[:dim] for r in rays if not r[dim]], [l[:dim] for l in lines]
+    return lines, [r for r, _ in rays], [mask for _, mask in rays]
 
 
 def _project(v: Sequence[int], ortho: Sequence[tuple[IntVector, int]]) -> IntVector:
@@ -297,16 +293,78 @@ def _mod_lines(rays: Iterable[IntVector], lines: Sequence[IntVector]) -> tuple[l
     return ortho, out
 
 
-def _vrep_to_hrep(points: Iterable[IntVector], rays: Iterable[IntVector], dim: int) -> tuple[IntVector, ...]:
-    """Sorted primitive int facet rows ``(normal..., offset)`` of conv(points)
-    + cone(rays) via the polar cone, for at least one primitive homogeneous
-    point ``(x..., t)``, t > 0, and primitive nonzero rays."""
-    lines, polar_rays = _cone_generators(sorted({*points, *(r + (0,) for r in rays)}), dim + 1)
+def _extreme(gens: Sequence[IntVector], masks: Sequence[int]) -> list[IntVector]:
+    """Minimal generators of cone(`gens`), read off `masks`, the zero sets
+    over `gens` of the extreme rays of the polar cone: the projections of the
+    extreme gens off the lineality space, duplicates kept, followed by a +/-
+    pair per row of that space's `_echelon` basis.
+
+    Each polar ray spans a facet of cone(gens).  The gens tight on every
+    facet, and zero gens, span the lineality space.  The smallest face that
+    holds another gen g is cut out by the facets g is tight on (all of the
+    cone if there are none); its gens are the bits of the AND of those
+    facets' masks.  g spans an extreme ray modulo the lineality space
+    exactly when every gen of that face, lineality gens aside, has the
+    projection of g (Fukuda & Prodon, "Double description method
+    revisited", 1996).
+    """
+    n = len(gens)
+    lineal = functools.reduce(and_, masks, (1 << n) - 1)
+    lineal |= sum(1 << i for i, g in enumerate(gens) if not any(g))
+    rest = ((1 << n) - 1) & ~lineal
+    ortho, out = _mod_lines((), [g for i, g in enumerate(gens) if lineal >> i & 1])
+    proj = {i: _project(g, ortho) for i, g in enumerate(gens) if rest >> i & 1}
+    same: dict[IntVector, int] = {}
+    for i, p in proj.items():
+        same[p] = same.get(p, 0) | 1 << i
+    faces = dict.fromkeys(proj, rest)
+    for m in masks:
+        tight = m & rest
+        while tight:
+            low = tight & -tight
+            faces[low.bit_length() - 1] &= m
+            tight ^= low
+    out += [p for i, p in proj.items() if not faces[i] & ~same[p]]
+    return out
+
+
+def _facet_rows(polar: Iterable[IntVector], dim: int) -> tuple[IntVector, ...]:
+    """Sorted distinct facet rows ``(normal..., offset)`` of homogeneous
+    polar vectors ``(normal..., -offset)``, within the facet cap."""
     # A zero normal is 0 <= offset with offset >= 0: trivial, dropped.
-    facets = {z[:dim] + (-z[dim],) for z in _mod_lines(polar_rays, lines)[1] if any(z[:dim])}
+    facets = {z[:dim] + (-z[dim],) for z in polar if any(z[:dim])}
     if len(facets) > CAPS.max_facets:
         raise CapExceeded(f"facet count {len(facets)} exceeds cap {CAPS.max_facets}")
     return tuple(sorted(facets))
+
+
+def _hrep_to_vrep(rows: Sequence[IntVector], dim: int) -> tuple:
+    """The canonical facets (None if empty) and the raw (points, rays,
+    lines) of int rows ``(normal..., offset)``, by one DD run on the
+    homogenization; a point is a primitive ``(x..., t)``, t > 0, for x / t.
+    The rays' zero sets over the homogenized rows, ``t >= 0`` among them,
+    prune those rows to the facets."""
+    ineqs = [row[:dim] + (-row[dim],) for row in rows]
+    ineqs.append((0,) * dim + (-1,))  # t >= 0
+    lines, rays, masks = _cone_generators(ineqs, dim + 1)
+    if any(l[dim] for l in lines):
+        raise InternalCheckError("homogenization line with nonzero last coordinate")
+    points = [r for r in rays if r[dim] > 0]
+    facets = _facet_rows(_extreme(ineqs, masks), dim) if points else None
+    return facets, points, [r[:dim] for r in rays if not r[dim]], [l[:dim] for l in lines]
+
+
+def _vrep_to_hrep(points: Iterable[IntVector], rays: Iterable[IntVector], dim: int) -> tuple:
+    """Sorted primitive int facet rows ``(normal..., offset)`` of conv(points)
+    + cone(rays), and its canonical points and rays (lines as +/- pairs,
+    duplicates kept), by one DD run on the polar cone, for at least one
+    primitive homogeneous point ``(x..., t)``, t > 0, and primitive nonzero
+    rays.  The polar rays' zero sets prune the input to the points and rays."""
+    gens = sorted({*points, *(r + (0,) for r in rays)})
+    lines, polar_rays, masks = _cone_generators(gens, dim + 1)
+    facets = _facet_rows(_mod_lines(polar_rays, lines)[1], dim)
+    kept = _extreme(gens, masks)
+    return facets, [g for g in kept if g[dim]], [g[:dim] for g in kept if not g[dim]]
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +391,9 @@ class Polyhedron:
     ``(normal..., offset)`` in ``_raw_hrep`` or as sorted distinct
     homogeneous points ``(x..., t)`` and nonzero rays in ``_raw_vrep``.
     Canonicalization fills ``_hrep`` (facet rows), ``_points`` (in the order
-    of the public vertices) and ``_rays`` in place, once; ``hrep``,
-    ``vertices``, ``rays`` and ``to_json`` build their Fractions from these
-    on each access.
+    of the public vertices) and ``_rays`` in place, once, with one DD run
+    whose zero sets prune the input side; ``hrep``, ``vertices``, ``rays``
+    and ``to_json`` build their Fractions from these on each access.
     """
 
     __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_points", "_rays")
@@ -385,42 +443,39 @@ class Polyhedron:
     # -- canonicalization ----------------------------------------------
 
     def _canonicalize(self) -> None:
-        """One int pass to the canonical facets, points and rays.
+        """One int pass to the canonical facets, points and rays, with one
+        DD run.
 
-        A V-rep input runs DD twice: V->H gives the canonical facets, H->V
-        the vertices and rays.  An H-rep input also runs DD twice: H->V, then
-        V->H on the canonical V-rep, which drops its redundant rows.
+        An H-rep input runs H->V: its rays modulo the lines give the vertices
+        and rays, and their zero sets prune the input rows to the facets.  A
+        V-rep input runs V->H: the polar rays give the facets, and their zero
+        sets prune the input points and rays to the vertices and rays.
         """
         if self._hrep is not None:
             return
         dim = self.dim
         facets = None
         if self._raw_hrep is not None:
-            points, rays, lines = _hrep_to_vrep(self._raw_hrep, dim)
-        else:
-            points, rays = self._raw_vrep
-            lines = []
-            if points:
-                facets = _vrep_to_hrep(points, rays, dim)
-                points, rays, lines = _hrep_to_vrep(facets, dim)
-                if not points:
-                    raise InternalCheckError("nonempty V-rep produced an empty H-rep")
-        if not points:
+            facets, points, rays, lines = _hrep_to_vrep(self._raw_hrep, dim)
+            if facets is not None:
+                ortho, rays = _mod_lines(rays, lines)
+                if ortho:
+                    # a zero last entry scales each point's t by u.u with its x
+                    ortho = [(u + (0,), uu) for u, uu in ortho]
+                    points = [_project(p, ortho) for p in points]
+        elif self._raw_vrep[0]:
+            facets, points, rays = _vrep_to_hrep(*self._raw_vrep, dim)
+            if not points:
+                raise InternalCheckError("nonempty V-rep kept no vertex")
+        if facets is None:
             e1 = (1,) + (0,) * (dim - 1)
-            facets, rays = (e1 + (-1,), (-1,) + e1[1:] + (-1,)), ()
+            facets, points, rays = (e1 + (-1,), (-1,) + e1[1:] + (-1,)), (), ()
         else:
-            ortho, rays = _mod_lines(rays, lines)
-            if ortho:
-                # a zero last entry scales each point's t by u.u with its x
-                ortho = [(u + (0,), uu) for u, uu in ortho]
-                points = [_project(p, ortho) for p in points]
             # In the order of the public vertices: by rational value, read off
             # the numerators over a common denominator.
             common = math.lcm(*(p[dim] for p in points))
             points = sorted(set(points), key=lambda p: tuple(x * (common // p[dim]) for x in p[:dim]))
             rays = tuple(sorted(set(rays)))
-            if facets is None:
-                facets = _vrep_to_hrep(points, rays, dim)
         self._hrep, self._points, self._rays = facets, tuple(points), rays
 
     def canonical(self) -> "Polyhedron":

@@ -344,6 +344,25 @@ def test_probes_past_float_range_do_not_warn(tmp_path, capsys, probe, code):
         assert cli.main(["run", str(path)]) == code, capsys.readouterr()
 
 
+def test_blackbox_dini_past_float_range_is_a_probe_verdict(tmp_path, capsys):
+    from subgrad import cli
+
+    # x0 - x0 is inf - inf at every overflowed sample; those are dropped
+    sc = {
+        "kind": "probe",
+        "probe": "dini",
+        "function": {"type": "blackbox", "dim": 1, "expr": ["sub", ["coord", 0], ["coord", 0]]},
+        "point": "1e308",
+        "direction": "1",
+        "plan": {"shell_radii": [1e308]},
+    }
+    path = tmp_path / "blackbox_dini_1e308.json"
+    path.write_text(json.dumps(sc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(path)]) in (0, 1, 2), capsys.readouterr()
+
+
 def test_usage_errors_exit_3(capsys):
     from subgrad import cli
 

@@ -382,6 +382,21 @@ def test_blackbox_evaluation_failure_on_nan():
         f.evaluate_batch(np.array([[2.0]]))
 
 
+def test_blackbox_rows_past_float_range_are_not_evaluated():
+    # inf - inf at a non-finite row is no fault of the expression: NaN, no failure
+    f = BlackBoxFunction(["sub", ["coord", 0], ["coord", 0]], 1)
+    vals = f.evaluate_batch(np.array([[np.inf], [1.0], [-np.inf], [np.nan]]))
+    assert vals[1] == 0.0 and np.isnan(vals[[0, 2, 3]]).all()
+    assert np.isnan(f.evaluate_batch(np.array([[np.inf]]))).all()
+    # the box still sends a non-finite row outside it to +inf
+    boxed = BlackBoxFunction(["coord", 0], 1, [(-1.0, 1.0)])
+    assert boxed.evaluate_batch(np.array([[np.inf], [0.5]])).tolist() == [np.inf, 0.5]
+    # a finite row whose value is inf - inf still fails
+    square = ["mul", ["coord", 0], ["coord", 0]]
+    with pytest.raises(EvaluationFailure):
+        BlackBoxFunction(["sub", square, square], 1).evaluate_batch(np.array([[np.inf], [1e200]]))
+
+
 def test_blackbox_composite_expression():
     f = BlackBoxFunction(
         ["max", ["neg", ["coord", 0]], ["mul", ["const", "2"], ["coord", 1]]], 2

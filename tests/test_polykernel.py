@@ -111,14 +111,16 @@ def test_canonical_hrep_is_irredundant():
 
 
 @pytest.mark.parametrize(
-    "vertices, rays, dim",
+    "raw, dim",
     [
-        ([(0, 0), (1, 0), (0, 1)], [], 2),
-        ([(0, 0, 0), (1, 2, 0)], [(1, 0, 1), (0, 1, 0), (0, -1, 0)], 3),
+        ({"vrep": ([(0, 0), (1, 0), (0, 1)], [])}, 2),
+        ({"vrep": ([(0, 0, 0), (1, 2, 0)], [(1, 0, 1), (0, 1, 0), (0, -1, 0)])}, 3),
+        ({"hrep": [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]}, 2),
+        ({"hrep": [((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 0, 0), 2), ((0, 0, 1), 0), ((0, 0, 1), 3)]}, 3),
     ],
-    ids=["triangle", "ray_and_line"],
+    ids=["triangle", "ray_and_line", "box", "implicit_equality"],
 )
-def test_vrep_canonicalization_runs_dd_twice(monkeypatch, vertices, rays, dim):
+def test_canonicalization_runs_dd_once(monkeypatch, raw, dim):
     runs = []
     original = polykernel._cone_generators
 
@@ -127,9 +129,15 @@ def test_vrep_canonicalization_runs_dd_twice(monkeypatch, vertices, rays, dim):
         return original(ineqs, d)
 
     monkeypatch.setattr(polykernel, "_cone_generators", counted)
-    p = Polyhedron.from_vrep(vertices, rays, dim=dim).canonical()
+    if "hrep" in raw:
+        p = Polyhedron.from_hrep(raw["hrep"], dim)
+    else:
+        p = Polyhedron.from_vrep(*raw["vrep"], dim=dim)
+    p.canonical()
     assert not p.is_empty
-    assert len(runs) == 2, "V->H for the facets, H->V for the vertices, nothing more"
+    assert len(runs) == 1, "one DD run; its zero sets prune the input side"
+    monkeypatch.undo()
+    assert p.to_json() == oracles.canonical_reference(dim, **raw)
 
 
 small_entries = st.integers(min_value=-3, max_value=3)
@@ -152,8 +160,9 @@ def test_vrep_facets_are_the_canonical_facets(vrep):
     vertices, rays, dim = vrep
     p = Polyhedron.from_vrep(vertices, rays, dim=dim)
     points = [primitive_ints(v + (1,)) for v in p.vertices]
-    rows = polykernel._vrep_to_hrep(points, [primitive_ints(r) for r in p.rays], dim)
+    rows, kept_points, kept_rays = polykernel._vrep_to_hrep(points, [primitive_ints(r) for r in p.rays], dim)
     assert p.hrep == tuple(Halfspace(z[:-1], z[-1]) for z in rows)
+    assert sorted(set(kept_points)) == sorted(p._points) and sorted(set(kept_rays)) == list(p._rays)
     assert Polyhedron.from_hrep(p.hrep, dim).to_json() == p.to_json()
 
 
@@ -189,11 +198,16 @@ def cone_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_cone_generators_match_reference(system):
     rows, dim = system
-    lines, rays = polykernel._cone_generators([primitive_ints(r) for r in rows], dim)
+    ineqs = [primitive_ints(r) for r in rows]
+    lines, rays, masks = polykernel._cone_generators(ineqs, dim)
     ref_lines, ref_rays = oracles.cone_generators_reference(rows, dim)
     assert all(primitive(r) == r for r in rays), "rays must be primitive ints"
     assert sorted(rays) == sorted(ref_rays)
     assert rref(lines) == rref(ref_lines)
+    for r, mask in zip(rays, masks, strict=True):
+        for i, a in enumerate(ineqs):
+            if any(a):
+                assert (mask >> i & 1) == (oracles.dot(a, r) == 0), "a zero set is the rows tight on its ray"
 
 
 @st.composite
@@ -227,16 +241,21 @@ def test_echelon_is_primitive_rref(rows):
 
 @st.composite
 def raw_polyhedra(draw, dim):
-    """An H-rep with redundant, duplicate, positively scaled and sometimes
-    contradicting rows, or a V-rep with repeated and interior points, rays and
-    lines (no points: the empty set); entries p/q with q <= 3."""
+    """An H-rep with redundant, duplicate, positively scaled, sometimes
+    contradicting and ``0·x <= c`` rows, or a V-rep with repeated and interior
+    points, rays, lines, points shifted along a line, rays parallel to a line,
+    and sometimes everything in the hyperplane ``x_last = x_1`` (no points: the
+    empty set); entries p/q with q <= 3."""
     vec = st.tuples(*[small_rationals] * dim)
     if draw(st.booleans()):
         rows = draw(st.lists(st.tuples(vec, small_rationals), max_size=5))
-        for kind in draw(st.lists(st.sampled_from(["dup", "scaled", "relaxed", "opposite"]), max_size=3)):
-            if not rows:
+        for kind in draw(st.lists(st.sampled_from(["dup", "scaled", "relaxed", "opposite", "zero"]), max_size=3)):
+            if kind == "zero":
+                n, c = (0,) * dim, draw(st.sampled_from([0, 1, -1]))
+            elif not rows:
                 break
-            n, c = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            else:
+                n, c = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
             if kind == "scaled":
                 k = draw(st.sampled_from([F(1, 2), F(2), F(3), F(2, 3)]))
                 n, c = tuple(k * x for x in n), k * c
@@ -254,6 +273,15 @@ def raw_polyhedra(draw, dim):
     rays = draw(st.lists(vec, max_size=2))
     for line in draw(st.lists(vec, max_size=1)):
         rays += [line, tuple(-x for x in line)]
+        for kind in draw(st.lists(st.sampled_from(["shifted", "parallel"]), max_size=2)):
+            k = draw(st.sampled_from([F(-2), F(1, 2), F(3)]))
+            if kind == "parallel":
+                rays.append(tuple(k * x for x in line))
+            elif points:
+                points.append(tuple(x + k * y for x, y in zip(points[0], line)))
+    if dim > 1 and draw(st.booleans()):
+        points = [v[:-1] + (v[0],) for v in points]
+        rays = [r[:-1] + (r[0],) for r in rays]
     points = [tuple(F(x) for x in v) for v in points]
     rays = [tuple(F(x) for x in r) for r in rays]
     return Polyhedron.from_vrep(points, rays, dim=dim), {"vrep": (points, rays)}
@@ -405,6 +433,17 @@ def test_empty_and_caps():
             box2().canonical()
     finally:
         CAPS.max_facets = old
+
+
+def test_facet_cap_holds_on_the_vrep_route(monkeypatch):
+    # the cross-polytope's 2^4 facets come from the V->H run alone
+    units = [tuple(frac(int(i == j)) for j in range(4)) for i in range(4)]
+    cross = Polyhedron.from_vrep(units + [tuple(-x for x in u) for u in units], dim=4)
+    monkeypatch.setattr(CAPS, "max_facets", 15)
+    with pytest.raises(CapExceeded, match="facet count 16 exceeds cap 15"):
+        cross.canonical()
+    monkeypatch.setattr(CAPS, "max_facets", 16)
+    assert len(cross.canonical().hrep) == 16
 
 
 def test_generator_cap_stops_during_combination(monkeypatch):
@@ -774,7 +813,7 @@ def test_gap_probe_solves_no_lp(monkeypatch):
     out = cli.run_scenario(CORPUS / "probe_gap_abs.json", {})
     assert out.exit_code == 0
     assert not lps, "every sampled subdifferential meets the base at a generator"
-    assert len(dd_runs) <= 4, "the base set and the domain, each canonicalized once"
+    assert len(dd_runs) <= 2, "the base set and the domain, each canonicalized once"
 
 
 @given(small_dims.flatmap(lambda d: st.tuples(
