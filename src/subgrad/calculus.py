@@ -19,9 +19,11 @@ from .errors import InternalCheckError, ParseError
 from .funcmodel import (
     DCFunction,
     PAConvexFunction,
+    certified,
     dc_dini_subdifferential,
     dc_dini_subdifferential_definitional,
     dc_hypothesis_report,
+    hypothesis,
     pa_sum,
 )
 from .polykernel import (
@@ -68,7 +70,7 @@ class Certificate:
 
     @property
     def theorem_certified(self) -> bool:
-        return all(entry["status"] == "holds" for entry in self.hypothesis_report)
+        return certified(self.hypothesis_report)
 
     @property
     def passed(self) -> bool:
@@ -108,21 +110,9 @@ def check_sum_rule(
             "this cannot happen for convex polyhedral data"
         )
     report = [
-        {
-            "hypothesis": "f piecewise-affine convex",
-            "status": "holds",
-            "provenance": "exact-by-construction",
-        },
-        {
-            "hypothesis": "g piecewise-affine convex",
-            "status": "holds",
-            "provenance": "exact-by-construction",
-        },
-        {
-            "hypothesis": "point in dom f and dom g",
-            "status": "holds",
-            "provenance": "exact",
-        },
+        hypothesis("f piecewise-affine convex", True, "exact-by-construction"),
+        hypothesis("g piecewise-affine convex", True, "exact-by-construction"),
+        hypothesis("point in dom f and dom g", True, "exact"),
     ]
     return Certificate("SumRule12", lhs, rhs, verdict, witness, report)
 

@@ -40,8 +40,9 @@ from .funcmodel import (
     dc_dini_subdifferential,
     dc_hypothesis_report,
     function_from_json,
+    hypothesis,
 )
-from .optimality import ProblemInstance, blunt_min_probe, certify_blunt_minimizer
+from .optimality import OptimalityCertificate, ProblemInstance, blunt_min_probe, certify_blunt_minimizer
 from .polykernel import CAPS, NormSpec, Polyhedron, star_difference
 from .rationals import format_rational, parse_rational
 
@@ -126,16 +127,14 @@ def _poly_text(p: Polyhedron) -> str:
     iv = _interval_text(c)
     if iv is not None:
         return iv
-    vs = "; ".join(
-        "(" + ", ".join(format_rational(x) for x in v) + ")" for v in c.vertices
-    )
-    out = "conv{" + vs + "}"
+    out = "conv{" + "; ".join(map(_vector_text, c.vertices)) + "}"
     if c.rays:
-        rs = "; ".join(
-            "(" + ", ".join(format_rational(x) for x in r) + ")" for r in c.rays
-        )
-        out += " + cone{" + rs + "}"
+        out += " + cone{" + "; ".join(map(_vector_text, c.rays)) + "}"
     return out
+
+
+def _vector_text(v) -> str:
+    return "(" + ", ".join(format_rational(x) for x in v) + ")"
 
 
 def _hypothesis_lines(report) -> list[str]:
@@ -147,8 +146,22 @@ def _hypothesis_lines(report) -> list[str]:
     return lines
 
 
+def _theorem_lines(cert: Certificate | OptimalityCertificate) -> list[str]:
+    """The text ending of a check or certify report."""
+    return [
+        *_hypothesis_lines(cert.hypothesis_report),
+        f"theorem_certified: {cert.theorem_certified}",
+        *(f"note: {note}" for note in cert.notes),
+    ]
+
+
+def _outcome(code: int, lines: list[str], kind: str, record: dict, **head) -> RunOutcome:
+    """A scenario's outcome: its text lines joined, and a payload of its kind,
+    the `probe` or `verdict` given in `head`, its exit code, then its record."""
+    return RunOutcome(code, "\n".join(lines), {"kind": kind, **head, "exit": code, **record})
+
+
 def _certificate_outcome(scenario_name: str, cert: Certificate) -> RunOutcome:
-    lhs, rhs = _poly_text(cert.lhs), _poly_text(cert.rhs)
     relation = {"Equal": "=", "StrictInclusion": "strictly inside", "Fails": "not within"}[
         cert.verdict
     ]
@@ -156,22 +169,12 @@ def _certificate_outcome(scenario_name: str, cert: Certificate) -> RunOutcome:
         f"scenario: {scenario_name}",
         f"claim: {cert.claim_id}",
         f"verdict: {cert.verdict}",
-        f"sets: {lhs} {relation} {rhs}",
+        f"sets: {_poly_text(cert.lhs)} {relation} {_poly_text(cert.rhs)}",
     ]
     if cert.witness is not None:
-        lines.append(
-            "witness: ("
-            + ", ".join(format_rational(v) for v in cert.witness)
-            + ")"
-        )
-    lines.extend(_hypothesis_lines(cert.hypothesis_report))
-    lines.append(f"theorem_certified: {cert.theorem_certified}")
-    for note in cert.notes:
-        lines.append(f"note: {note}")
+        lines.append(f"witness: {_vector_text(cert.witness)}")
     code = 0 if cert.passed else 1
-    payload = {"kind": "check", "exit": code}
-    payload.update(cert.to_json())
-    return RunOutcome(code, "\n".join(lines), payload)
+    return _outcome(code, lines + _theorem_lines(cert), "check", cert.to_json())
 
 
 def _probe_outcome(scenario_name: str, kind: str, verdict, extra_lines=()) -> RunOutcome:
@@ -186,19 +189,15 @@ def _probe_outcome(scenario_name: str, kind: str, verdict, extra_lines=()) -> Ru
             lines.append(f"  radius {s['radius']:.9g}  inf {s['inf']}")
     for note in verdict.notes:
         lines.append(f"note: {note}")
-    payload = {"kind": "probe", "probe": kind, "exit": code}
-    payload.update(verdict.to_json())
-    return RunOutcome(code, "\n".join(lines), payload)
+    return _outcome(code, lines, "probe", verdict.to_json(), probe=kind)
 
 
 def _function_hypothesis_lines(fn, point) -> list[str]:
     if isinstance(fn, DCFunction):
         return _hypothesis_lines(dc_hypothesis_report(fn, point))
     if isinstance(fn, PAConvexFunction):
-        return [
-            "hypotheses:",
-            "  [holds] piecewise-affine convex model (exact-by-construction)",
-        ]
+        model = hypothesis("piecewise-affine convex model", True, "exact-by-construction")
+        return _hypothesis_lines([model])
     return ["hypotheses:", "  [unknown] black-box model, sampling only"]
 
 
@@ -225,8 +224,7 @@ def _run_stardiff(name: str, sc: dict, base: Path) -> RunOutcome:
 
 def _polyhedron_outcome(kind: str, poly: Polyhedron) -> RunOutcome:
     obj = poly.to_json()
-    payload = {"kind": kind, "exit": 0, "polyhedron": obj}
-    return RunOutcome(0, json.dumps(obj, indent=2, sort_keys=True), payload)
+    return _outcome(0, [json.dumps(obj, indent=2, sort_keys=True)], kind, {"polyhedron": obj})
 
 
 def _as_dc(obj) -> DCFunction:
@@ -293,19 +291,12 @@ def _run_certify(name: str, sc: dict, base: Path) -> RunOutcome:
     if cert.descent is not None:
         d = cert.descent
         lines.append(
-            "descent witness: direction ("
-            + ", ".join(format_rational(v) for v in d["direction"])
-            + f"), rate {format_rational(d['rate'])}"
+            f"descent witness: direction {_vector_text(d['direction'])}"
+            + f", rate {format_rational(d['rate'])}"
             + f", step {format_rational(d['step'])}"
             + f", violation margin {format_rational(d['violation_margin'])}"
         )
-    lines.extend(_hypothesis_lines(cert.hypothesis_report))
-    lines.append(f"theorem_certified: {cert.theorem_certified}")
-    for note in cert.notes:
-        lines.append(f"note: {note}")
-    payload = {"kind": "certify", "exit": code}
-    payload.update(cert.to_json())
-    return RunOutcome(code, "\n".join(lines), payload)
+    return _outcome(code, lines + _theorem_lines(cert), "certify", cert.to_json())
 
 
 def _run_probe(name: str, sc: dict, base: Path) -> RunOutcome:
@@ -344,14 +335,8 @@ def _run_probe(name: str, sc: dict, base: Path) -> RunOutcome:
                 f"witness: {json.dumps(est.witness, sort_keys=True, default=str)}"
             )
         lines.extend(_function_hypothesis_lines(fn, point))
-        payload = {
-            "kind": "probe",
-            "probe": "dini",
-            "exit": code,
-            "verdict": "diverged" if est.diverged else ("stable" if est.stable else "unstable"),
-        }
-        payload.update(est.to_json())
-        return RunOutcome(code, "\n".join(lines), payload)
+        state = "diverged" if est.diverged else ("stable" if est.stable else "unstable")
+        return _outcome(code, lines, "probe", est.to_json(), probe="dini", verdict=state)
     extra = _function_hypothesis_lines(fn, point)
     if kind == "calmness":
         verdict = calmness_probe(fn, point, plan)

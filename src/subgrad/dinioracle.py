@@ -609,8 +609,7 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
                 notes=(f"all sampled gaps below eps in shell {k}",),
             )
         if min(gaps) >= e:
-            pairs = sorted(zip(used, gaps), key=lambda z: tuple(z[0]))
-            px, pg = pairs[0]
+            px, pg = min(zip(used, gaps), key=lambda z: z[0])
             witness = {
                 "x": px,
                 "gap": to_float(pg),

@@ -176,26 +176,20 @@ class PAConvexFunction:
 
     # -- exact calculus ----------------------------------------------------
 
-    def _require_in_domain(self, x: Sequence) -> Vector:
+    def active_pieces(self, x: Sequence) -> tuple[AffinePiece, ...]:
+        """Pieces attaining the max at x (exact ties); x must be in the domain."""
         p = parse_vector(x, self.dim)
         if not contains_point(self.domain, p):
             raise PointOutsideDomain(f"{p} is outside the effective domain")
-        return p
-
-    def active_pieces(self, x: Sequence) -> tuple[AffinePiece, ...]:
-        """Pieces attaining the max at x (exact ties)."""
-        p = self._require_in_domain(x)
         values = [piece.value_at(p) for piece in self.pieces]
         top = max(values)
         return tuple(pc for pc, v in zip(self.pieces, values) if v == top)
 
     def subdifferential_at(self, x: Sequence) -> Polyhedron:
         """conv{active slopes} + normal cone of the domain at x."""
-        p = self._require_in_domain(x)
-        slopes = [pc.slope for pc in self.active_pieces(p)]
+        slopes = [pc.slope for pc in self.active_pieces(x)]
         hull = Polyhedron.from_vrep(slopes, dim=self.dim)
-        ncone = normal_cone_at(self.domain, p)
-        return minkowski_sum(hull, ncone)
+        return minkowski_sum(hull, normal_cone_at(self.domain, x))
 
     def eps_subdifferential_at(self, x: Sequence, eps, norm: NormSpec = L1) -> Polyhedron:
         """Dini-Hadamard eps-subdifferential: for a convex function this is
@@ -384,43 +378,27 @@ def dc_dini_subdifferential_definitional(
     return intersect_many(translates)
 
 
+def hypothesis(text: str, holds: bool, provenance: str) -> dict:
+    """One hypothesis-report entry: the hypothesis, whether it holds, and how
+    that is known (by construction, by convexity, or by an exact test)."""
+    return {"hypothesis": text, "status": "holds" if holds else "fails", "provenance": provenance}
+
+
+def certified(report: Sequence[dict]) -> bool:
+    """A theorem applies exactly when every hypothesis in its report holds."""
+    return all(entry["status"] == "holds" for entry in report)
+
+
 def dc_hypothesis_report(dc: DCFunction, x: Sequence) -> list[dict]:
     """Why the difference-formula equalities apply to this instance."""
-    p = parse_vector(x, dc.dim)
-    interior = strictly_contains_point(dc.g.domain, p)
-    report = [
-        {
-            "hypothesis": "g piecewise-affine convex",
-            "status": "holds",
-            "provenance": "exact-by-construction",
-        },
-        {
-            "hypothesis": "h piecewise-affine convex",
-            "status": "holds",
-            "provenance": "exact-by-construction",
-        },
-        {
-            "hypothesis": "f = g - h calm at the point",
-            "status": "holds",
-            "provenance": "exact-by-convexity",
-        },
-        {
-            "hypothesis": "g and h directionally approximately starshaped at the point",
-            "status": "holds",
-            "provenance": "exact-by-convexity",
-        },
-        {
-            "hypothesis": "eps-subdifferential map of h spongiously gap-continuous",
-            "status": "holds",
-            "provenance": "exact-by-convexity",
-        },
-        {
-            "hypothesis": "point interior to dom g",
-            "status": "holds" if interior else "fails",
-            "provenance": "exact",
-        },
+    return [
+        hypothesis("g piecewise-affine convex", True, "exact-by-construction"),
+        hypothesis("h piecewise-affine convex", True, "exact-by-construction"),
+        hypothesis("f = g - h calm at the point", True, "exact-by-convexity"),
+        hypothesis("g and h directionally approximately starshaped at the point", True, "exact-by-convexity"),
+        hypothesis("eps-subdifferential map of h spongiously gap-continuous", True, "exact-by-convexity"),
+        hypothesis("point interior to dom g", strictly_contains_point(dc.g.domain, x), "exact"),
     ]
-    return report
 
 
 # ---------------------------------------------------------------------------

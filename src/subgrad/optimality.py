@@ -24,7 +24,7 @@ from .errors import (
     PointNotInteriorDomG,
     UnboundedC,
 )
-from .funcmodel import DCFunction, _float_rows
+from .funcmodel import DCFunction, _float_rows, certified, hypothesis
 from .polykernel import (
     LINF,
     Polyhedron,
@@ -308,7 +308,7 @@ class OptimalityCertificate:
 
     @property
     def theorem_certified(self) -> bool:
-        return all(e["status"] == "holds" for e in self.hypothesis_report)
+        return certified(self.hypothesis_report)
 
     def to_json(self) -> dict:
         return record_json(self, "theorem_certified")
@@ -385,36 +385,12 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
             "f_step": f_step,
         }
     report = [
-        {
-            "hypothesis": "g piecewise-affine convex (lsc, approximately convex)",
-            "status": "holds",
-            "provenance": "exact-by-construction",
-        },
-        {
-            "hypothesis": "f = g - h calm at the point",
-            "status": "holds",
-            "provenance": "exact-by-convexity",
-        },
-        {
-            "hypothesis": "h directionally approximately starshaped, gap-continuous",
-            "status": "holds",
-            "provenance": "exact-by-convexity",
-        },
-        {
-            "hypothesis": "point feasible",
-            "status": "holds",
-            "provenance": "exact",
-        },
-        {
-            "hypothesis": "point interior to dom g",
-            "status": "holds",
-            "provenance": "exact",
-        },
-        {
-            "hypothesis": "cone qualification",
-            "status": "holds" if qualification == "Holds" else "fails",
-            "provenance": "exact",
-        },
+        hypothesis("g piecewise-affine convex (lsc, approximately convex)", True, "exact-by-construction"),
+        hypothesis("f = g - h calm at the point", True, "exact-by-convexity"),
+        hypothesis("h directionally approximately starshaped, gap-continuous", True, "exact-by-convexity"),
+        hypothesis("point feasible", True, "exact"),
+        hypothesis("point interior to dom g", True, "exact"),
+        hypothesis("cone qualification", qualification == "Holds", "exact"),
     ]
     return OptimalityCertificate(
         feasible_at=True,
@@ -450,6 +426,7 @@ def blunt_min_probe(
         DEFAULT_PLAN,
         _as_float_vec,
         _l1_ball_points,
+        _lex_key,
         _shell_search,
     )
 
@@ -479,7 +456,7 @@ def blunt_min_probe(
         margins = fv - f0f + ef * np.abs(w).sum(axis=1)
         usable = feas & np.isfinite(fv)
         cand = np.flatnonzero(usable & (margins < 1e-9))
-        cand = sorted(cand, key=lambda i: tuple(float(z) for z in pts[i]))
+        cand = sorted(cand, key=_lex_key(pts))
         for i in cand:
             yq = tuple(Fraction(float(z)) for z in pts[i])
             if not contains_point(a_set, yq):

@@ -530,6 +530,33 @@ def test_corpus_json_matches_golden(directory, code):
     assert json.dumps(out.payload, sort_keys=True, indent=2) + "\n" == golden.read_text()
 
 
+GOLDEN_TEXT = ROOT / "tests" / "data" / "golden_text.json"
+
+
+def _text_reports() -> dict:
+    """Exit code and stdout of `subgrad run` on each shipped scenario."""
+    from subgrad import cli
+
+    reports = {}
+    for directory in (CORPUS, EXTRA):
+        for path in sorted(directory.glob("*.json")):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["run", str(path)])
+            reports[f"{directory.name}/{path.name}"] = {"exit": code, "stdout": buf.getvalue()}
+    return reports
+
+
+def _dump_text_reports(reports: dict) -> str:
+    return json.dumps(reports, sort_keys=True, indent=2) + "\n"
+
+
+def test_text_reports_match_golden():
+    # tests/data/golden_text.json pins every byte of the text reports; re-record
+    # only for an intended change, with `PYTHONPATH=src python tests/test_cli.py`
+    assert _dump_text_reports(_text_reports()) == GOLDEN_TEXT.read_text()
+
+
 def test_corpus_reads_each_file_once(monkeypatch):
     # the corpus times each scenario around run_scenario; a second parse
     # outside it would go unmeasured
@@ -675,3 +702,7 @@ def test_exact_commands_never_import_numpy(tmp_path):
     assert codes == [0, 3, 3]
     assert not exact_numpy, "an exact or malformed run imported numpy"
     assert lazy_ok and probe_numpy, "the probe side still loads on demand"
+
+
+if __name__ == "__main__":
+    GOLDEN_TEXT.write_text(_dump_text_reports(_text_reports()))

@@ -151,6 +151,9 @@ def test_inclusion28_ray_witness():
     assert check_inclusion_28(dh, dg, na) == ("Fails", (F(0), F(1)))
     dh = Polyhedron.from_vrep([origin], rays=[(F(-2), F(0))], dim=2)
     assert check_inclusion_28(dh, dg, na) == ("Holds", None)
+    zero = Polyhedron.from_vrep([origin], dim=2)
+    dh = Polyhedron.from_vrep([origin], rays=[(F(1), F(-1))], dim=2)
+    assert check_inclusion_28(dh, zero, zero) == ("Fails", (F(1), F(-1)))
 
 
 def inclusion28_cases():
@@ -162,6 +165,9 @@ def inclusion28_cases():
     for ray in ((F(0), F(1)), (F(-2), F(0)), (F(1), F(0))):
         yield Polyhedron.from_vrep([x], rays=[ray], dim=2), dg, na
     yield Polyhedron.whole_space(2), dg, na
+    # dg = na = {0}: the right side generates nothing, so no ray of dh is in it
+    zero = Polyhedron.from_vrep([x], dim=2)
+    yield Polyhedron.from_vrep([x], rays=[(F(1), F(-1))], dim=2), zero, zero
 
 
 @pytest.mark.parametrize("dh,dg,na", list(inclusion28_cases()))
