@@ -18,7 +18,8 @@ deep band t in [r*2^-44, r/2] that hunts for divergence, where the joint
 resolution gate classifies each sample: quotients whose worst-case rounding
 error exceeds a precision budget are kept for divergence detection only, and
 samples whose numerator is smaller than the evaluation noise floor are
-discarded outright.
+discarded outright.  No shell ends the estimate early, so all shells are
+drawn, each from its own stream, and evaluated in one batch.
 
 Shell search
 ------------
@@ -28,6 +29,11 @@ k)`` and records {"radius", "inf"}, with "inf" the least margin over its
 usable samples.  The first shell holding a violation that survives the
 probe's own re-check ends the search with FailsWithWitness.  When no shell
 had a usable sample the verdict is Inconclusive; otherwise it is Holds.
+Each shell is one evaluation, so nothing past the first verified violation
+is evaluated.  A regularity shell evaluates its x samples, y samples and
+midpoints together, with a pinned base point as one row: a matrix product
+gives a row the same value at any position in a batch of two or more rows,
+but a one-row product can round differently.
 """
 
 from __future__ import annotations
@@ -264,21 +270,23 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     shells: list[dict] = []
     witness = None
     witness_q = math.inf
-    for k, r in enumerate(plan.shell_radii):
-        rng = plan.rng(tag, k)
-        n = plan.samples_per_shell
-        n_ann = n // 2
-        n_deep = n - n_ann
-        t_anchor = r * 2.0 ** (-np.arange(_ANCHORS) / _ANCHORS)
-        t_ann = r * 2.0 ** (-rng.random(n_ann))
-        t_deep = r * 2.0 ** (-(1.0 + _DEEP_SPAN * rng.random(n_deep)))
-        t = np.concatenate([t_anchor, t_ann, t_deep])
-        u = np.vstack(
-            [
-                np.tile(hf, (_ANCHORS, 1)),
-                hf + _l1_ball_points(rng, n_ann + n_deep, dim, r),
-            ]
-        )
+    n = plan.samples_per_shell
+    rows = n + _ANCHORS
+    radii = plan.shell_radii
+    # a call holds as many shells as fit in the rows of one largest shell
+    group = max(1, MAX_SAMPLES_PER_SHELL // rows)
+    for start in range(0, len(radii), group):
+        ts, us = [], []
+        for k in range(start, min(start + group, len(radii))):
+            rng = plan.rng(tag, k)
+            r = radii[k]
+            t_anchor = r * 2.0 ** (-np.arange(_ANCHORS) / _ANCHORS)
+            t_ann = r * 2.0 ** (-rng.random(n // 2))
+            t_deep = r * 2.0 ** (-(1.0 + _DEEP_SPAN * rng.random(n - n // 2)))
+            ts.append(np.concatenate([t_anchor, t_ann, t_deep]))
+            us.append(np.vstack([np.tile(hf, (_ANCHORS, 1)), hf + _l1_ball_points(rng, n, dim, r)]))
+        t = np.concatenate(ts)
+        u = np.vstack(us)
         # samples past float range become inf and fail `finite`
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             pts = xf[None, :] + t[:, None] * u
@@ -289,22 +297,25 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
         precise = finite & (res / t <= _PRECISE_RTOL)
         coarse = finite & ~precise & (np.abs(delta) > res)
         info = precise | coarse
-        absorbed = int((finite & ~info).sum())
-        raw = float(np.min(q[info])) if info.any() else math.inf
-        est = float(np.min(q[precise])) if precise.any() else None
-        if raw < witness_q:
-            witness_q = raw
-            idx = int(np.argmin(np.where(info, q, np.inf)))
-            witness = {
-                "t": float(t[idx]),
-                "u": [float(z) for z in u[idx]],
-                "quotient": float(q[idx]),
-            }
-        raws.append(raw)
-        ests.append(est)
-        shells.append(
-            {"radius": float(r), "inf": raw, "estimate_inf": est, "absorbed": absorbed}
-        )
+        for j, r in enumerate(radii[start:start + group]):
+            s = slice(j * rows, (j + 1) * rows)
+            q_s, info_s, precise_s = q[s], info[s], precise[s]
+            absorbed = int((finite[s] & ~info_s).sum())
+            raw = float(np.min(q_s[info_s])) if info_s.any() else math.inf
+            est = float(np.min(q_s[precise_s])) if precise_s.any() else None
+            if raw < witness_q:
+                witness_q = raw
+                idx = s.start + int(np.argmin(np.where(info_s, q_s, np.inf)))
+                witness = {
+                    "t": float(t[idx]),
+                    "u": [float(z) for z in u[idx]],
+                    "quotient": float(q[idx]),
+                }
+            raws.append(raw)
+            ests.append(est)
+            shells.append(
+                {"radius": float(r), "inf": raw, "estimate_inf": est, "absorbed": absorbed}
+            )
     env = math.inf
     for j in range(len(shells) - 1, -1, -1):
         env = min(env, raws[j])
@@ -435,16 +446,6 @@ def eps_subgradient_membership_probe(
     )
 
 
-def _approx_margins(f, xs, ys, ts, eps_f, fx_vals, fy_vals):
-    mids = ts[:, None] * xs + (1.0 - ts)[:, None] * ys
-    fm = f.evaluate_batch(mids)
-    dist = np.abs(xs - ys).sum(axis=1)
-    rhs = ts * fx_vals + (1.0 - ts) * fy_vals + eps_f * ts * (1.0 - ts) * dist
-    # inf - inf off the domain gives NaN, which the caller masks out as unusable
-    with np.errstate(invalid="ignore"):
-        return rhs - fm
-
-
 def approx_regularity_probe(
     f,
     x,
@@ -496,24 +497,29 @@ def approx_regularity_probe(
             ys0 = centers - ((1.0 - rho) * ell)[:, None] * dirs
         elif mode == "starshaped":
             xs0 = xf[None, :] + _l1_ball_points(rng, n, dim, r)
-            ys0 = np.tile(xf, (n, 1))
+            ys0 = xf[None, :]
         else:
             vs = df[None, :] + _l1_ball_points(rng, n, dim, r)
             s = r * rng.random(n)
             xs0 = xf[None, :] + s[:, None] * vs
-            ys0 = np.tile(xf, (n, 1))
-        t_rand = rng.random(n)
-        reps = len(t_anchor) + 1
-        xs = np.tile(xs0, (reps, 1))
-        ys = np.tile(ys0, (reps, 1))
-        ts = np.concatenate([np.repeat(t_anchor, n), t_rand])
-        fxv = np.tile(f.evaluate_batch(xs0), reps)
-        fyv = np.tile(f.evaluate_batch(ys0), reps)
-        margin = _approx_margins(f, xs, ys, ts, e, fxv, fyv)
+            ys0 = xf[None, :]
+        # ts[j, i] mixes pair i: one row per anchor, then a random row
+        ts = np.concatenate([np.repeat(t_anchor, n), rng.random(n)]).reshape(-1, n)
+        mids = (ts[:, :, None] * xs0 + (1.0 - ts)[:, :, None] * ys0).reshape(-1, dim)
+        vals = f.evaluate_batch(np.vstack([xs0, ys0, mids]))
+        fxv, fyv, fm = vals[:n], vals[n:n + len(ys0)], vals[n + len(ys0):].reshape(ts.shape)
+        dist = np.abs(xs0 - ys0).sum(axis=1)
+        rhs = ts * fxv + (1.0 - ts) * fyv + e * ts * (1.0 - ts) * dist
+        # inf - inf off the domain gives NaN, which counts as unusable
+        with np.errstate(invalid="ignore"):
+            margin = (rhs - fm).ravel()
         usable = np.isfinite(margin)
         bad = np.flatnonzero(usable & (margin < -_VERIFY_RTOL * scale))
         if not len(bad):
             return usable, margin, None
+        xs = np.tile(xs0, (len(ts), 1))
+        ys = np.tile(np.broadcast_to(ys0, xs0.shape), (len(ts), 1))
+        ts = ts.ravel()
         best = min(bad, key=_lex_key(xs, ys, ts))
         xw = [float(z) for z in xs[best]]
         yw = [float(z) for z in ys[best]]

@@ -508,6 +508,147 @@ def blackbox_reference(expr, dim, box, xs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# float probes, one evaluation per shell
+# ---------------------------------------------------------------------------
+
+
+def dini_reference(f, x, h, plan, tag=0):
+    """``dini_directional_estimate`` with one draw and one evaluation per
+    shell, shell by shell."""
+    import math
+
+    from subgrad import dinioracle as D
+    from subgrad.errors import EvaluationFailure
+
+    dim = f.dim
+    xf = D._as_float_vec(x, dim)
+    hf = D._as_float_vec(h, dim)
+    fx = D._eval_float(f, xf)
+    if not math.isfinite(fx):
+        raise EvaluationFailure("f is not finite at the base point")
+    res = D._RES_FACTOR * D._EPS_MACH * max(1.0, abs(fx))
+    raws, ests, shells = [], [], []
+    witness = None
+    witness_q = math.inf
+    for k, r in enumerate(plan.shell_radii):
+        rng = plan.rng(tag, k)
+        n = plan.samples_per_shell
+        n_ann = n // 2
+        n_deep = n - n_ann
+        t_anchor = r * 2.0 ** (-np.arange(D._ANCHORS) / D._ANCHORS)
+        t_ann = r * 2.0 ** (-rng.random(n_ann))
+        t_deep = r * 2.0 ** (-(1.0 + D._DEEP_SPAN * rng.random(n_deep)))
+        t = np.concatenate([t_anchor, t_ann, t_deep])
+        u = np.vstack([np.tile(hf, (D._ANCHORS, 1)), hf + D._l1_ball_points(rng, n, dim, r)])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pts = xf[None, :] + t[:, None] * u
+            fv = f.evaluate_batch(pts)
+            delta = fv - fx
+            finite = np.isfinite(fv)
+            q = np.where(finite, delta / t, np.inf)
+        precise = finite & (res / t <= D._PRECISE_RTOL)
+        coarse = finite & ~precise & (np.abs(delta) > res)
+        info = precise | coarse
+        absorbed = int((finite & ~info).sum())
+        raw = float(np.min(q[info])) if info.any() else math.inf
+        est = float(np.min(q[precise])) if precise.any() else None
+        if raw < witness_q:
+            witness_q = raw
+            idx = int(np.argmin(np.where(info, q, np.inf)))
+            witness = {"t": float(t[idx]), "u": [float(z) for z in u[idx]], "quotient": float(q[idx])}
+        raws.append(raw)
+        ests.append(est)
+        shells.append({"radius": float(r), "inf": raw, "estimate_inf": est, "absorbed": absorbed})
+    env = math.inf
+    for j in range(len(shells) - 1, -1, -1):
+        env = min(env, raws[j])
+        shells[j]["envelope"] = env
+    diverged = sum(1 for v in raws if v < plan.divergence_threshold) >= 2
+    estimate = next((e for e in reversed(ests) if e is not None), math.inf)
+    stable = False
+    if diverged:
+        estimate = -math.inf
+    else:
+        w = plan.stabilization_window
+        tail = [v for v in ests[-w:] if v is not None]
+        stable = len(tail) == w and max(tail) - min(tail) <= plan.stabilization_tol
+    return D.DiniEstimate(estimate, stable, diverged, shells, witness)
+
+
+def regularity_reference(f, x, eps, mode, plan, direction=None):
+    """``approx_regularity_probe`` with three evaluations per shell (x
+    samples, y samples with the base point repeated n times, midpoints) on
+    tiled copies of the samples."""
+    import math
+
+    from subgrad import dinioracle as D
+    from subgrad.rationals import parse_rational, to_float
+
+    e = to_float(parse_rational(eps))
+    dim = f.dim
+    if mode == "directional":
+        df = D._as_float_vec(direction, dim)
+    xf = D._as_float_vec(x, dim)
+    fx = D._eval_float(f, xf)
+    if not math.isfinite(fx):
+        return D.ProbeVerdict("Inconclusive", None, [], notes=("f is not finite at the base point",))
+    scale = max(1.0, abs(fx))
+    t_anchor = np.array([0.25, 0.5, 0.75])
+
+    def shell(rng, r):
+        n = plan.samples_per_shell
+        if mode == "convex":
+            w_cap = 0.999 * min(r / 2.0, e)
+            centers = xf[None, :] + D._l1_ball_points(rng, n, dim, r / 2.0)
+            dirs = D._l1_sphere_points(rng, n, dim)
+            ell = w_cap * rng.random(n)
+            rho = rng.random(n)
+            xs0 = centers + (rho * ell)[:, None] * dirs
+            ys0 = centers - ((1.0 - rho) * ell)[:, None] * dirs
+        elif mode == "starshaped":
+            xs0 = xf[None, :] + D._l1_ball_points(rng, n, dim, r)
+            ys0 = np.tile(xf, (n, 1))
+        else:
+            vs = df[None, :] + D._l1_ball_points(rng, n, dim, r)
+            s = r * rng.random(n)
+            xs0 = xf[None, :] + s[:, None] * vs
+            ys0 = np.tile(xf, (n, 1))
+        t_rand = rng.random(n)
+        reps = len(t_anchor) + 1
+        xs = np.tile(xs0, (reps, 1))
+        ys = np.tile(ys0, (reps, 1))
+        ts = np.concatenate([np.repeat(t_anchor, n), t_rand])
+        fxv = np.tile(f.evaluate_batch(xs0), reps)
+        fyv = np.tile(f.evaluate_batch(ys0), reps)
+        mids = ts[:, None] * xs + (1.0 - ts)[:, None] * ys
+        fm = f.evaluate_batch(mids)
+        dist = np.abs(xs - ys).sum(axis=1)
+        rhs = ts * fxv + (1.0 - ts) * fyv + e * ts * (1.0 - ts) * dist
+        with np.errstate(invalid="ignore"):
+            margin = rhs - fm
+        usable = np.isfinite(margin)
+        bad = np.flatnonzero(usable & (margin < -D._VERIFY_RTOL * scale))
+        if not len(bad):
+            return usable, margin, None
+        best = min(bad, key=D._lex_key(xs, ys, ts))
+        xw = [float(z) for z in xs[best]]
+        yw = [float(z) for z in ys[best]]
+        tw = float(ts[best])
+        lhs = D._eval_float(f, np.array(xw) * tw + np.array(yw) * (1.0 - tw))
+        rhs = (
+            tw * D._eval_float(f, xw)
+            + (1.0 - tw) * D._eval_float(f, yw)
+            + e * tw * (1.0 - tw) * float(np.abs(np.array(xw) - np.array(yw)).sum())
+        )
+        if not lhs > rhs:
+            return usable, margin, None
+        witness = {"x": xw, "y": yw, "t": tw, "lhs": lhs, "rhs": rhs, "margin": float(margin[best])}
+        return usable, margin, (witness, f"{mode} inequality violated at the witness")
+
+    return D._shell_search(plan, D._TAG_APPROX, shell, "no evaluable samples")
+
+
+# ---------------------------------------------------------------------------
 # linear programming
 # ---------------------------------------------------------------------------
 

@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from test_funcmodel import _blackbox_trees
 from subgrad.dinioracle import (
     DEFAULT_PLAN,
     MAX_SAMPLES_PER_SHELL,
@@ -29,7 +30,7 @@ from subgrad.dinioracle import (
     eps_subgradient_membership_probe,
     gap_continuity_probe,
 )
-from subgrad.errors import NegativeEps, ParseError
+from subgrad.errors import EvaluationFailure, NegativeEps, ParseError
 from subgrad.funcmodel import (
     AffinePiece,
     BlackBoxFunction,
@@ -38,6 +39,7 @@ from subgrad.funcmodel import (
     abs_function,
     linear_function,
 )
+from subgrad.polykernel import Polyhedron
 
 F = Fraction
 
@@ -344,6 +346,129 @@ def test_regularity_witness_deterministic():
     a = approx_regularity_probe(STAIRCASE, (F(0),), F(1, 100), "convex")
     b = approx_regularity_probe(STAIRCASE, (F(0),), F(1, 100), "convex")
     assert a.to_json() == b.to_json()
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the one-shell-at-a-time references
+# ---------------------------------------------------------------------------
+
+
+# thirds and sevenths round in float, so the evaluators' sums do too
+small_rationals = st.builds(F, st.integers(-14, 14), st.integers(1, 7))
+
+
+@st.composite
+def probe_functions(draw):
+    """A PA (maybe with a domain), DC or black-box function and a base point."""
+    kind = draw(st.sampled_from(["pa", "pa_domain", "dc", "blackbox"]))
+    dim = draw(st.integers(1, 4))
+    x = draw(st.tuples(*[small_rationals] * dim))
+    if kind == "blackbox":
+        dim = min(dim, 3)
+        x = x[:dim]
+        bound = st.floats(-4, 4, allow_nan=False)
+        box = draw(st.none() | st.lists(st.tuples(bound, bound).map(sorted), min_size=dim, max_size=dim))
+        if box is not None:
+            x = tuple(F(lo) for lo, _ in box)  # on the box, so f(x) is finite
+        return BlackBoxFunction(draw(_blackbox_trees(dim)), dim, box), x
+    pieces = st.lists(st.tuples(st.tuples(*[small_rationals] * dim), small_rationals), min_size=1, max_size=4)
+    f = PAConvexFunction(draw(pieces))
+    if kind == "dc":
+        return DCFunction(f, PAConvexFunction(draw(pieces))), x
+    if kind == "pa_domain":
+        # x at a corner of the domain, or inside a cross-polytope around it
+        if draw(st.booleans()):
+            corners = [x] + [draw(st.tuples(*[small_rationals] * dim)) for _ in range(2)]
+        else:
+            corners = [x[:i] + (x[i] + s,) + x[i + 1:] for i in range(dim) for s in (-1, 1)]
+        f = PAConvexFunction(f.pieces, domain=Polyhedron.from_vrep(corners, dim=dim))
+    return f, x
+
+
+@st.composite
+def probe_plans(draw):
+    shells = draw(st.integers(1, 23))
+    top = draw(st.floats(-3, 8))
+    step = draw(st.floats(0.25, 3))
+    return SamplingPlan(
+        shell_radii=tuple(2.0 ** -(top + step * k) for k in range(shells)),
+        samples_per_shell=draw(st.integers(8, 300)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _json_or_failure(probe, *args, **kwargs):
+    try:
+        return json.dumps(probe(*args, **kwargs).to_json())
+    except EvaluationFailure:
+        # which operation a failing black box names can depend on the order
+        # its rows are evaluated in; the failure itself cannot
+        return "EvaluationFailure"
+
+
+# a box of the one point 1/2: every sample off the base point is outside
+PINNED = BlackBoxFunction(["abs", ["coord", 0]], 1, [(0.5, 0.5)])
+
+
+@given(
+    probe_functions(),
+    probe_plans(),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.sampled_from([0, 1]),  # the streams of the Dini and calmness probes
+)
+@example((PINNED, (F(1, 2),)), DEEP_PLAN, [1, 0, 0, 0], 0)
+@settings(max_examples=120, deadline=None)
+def test_dini_estimate_matches_reference(fx, plan, h, tag):
+    f, x = fx
+    h = h[: f.dim]
+    got = _json_or_failure(dini_directional_estimate, f, x, h, plan, tag=tag)
+    assert got == _json_or_failure(oracles.dini_reference, f, x, h, plan, tag)
+
+
+@given(
+    probe_functions(),
+    probe_plans(),
+    st.sampled_from(["convex", "starshaped", "directional"]),
+    st.sampled_from([F(1, 100), F(1, 10), F(1, 2), F(2)]),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+)
+@example((STAIRCASE, (F(0),)), DEFAULT_PLAN, "convex", F(1, 100), [1, 0, 0, 0])
+@example((PINNED, (F(1, 2),)), DEFAULT_PLAN, "starshaped", F(1, 10), [1, 0, 0, 0])
+@example((PINNED, (F(1, 2),)), DEFAULT_PLAN, "directional", F(1, 10), [1, 0, 0, 0])
+@settings(max_examples=120, deadline=None)
+def test_regularity_probe_matches_reference(fx, plan, mode, eps, direction):
+    f, x = fx
+    direction = direction[: f.dim]
+    got = _json_or_failure(approx_regularity_probe, f, x, eps, mode, plan, direction=direction)
+    assert got == _json_or_failure(oracles.regularity_reference, f, x, eps, mode, plan, direction)
+
+
+def test_probes_batch_their_evaluations(monkeypatch):
+    calls = []
+    original = PAConvexFunction.evaluate_batch
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return original(self, xs)
+
+    monkeypatch.setattr(PAConvexFunction, "evaluate_batch", counted)
+    f = PAConvexFunction([((F(1), F(2)), F(0)), ((F(-1), F(0)), F(1))])
+    x = (F(1, 2), F(0))
+    shells = len(DEFAULT_PLAN.shell_radii)
+    n = DEFAULT_PLAN.samples_per_shell
+    dini_directional_estimate(f, x, (F(1), F(-1)))
+    assert calls == [1, shells * (n + 8)], "the base point, then every shell in one call"
+    calls.clear()
+    big = replace(DEFAULT_PLAN, shell_radii=(0.5, 0.25, 0.125), samples_per_shell=2**15)
+    dini_directional_estimate(f, x, (F(1), F(-1)), big)
+    assert calls == [1] + [2**15 + 8] * 3, "no call holds more rows than one largest shell"
+    for mode, y_rows in (("convex", n), ("starshaped", 1), ("directional", 1)):
+        calls.clear()
+        v = approx_regularity_probe(f, x, F(1, 10), mode, direction=(F(1), F(0)))
+        assert v.holds
+        # the base point, then per shell the x samples, the y samples (the
+        # base point once in the pinned modes) and four midpoints per pair
+        assert calls == [1] + [n + y_rows + 4 * n] * shells
 
 
 # ---------------------------------------------------------------------------
