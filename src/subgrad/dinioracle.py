@@ -487,25 +487,27 @@ def approx_regularity_probe(
 
     def shell(rng, r):
         n = plan.samples_per_shell
-        if mode == "convex":
-            w_cap = 0.999 * min(r / 2.0, e)
-            centers = xf[None, :] + _l1_ball_points(rng, n, dim, r / 2.0)
-            dirs = _l1_sphere_points(rng, n, dim)
-            ell = w_cap * rng.random(n)
-            rho = rng.random(n)
-            xs0 = centers + (rho * ell)[:, None] * dirs
-            ys0 = centers - ((1.0 - rho) * ell)[:, None] * dirs
-        elif mode == "starshaped":
-            xs0 = xf[None, :] + _l1_ball_points(rng, n, dim, r)
-            ys0 = xf[None, :]
-        else:
-            vs = df[None, :] + _l1_ball_points(rng, n, dim, r)
-            s = r * rng.random(n)
-            xs0 = xf[None, :] + s[:, None] * vs
-            ys0 = xf[None, :]
-        # ts[j, i] mixes pair i: one row per anchor, then a random row
-        ts = np.concatenate([np.repeat(t_anchor, n), rng.random(n)]).reshape(-1, n)
-        mids = (ts[:, :, None] * xs0 + (1.0 - ts)[:, :, None] * ys0).reshape(-1, dim)
+        # a sample past float range is inf, and its margins are dropped
+        with np.errstate(over="ignore"):
+            if mode == "convex":
+                w_cap = 0.999 * min(r / 2.0, e)
+                centers = xf[None, :] + _l1_ball_points(rng, n, dim, r / 2.0)
+                dirs = _l1_sphere_points(rng, n, dim)
+                ell = w_cap * rng.random(n)
+                rho = rng.random(n)
+                xs0 = centers + (rho * ell)[:, None] * dirs
+                ys0 = centers - ((1.0 - rho) * ell)[:, None] * dirs
+            elif mode == "starshaped":
+                xs0 = xf[None, :] + _l1_ball_points(rng, n, dim, r)
+                ys0 = xf[None, :]
+            else:
+                vs = df[None, :] + _l1_ball_points(rng, n, dim, r)
+                s = r * rng.random(n)
+                xs0 = xf[None, :] + s[:, None] * vs
+                ys0 = xf[None, :]
+            # ts[j, i] mixes pair i: one row per anchor, then a random row
+            ts = np.concatenate([np.repeat(t_anchor, n), rng.random(n)]).reshape(-1, n)
+            mids = (ts[:, :, None] * xs0 + (1.0 - ts)[:, :, None] * ys0).reshape(-1, dim)
         vals = f.evaluate_batch(np.vstack([xs0, ys0, mids]))
         fxv, fyv, fm = vals[:n], vals[n:n + len(ys0)], vals[n + len(ys0):].reshape(ts.shape)
         dist = np.abs(xs0 - ys0).sum(axis=1)

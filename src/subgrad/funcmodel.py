@@ -20,9 +20,13 @@ with D the dual-norm unit ball.  That containment is what
 over the vertices of subdiff(h, xb) and guarding recession rays.  The erosion
 route in ``dc_dini_subdifferential`` never shares code with it.
 
-The float evaluators (``evaluate_batch`` and the helpers under it) serve the
-sampling probes only and import NumPy when first called, so exact calculus
-never loads it.
+A PA function holds int rows ``(slope..., intercept)`` over one positive
+denominator, and its exact calculus runs on these and on the kernel's int
+forms: points as homogeneous ``(x..., t)``, each norm as its list of dual
+vertices ``(w..., s)``.  Fractions are built only for parsed input, the
+``pieces`` view and returned values.  The float evaluators
+(``evaluate_batch`` and the helpers under it) serve the sampling probes only
+and import NumPy when first called, so exact calculus never loads it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -46,10 +51,14 @@ from .polykernel import (
     CAPS,
     L1,
     LINF,
+    IntVector,
     NormSpec,
     Polyhedron,
     _dual_vertices,
-    contains_point,
+    _homogeneous,
+    _point,
+    _satisfies,
+    _translate,
     contains_polyhedron,
     dual_norm_ball,
     intersect,
@@ -58,7 +67,6 @@ from .polykernel import (
     normal_cone_at,
     star_difference,
     strictly_contains_point,
-    translate,
 )
 from .rationals import (
     Vector,
@@ -67,10 +75,7 @@ from .rationals import (
     parse_rational,
     parse_vector,
     to_float,
-    vadd,
     vdot,
-    vneg,
-    vscale,
 )
 
 if TYPE_CHECKING:
@@ -92,12 +97,15 @@ class AffinePiece:
         return vdot(self.slope, x) + self.intercept
 
 
-def _float_rows(rows: Sequence[Sequence[int]], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float (normals, offsets) of rows ``(normal..., offset)``, for
-    vectorised prefilters."""
+def _float_rows(rows: Sequence[Sequence[int]], dim: int, den: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Float (normals, offsets) of int rows ``(normal..., offset)`` over
+    ``den``, for vectorised prefilters; an int quotient is rounded once."""
     import numpy as np
 
-    table = np.array([[to_float(a) for a in z] for z in rows], dtype=float).reshape(len(rows), dim + 1)
+    try:
+        table = np.array([[a / den for a in z] for z in rows], dtype=float).reshape(len(rows), dim + 1)
+    except OverflowError as exc:
+        raise ParseError("number out of float range") from exc
     return table[:, :dim], table[:, dim]
 
 
@@ -105,59 +113,68 @@ class PAConvexFunction:
     """Finite max of affine pieces on a polyhedral domain (+inf outside).
 
     A proper domain encodes f plus the indicator of the domain; the default
-    domain is the whole space.
+    domain is the whole space.  The distinct pieces are int rows ``(slope...,
+    intercept)`` over one denominator ``_den > 0``, in first-occurrence order;
+    ``pieces`` builds the public ``AffinePiece`` values from them.
     """
 
-    __slots__ = ("pieces", "domain", "_float_cache")
+    __slots__ = ("_rows", "_den", "domain", "_float_cache")
 
     def __init__(self, pieces: Iterable, domain: Polyhedron | None = None):
-        parsed = []
-        for p in pieces:
-            if not isinstance(p, AffinePiece):
-                p = AffinePiece.make(p[0], p[1])
-            parsed.append(p)
+        parsed = [AffinePiece.make(p.slope, p.intercept) if isinstance(p, AffinePiece) else AffinePiece.make(p[0], p[1])
+                  for p in pieces]
         if not parsed:
             raise ParseError("a piecewise-affine function needs at least one piece")
-        dims = {len(p.slope) for p in parsed}
-        if len(dims) != 1:
+        if len({len(p.slope) for p in parsed}) != 1:
             raise DimensionMismatch("pieces have mixed dimensions")
-        dim = dims.pop()
+        den = math.lcm(*(v.denominator for p in parsed for v in (*p.slope, p.intercept)))
+        self._adopt([tuple(v.numerator * (den // v.denominator) for v in (*p.slope, p.intercept))
+                     for p in parsed], den, domain)
+
+    @classmethod
+    def _of_rows(cls, rows: Sequence[IntVector], den: int, domain: Polyhedron | None = None) -> "PAConvexFunction":
+        """The function of int rows ``(slope..., intercept)`` over ``den > 0``."""
+        f = cls.__new__(cls)
+        f._adopt(rows, den, domain)
+        return f
+
+    def _adopt(self, rows: Sequence[IntVector], den: int, domain: Polyhedron | None) -> None:
+        dim = len(rows[0]) - 1
         if domain is None:
             domain = Polyhedron.whole_space(dim)
         if domain.dim != dim:
             raise DimensionMismatch("domain dimension does not match pieces")
-        seen = set()
-        unique = []
-        for p in parsed:
-            key = (p.slope, p.intercept)
-            if key not in seen:
-                seen.add(key)
-                unique.append(p)
-        self.pieces = tuple(unique)
+        g = math.gcd(den, *(a for z in rows for a in z))
+        self._rows = tuple(dict.fromkeys(tuple(a // g for a in z) for z in rows))
+        self._den = den // g
         self.domain = domain
         self._float_cache = None
 
     @property
     def dim(self) -> int:
-        return len(self.pieces[0].slope)
+        return len(self._rows[0]) - 1
+
+    @property
+    def pieces(self) -> tuple[AffinePiece, ...]:
+        d = self._den
+        return tuple(AffinePiece(tuple(Fraction(a, d) for a in z[:-1]), Fraction(z[-1], d)) for z in self._rows)
 
     # -- evaluation -------------------------------------------------------
 
+    def _values(self, p: IntVector) -> list[int]:
+        """Each piece's value at a homogeneous point ``(x..., t)``, times ``t·_den``."""
+        return [sum(map(mul, z, p)) for z in self._rows]
+
     def evaluate(self, x: Sequence) -> Fraction | float:
         """Exact value; +inf outside the domain."""
-        p = parse_vector(x, self.dim)
-        if not contains_point(self.domain, p):
+        p = _homogeneous(parse_vector(x, self.dim))
+        if not _satisfies(self.domain._rows, p):
             return math.inf
-        return max(piece.value_at(p) for piece in self.pieces)
+        return Fraction(max(self._values(p)), self._den * p[-1])
 
     def _float_data(self):
         if self._float_cache is None:
-            import numpy as np
-
-            slopes = np.array(
-                [[to_float(a) for a in p.slope] for p in self.pieces], dtype=float
-            )
-            intercepts = np.array([to_float(p.intercept) for p in self.pieces], dtype=float)
+            slopes, intercepts = _float_rows(self._rows, self.dim, self._den)
             normals, offsets = _float_rows(self.domain._rows, self.dim)
             self._float_cache = (slopes, intercepts, normals, offsets)
         return self._float_cache
@@ -168,27 +185,32 @@ class PAConvexFunction:
 
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
         slopes, intercepts, normals, offsets = self._float_data()
-        vals = (xs @ slopes.T + intercepts).max(axis=1)
-        if len(normals):
-            outside = (xs @ normals.T > offsets).any(axis=1)
-            vals = np.where(outside, np.inf, vals)
+        # 0·inf or inf - inf at a row past float range is a NaN the probes drop
+        with np.errstate(invalid="ignore"):
+            vals = (xs @ slopes.T + intercepts).max(axis=1)
+            if len(normals):
+                outside = (xs @ normals.T > offsets).any(axis=1)
+                vals = np.where(outside, np.inf, vals)
+        # the sign of a NaN from the product depends on the kernel, which
+        # depends on the batch length; one sign keeps every row independent
+        vals[np.isnan(vals)] = np.nan
         return vals
 
     # -- exact calculus ----------------------------------------------------
 
-    def active_pieces(self, x: Sequence) -> tuple[AffinePiece, ...]:
-        """Pieces attaining the max at x (exact ties); x must be in the domain."""
-        p = parse_vector(x, self.dim)
-        if not contains_point(self.domain, p):
-            raise PointOutsideDomain(f"{p} is outside the effective domain")
-        values = [piece.value_at(p) for piece in self.pieces]
+    def _active_rows(self, p: IntVector) -> list[IntVector]:
+        """Rows attaining the max at a homogeneous point p (exact ties); p
+        must be in the domain."""
+        if not _satisfies(self.domain._rows, p):
+            raise PointOutsideDomain(f"{_point(p)} is outside the effective domain")
+        values = self._values(p)
         top = max(values)
-        return tuple(pc for pc, v in zip(self.pieces, values) if v == top)
+        return [z for z, v in zip(self._rows, values) if v == top]
 
     def subdifferential_at(self, x: Sequence) -> Polyhedron:
         """conv{active slopes} + normal cone of the domain at x."""
-        slopes = [pc.slope for pc in self.active_pieces(x)]
-        hull = Polyhedron.from_vrep(slopes, dim=self.dim)
+        active = self._active_rows(_homogeneous(parse_vector(x, self.dim)))
+        hull = Polyhedron(self.dim, raw_vrep=([z[:-1] + (self._den,) for z in active], ()))
         return minkowski_sum(hull, normal_cone_at(self.domain, x))
 
     def eps_subdifferential_at(self, x: Sequence, eps, norm: NormSpec = L1) -> Polyhedron:
@@ -206,18 +228,18 @@ class PAConvexFunction:
         """One-sided derivative at an interior point: max over active slopes."""
         p = parse_vector(x, self.dim)
         if not strictly_contains_point(self.domain, p):
-            raise PointOutsideDomainInterior(
-                f"{p} is not interior to the effective domain"
-            )
-        d = parse_vector(h, self.dim)
-        return max(vdot(pc.slope, d) for pc in self.active_pieces(p))
+            raise PointOutsideDomainInterior(f"{p} is not interior to the effective domain")
+        # a direction h = (d..., s) for d / s, read like a point
+        d = _homogeneous(parse_vector(h, self.dim))
+        best = max(sum(map(mul, z, d[:-1])) for z in self._active_rows(_homogeneous(p)))
+        return Fraction(best, self._den * d[-1])
 
     def restrict(self, a: Polyhedron) -> "PAConvexFunction":
         """Same pieces on the intersected domain (f plus an indicator)."""
         dom = intersect(self.domain, a)
         if dom.is_empty:
             raise EmptyDomain("restriction has an empty effective domain")
-        return PAConvexFunction(self.pieces, dom)
+        return PAConvexFunction._of_rows(self._rows, self._den, dom)
 
     # -- serialization ------------------------------------------------------
 
@@ -246,22 +268,23 @@ class PAConvexFunction:
         return cls(pieces, domain)
 
     def __repr__(self) -> str:
-        return f"PAConvexFunction(dim={self.dim}, pieces={len(self.pieces)})"
+        return f"PAConvexFunction(dim={self.dim}, pieces={len(self._rows)})"
+
+
+def _plus(f: PAConvexFunction, rows: Sequence[IntVector], den: int, domain: Polyhedron) -> PAConvexFunction:
+    """f plus the max of int rows over den, on domain: one piece per pair."""
+    sums = [tuple(a * den + b * f._den for a, b in zip(p, q)) for p in f._rows for q in rows]
+    return PAConvexFunction._of_rows(sums, f._den * den, domain)
 
 
 def pa_sum(f: PAConvexFunction, g: PAConvexFunction) -> PAConvexFunction:
     """Pointwise sum via pairwise piece sums; domains intersect."""
     if f.dim != g.dim:
         raise DimensionMismatch("summands have different dimensions")
-    pieces = [
-        AffinePiece(vadd(p.slope, q.slope), p.intercept + q.intercept)
-        for p in f.pieces
-        for q in g.pieces
-    ]
     dom = intersect(f.domain, g.domain)
     if dom.is_empty:
         raise EmptyDomain("sum has an empty effective domain")
-    return PAConvexFunction(pieces, dom)
+    return _plus(f, g._rows, g._den, dom)
 
 
 def f_eps_expand(f: PAConvexFunction, x: Sequence, eps, norm: NormSpec = L1) -> PAConvexFunction:
@@ -273,13 +296,17 @@ def f_eps_expand(f: PAConvexFunction, x: Sequence, eps, norm: NormSpec = L1) -> 
     e = parse_rational(eps)
     if e < 0:
         raise NegativeEps(f"eps must be nonnegative, got {e}")
-    xb = parse_vector(x, f.dim)
+    xb = _homogeneous(parse_vector(x, f.dim))
     if e == 0:
         return f
     ws = _dual_vertices(norm, f.dim)
-    pieces = [AffinePiece(vadd(p.slope, vscale(e, w)), p.intercept - e * vdot(w, xb))
-              for p in f.pieces for w in ws]
-    return PAConvexFunction(pieces, f.domain)
+    # eps·<w / s, . - xb / t> for each vertex (w..., s), over e.den·t·lcm(s)
+    t, lcm_s = xb[-1], math.lcm(*(w[-1] for w in ws))
+    shifts = []
+    for w in ws:
+        k = e.numerator * (lcm_s // w[-1])
+        shifts.append(tuple(k * t * a for a in w[:-1]) + (-k * sum(map(mul, w, xb[:-1])),))
+    return _plus(f, shifts, e.denominator * t * lcm_s, f.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +347,9 @@ class DCFunction:
 
         gv = self.g.evaluate_batch(xs)
         hv = self.h.evaluate_batch(xs)
-        out = gv - hv
+        # inf - inf where g is +inf, which is then +inf
+        with np.errstate(invalid="ignore"):
+            out = gv - hv
         return np.where(np.isinf(gv), np.inf, out)
 
     def to_json(self) -> dict:
@@ -369,13 +398,13 @@ def dc_dini_subdifferential_definitional(
     target = dc.g.subdifferential_at(x)
     if e != 0:
         target = minkowski_sum(target, dual_norm_ball(norm, e, dim))
-    b = dc.h.subdifferential_at(x)
-    facets = target.hrep
-    for ray in b.rays:
-        if any(vdot(h.normal, ray) > 0 for h in facets):
+    b = dc.h.subdifferential_at(x).canonical()
+    facets = target.canonical()._hrep
+    for r in b._rays:
+        if any(sum(map(mul, z, r)) > 0 for z in facets):
             return Polyhedron.empty(dim)
-    translates = [translate(target, vneg(v)) for v in b.vertices]
-    return intersect_many(translates)
+    # the translate by -v of each point v = (y..., s) of subdiff(h)
+    return intersect_many([_translate(target, tuple(-y for y in v[:-1]) + v[-1:]) for v in b._points])
 
 
 def hypothesis(text: str, holds: bool, provenance: str) -> dict:
@@ -597,10 +626,10 @@ def linear_function(slope: Sequence, intercept=0) -> PAConvexFunction:
 
 
 def l1_norm_function(dim: int) -> PAConvexFunction:
-    """||x||_1 as a max over the vertices of its dual ball."""
-    return PAConvexFunction([(w, 0) for w in _dual_vertices(L1, dim)])
+    """||x||_1 as a max over the vertices (w..., 1) of its dual ball."""
+    return PAConvexFunction._of_rows([w[:-1] + (0,) for w in _dual_vertices(L1, dim)], 1)
 
 
 def linf_norm_function(dim: int) -> PAConvexFunction:
-    """||x||_inf as a max over the vertices of its dual ball."""
-    return PAConvexFunction([(w, 0) for w in _dual_vertices(LINF, dim)])
+    """||x||_inf as a max over the vertices (w..., 1) of its dual ball."""
+    return PAConvexFunction._of_rows([w[:-1] + (0,) for w in _dual_vertices(LINF, dim)], 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -27,8 +28,11 @@ from .errors import (
 from .funcmodel import DCFunction, _float_rows, certified, hypothesis
 from .polykernel import (
     LINF,
+    IntVector,
     Polyhedron,
     _dual_vertices,
+    _homogeneous,
+    _point,
     affine_image,
     cone_is_linear_subspace,
     conic_hull,
@@ -42,14 +46,13 @@ from .rationals import (
     Vector,
     format_rational,
     format_vector,
-    is_zero_vector,
     parse_rational,
     parse_vector,
+    primitive_ints,
     record_json,
     to_float,
     vadd,
     vdot,
-    vneg,
     vscale,
     vzero,
 )
@@ -69,24 +72,12 @@ def _parse_matrix(rows: Sequence[Sequence], width: int | None = None) -> tuple[V
     return out
 
 
-def _matvec(m: tuple[Vector, ...], x: Vector) -> Vector:
-    return tuple(vdot(row, x) for row in m)
-
-
-def _mat_t_vec(m: tuple[Vector, ...], z: Vector) -> Vector:
-    out = vzero(len(m[0]))
-    for zi, row in zip(z, m):
-        if zi != 0:
-            out = vadd(out, vscale(zi, row))
-    return out
+def _mat_t_vec(m: tuple[Vector, ...], z: Sequence[int]) -> Vector:
+    return tuple(sum(map(mul, z, col)) for col in zip(*m))
 
 
 def nonneg_orthant(dim: int) -> Polyhedron:
-    rows = []
-    for i in range(dim):
-        normal = tuple(Fraction(-1) if j == i else Fraction(0) for j in range(dim))
-        rows.append((normal, Fraction(0)))
-    return Polyhedron.from_hrep(rows, dim)
+    return Polyhedron(dim, raw_hrep=[tuple(-int(j == i) for j in range(dim)) + (0,) for i in range(dim)])
 
 
 class ConstraintSystem:
@@ -107,8 +98,7 @@ class ConstraintSystem:
         self.K = cone if cone is not None else nonneg_orthant(len(self.M))
         if self.K.dim != len(self.M):
             raise DimensionMismatch("K lives in the wrong dimension")
-        kc = self.K.canonical()
-        if kc.vertices != (vzero(kc.dim),):
+        if self.K.canonical()._points != ((0,) * self.K.dim + (1,),):
             raise NotACone("K must be a polyhedral cone with vertex at the origin")
 
     @property
@@ -116,7 +106,7 @@ class ConstraintSystem:
         return self.C.dim
 
     def k_value(self, x: Vector) -> Vector:
-        return vadd(_matvec(self.M, x), self.c)
+        return tuple(vdot(row, x) + ci for row, ci in zip(self.M, self.c))
 
     def to_json(self) -> dict:
         return {
@@ -163,11 +153,9 @@ class ProblemInstance:
 
 def feasible_set(cs: ConstraintSystem) -> Polyhedron:
     """C intersected with the pullback of -K through x -> Mx + c."""
-    rows = [(h.normal, h.offset) for h in cs.C.hrep]
-    for h in cs.K.hrep:
-        g = h.normal
-        rows.append((vneg(_mat_t_vec(cs.M, g)), vdot(g, cs.c)))
-    return Polyhedron.from_hrep(rows, cs.dim)
+    # -(Mx + c) in K: z·(Mx + c) <= 0 for each generator z of the dual cone
+    pullback = [primitive_ints(_mat_t_vec(cs.M, z) + (-vdot(z, cs.c),)) for z in dual_cone_generators(cs.K)]
+    return Polyhedron(cs.dim, raw_hrep=[*cs.C.canonical()._hrep, *pullback])
 
 
 def _feasible_point(cs: ConstraintSystem, x: Sequence) -> tuple[Polyhedron, Vector]:
@@ -195,9 +183,9 @@ def qualification_check(cs: ConstraintSystem) -> tuple[str, Polyhedron]:
     return status, cone
 
 
-def dual_cone_generators(k_cone: Polyhedron) -> list[Vector]:
-    """Generators of the positive dual cone, read off the facet normals."""
-    return [vneg(h.normal) for h in k_cone.canonical().hrep]
+def dual_cone_generators(k_cone: Polyhedron) -> list[IntVector]:
+    """Int generators of the positive dual cone, read off the facet normals."""
+    return [tuple(-a for a in z[:-1]) for z in k_cone.canonical()._hrep]
 
 
 def normal_cone_feasible(
@@ -212,30 +200,24 @@ def normal_cone_feasible(
     a_set, xv = _feasible_point(cs, x)
     direct = normal_cone_at(a_set, xv)
     kx = cs.k_value(xv)
-    rays = []
-    for z in dual_cone_generators(cs.K):
-        if vdot(z, kx) == 0:
-            img = _mat_t_vec(cs.M, z)
-            if not is_zero_vector(img):
-                rays.append(img)
+    # a zero image is no ray, and the V-rep drops it
+    rays = [_mat_t_vec(cs.M, z) for z in dual_cone_generators(cs.K) if not sum(map(mul, z, kx))]
     base = Polyhedron.from_vrep([vzero(cs.dim)], rays=rays, dim=cs.dim)
     lagrange = minkowski_sum(base, normal_cone_at(cs.C, xv))
-    agree = direct == lagrange
-    return direct, lagrange, agree
+    return direct, lagrange, direct == lagrange
 
 
-def _in_generated_set(vertices: Sequence[Vector], rays: Sequence[Vector], point: Vector) -> bool:
-    """Exact LP feasibility of point in conv(vertices) + cone(rays); with no
-    vertices, of a direction in cone(rays)."""
-    if not vertices and not rays:
-        return is_zero_vector(point)
-    gens = list(vertices) + list(rays)
-    a_eq = [[g[j] for g in gens] for j in range(len(point))]
-    b_eq = list(point)
-    if vertices:
-        a_eq.append([Fraction(1)] * len(vertices) + [Fraction(0)] * len(rays))
-        b_eq.append(Fraction(1))
-    res = solve_lp([Fraction(0)] * len(gens), a_eq=a_eq, b_eq=b_eq, nonneg=[True] * len(gens))
+def _in_generated_set(gens: Sequence[IntVector], x: IntVector) -> bool:
+    """Exact LP feasibility of ``x = sum mu·gen`` with mu >= 0, for
+    homogeneous int gens, points ``(v..., t)`` and rays ``(r..., 0)``.
+
+    A point ``(x..., t)`` is in the cone exactly when x / t is in conv(points)
+    + cone(rays), and a direction ``(r..., 0)`` exactly when r is in
+    cone(rays): the last coordinate weighs the points.
+    """
+    if not gens:
+        return not any(x)
+    res = solve_lp([0] * len(gens), a_eq=list(zip(*gens)), b_eq=x, nonneg=[True] * len(gens))
     return res.status == OPTIMAL
 
 
@@ -248,14 +230,13 @@ def check_inclusion_28(
     every vertex of dh sufficient; each is one LP.  Returns the first failing
     ray or vertex as witness.
     """
-    verts = dg.vertices
-    rays = dg.rays + na.rays
-    for ray in dh.rays:
-        if not _in_generated_set((), rays, ray):
-            return "Fails", ray
-    for v in dh.vertices:
-        if not _in_generated_set(verts, rays, v):
-            return "Fails", v
+    gens = dg.canonical()._points + tuple(r + (0,) for r in dg._rays + na.canonical()._rays)
+    for r in dh.canonical()._rays:
+        if not _in_generated_set(gens, r + (0,)):
+            return "Fails", tuple(map(Fraction, r))
+    for v in dh._points:
+        if not _in_generated_set(gens, v):
+            return "Fails", _point(v)
     return "Holds", None
 
 
@@ -268,19 +249,13 @@ def _descent_direction(target: Polyhedron, vertex: Vector, dim: int) -> Vector:
     in the tangent cone the descent argument needs.
     """
     tc = target.canonical()
-    a_ub = []
-    b_ub = []
-    for w in tc.vertices:
-        a_ub.append(list(vadd(w, vneg(vertex))) + [Fraction(1)])
-        b_ub.append(Fraction(0))
-    for r in tc.rays:
-        a_ub.append(list(r) + [Fraction(0)])
-        b_ub.append(Fraction(0))
-    for w in _dual_vertices(LINF, dim):
-        a_ub.append(list(w) + [Fraction(0)])
-        b_ub.append(Fraction(1))
-    objective = [Fraction(0)] * dim + [Fraction(-1)]
-    res = solve_lp(objective, a_ub=a_ub, b_ub=b_ub)
+    v = _homogeneous(vertex)
+    # int rows (coefficients of d and t..., bound); a point (w..., s) of the
+    # target gives its row times s·v[-1] > 0
+    rows = [tuple(v[-1] * a - w[-1] * b for a, b in zip(w[:-1], v)) + (w[-1] * v[-1], 0) for w in tc._points]
+    rows += [r + (0, 0) for r in tc._rays]
+    rows += [w[:-1] + (0, w[-1]) for w in _dual_vertices(LINF, dim)]
+    res = solve_lp([0] * dim + [-1], [z[:-1] for z in rows], [z[-1] for z in rows])
     if res.status != OPTIMAL:
         raise InternalCheckError(f"separator LP ended {res.status}")
     if res.value >= 0:
@@ -446,7 +421,8 @@ def blunt_min_probe(
 
     def shell(rng, r):
         w = _l1_ball_points(rng, plan.samples_per_shell, dim, r)
-        pts = xf[None, :] + w
+        with np.errstate(over="ignore"):
+            pts = xf[None, :] + w
         feas = (
             (pts @ normals.T <= offsets[None, :] + 1e-9).all(axis=1)
             if len(normals)

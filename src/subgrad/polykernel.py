@@ -32,11 +32,13 @@ whole space has an empty facet list.
 
 Norms
 -----
-Each polyhedral norm is one vertex list W of its dual unit ball, with
+Each polyhedral norm is one list W of the vertices of its dual unit ball,
+held as homogeneous int points ``(w..., t)`` for ``w / t``, with
 ``||x|| = max_{w in W} <w, x>`` (polar duality; Rockafellar, *Convex
-Analysis*, sections 14-15).  The unit ball is the H-rep ``<w, x> <= 1`` and
-the dual ball of radius eps the V-rep ``eps W``, so an eps-enlargement
-``S + eps B*`` sums raw generators and never converts the ball.
+Analysis*, sections 14-15).  Read as H-rows the same list is the unit ball
+``<w, x> <= t``, and scaled to ``(e.num·w..., e.den·t)`` it is the dual ball
+of radius e as a raw V-rep, so an eps-enlargement ``S + eps B*`` sums raw
+generators and never converts the ball.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .rationals import (
     parse_vector,
     primitive_ints,
     vneg,
-    vscale,
     vzero,
 )
 
@@ -626,12 +627,12 @@ def _satisfies(rows: Iterable[IntVector], x: IntVector) -> bool:
 
 def support_function(p: Polyhedron, direction: Sequence) -> Fraction | float:
     """sup over p of <direction, x>; +inf when unbounded in that direction."""
-    d = parse_vector(direction, p.dim)
+    # d = (n..., s) for n / s, read like a point
+    d = _homogeneous(parse_vector(direction, p.dim))
     if p.is_empty:
         raise EmptySetError("support function of the empty set")
-    scale = math.lcm(*(x.denominator for x in d))
-    best = _support(p, [x.numerator * (scale // x.denominator) for x in d])
-    return math.inf if best is None else Fraction(best[0], best[1] * scale)
+    best = _support(p, d[:-1])
+    return math.inf if best is None else Fraction(best[0], best[1] * d[-1])
 
 
 def _support(p: Polyhedron, n: Sequence[int]) -> tuple[int, int] | None:
@@ -714,11 +715,14 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def translate(p: Polyhedron, shift: Sequence) -> Polyhedron:
-    t = parse_vector(shift, p.dim)
+    return _translate(p, _homogeneous(parse_vector(shift, p.dim)))
+
+
+def _translate(p: Polyhedron, u: IntVector) -> Polyhedron:
+    """p shifted by the point of a homogeneous int ``u = (y..., s)``, s > 0."""
     if p.is_empty:
         return Polyhedron.empty(p.dim)
-    # normal·(x - u / s) <= offset  iff  s·normal·x <= s·offset + normal·u
-    u = _homogeneous(t)
+    # normal·(x - y / s) <= offset  iff  s·normal·x <= s·offset + normal·y
     s = u[-1]
     moved = [tuple(s * a for a in z[:-1]) + (s * z[-1] + sum(map(mul, z[:-1], u)),) for z in p._rows]
     return Polyhedron(p.dim, raw_hrep=moved)
@@ -821,33 +825,28 @@ def _l2approx_directions(k: int) -> list[Vector]:
         num = 1 + t * t
         u = ((1 - t * t) / num, 2 * t / num)
         dirs.append(u)
-    out = []
-    seen = set()
-    for u in dirs:
-        for v in (u, vneg(u)):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
+    out = list(dict.fromkeys(v for u in dirs for v in (u, vneg(u))))
     if len(out) != k:
         raise UnsupportedNorm(f"could not realize {k} distinct l2approx facets")
     return out
 
 
-def _dual_vertices(norm: NormSpec, dim: int) -> list[Vector]:
-    """The vertices W of the dual unit ball, so that ``||x|| = max_{w in W} <w, x>``.
+def _dual_vertices(norm: NormSpec, dim: int) -> list[IntVector]:
+    """The vertices W of the dual unit ball, so that ``||x|| = max_{w in W} <w, x>``,
+    as primitive homogeneous int points ``(w..., t)``.
 
     l1 in dimension >= 2: the 2^dim sign vectors; linf and any norm in
     dimension 1: the +/- unit vectors; l2approx in the plane: the vertices of
     ``{y : <u, y> <= 1}`` over its directions u, one per pair of neighbours by
-    angle.
+    angle.  Only l2approx has vertices with t > 1.
     """
     if norm.kind == "l1" and dim > 1:
         if 2 ** dim > CAPS.max_generators:
             raise CapExceeded(f"l1 dual ball has 2^{dim} vertices, over the generator cap "
                               f"{CAPS.max_generators}")
-        return list(itertools.product((ONE, -ONE), repeat=dim))
+        return [w + (1,) for w in itertools.product((1, -1), repeat=dim)]
     if norm.kind != "l2approx" or dim == 1:
-        return [tuple(s if j == i else ZERO for j in range(dim)) for i in range(dim) for s in (ONE, -ONE)]
+        return [tuple(s if j == i else 0 for j in range(dim)) + (1,) for i in range(dim) for s in (1, -1)]
     if dim != 2:
         raise UnsupportedNorm("l2approx is available in dimensions 1 and 2 only")
     # unit vectors by angle: the upper half circle by falling x, then the lower
@@ -858,15 +857,15 @@ def _dual_vertices(norm: NormSpec, dim: int) -> list[Vector]:
     out = []
     for a, b in zip(dirs, dirs[1:] + dirs[:1]):
         det = a[0] * b[1] - a[1] * b[0]
-        out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
+        out.append(_homogeneous(((b[1] - a[1]) / det, (a[0] - b[0]) / det)))
     return out
 
 
 def norm_unit_ball(norm: NormSpec, dim: int) -> Polyhedron:
-    """Unit ball ``{x : <w, x> <= 1 for w in W}`` of the (primal) norm; for
-    l2approx it is inscribed in the Euclidean ball (touching at rational
-    points), so the approx norm dominates the Euclidean norm."""
-    return Polyhedron.from_hrep([(w, ONE) for w in _dual_vertices(norm, dim)], dim)
+    """Unit ball ``{x : <w, x> <= t for (w..., t) in W}`` of the (primal)
+    norm; for l2approx it is inscribed in the Euclidean ball (touching at
+    rational points), so the approx norm dominates the Euclidean norm."""
+    return Polyhedron(dim, raw_hrep=_dual_vertices(norm, dim))
 
 
 def dual_norm_ball(norm: NormSpec, eps, dim: int) -> Polyhedron:
@@ -876,7 +875,8 @@ def dual_norm_ball(norm: NormSpec, eps, dim: int) -> Polyhedron:
     e = parse_rational(eps)
     if e < 0:
         raise NegativeEps(f"radius must be nonnegative, got {e}")
-    return Polyhedron.from_vrep([vscale(e, w) for w in _dual_vertices(norm, dim)], dim=dim)
+    points = [tuple(e.numerator * x for x in w[:-1]) + (e.denominator * w[-1],) for w in _dual_vertices(norm, dim)]
+    return Polyhedron(dim, raw_vrep=(points, ()))
 
 
 def gap(a: Polyhedron, b: Polyhedron, norm: NormSpec = L1) -> Fraction | float:
@@ -902,22 +902,14 @@ def _gap_lp(a: Polyhedron, b: Polyhedron, norm: NormSpec) -> Fraction | float:
     dim = a.dim
     from .simplex import OPTIMAL, solve_lp
 
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for h in a.hrep:
-        a_ub.append(list(h.normal) + [ZERO] * dim + [ZERO])
-        b_ub.append(h.offset)
-    for h in b.hrep:
-        a_ub.append([ZERO] * dim + list(h.normal) + [ZERO])
-        b_ub.append(h.offset)
-    # ||x - y|| <= t as <w, x - y> <= t over the dual ball's vertices: the
-    # unit ball's own rows, with no DD run to canonicalize it
-    for w in _dual_vertices(norm, dim):
-        a_ub.append(list(w) + [-x for x in w] + [-ONE])
-        b_ub.append(ZERO)
-    objective = [ZERO] * (2 * dim) + [ONE]
-    nonneg = [False] * (2 * dim) + [True]
-    res = solve_lp(objective, a_ub, b_ub, nonneg=nonneg)
+    # int rows (coefficients of x, y and t..., bound)
+    rows = [z[:-1] + (0,) * (dim + 1) + z[-1:] for z in a.canonical()._hrep]
+    rows += [(0,) * dim + z[:-1] + (0,) + z[-1:] for z in b.canonical()._hrep]
+    # ||x - y|| <= t as <w, x - y> <= s·t over the dual ball's vertices
+    # (w..., s): the unit ball's own rows, with no DD run to canonicalize it
+    rows += [w[:-1] + tuple(-x for x in w[:-1]) + (-w[-1], 0) for w in _dual_vertices(norm, dim)]
+    res = solve_lp([0] * (2 * dim) + [1], [z[:-1] for z in rows], [z[-1] for z in rows],
+                   nonneg=[False] * (2 * dim) + [True])
     if res.status != OPTIMAL:
         raise InternalCheckError(f"gap LP should be solvable, got {res.status}")
     return res.value

@@ -1,9 +1,9 @@
 """Exact rational scalars and small dense vectors.
 
 Scalars are ``fractions.Fraction`` throughout; vectors are plain tuples of
-Fractions.  Everything here is pure.  Polyhedra hold primitive ints (see
-``primitive_ints``), run every operation on them, and use these helpers only
-at their boundary.
+Fractions.  Everything here is pure.  The exact layers (polyhedra, PA
+functions, norm lists and LP rows) hold ints (see ``primitive_ints``), run
+every operation on them, and use these helpers only at their boundary.
 """
 
 from __future__ import annotations

@@ -453,6 +453,86 @@ def pa_directional(pieces, x, d) -> Fraction:
     return max(sum(a * di for a, di in zip(p.slope, d)) for v, p in vals if v == top)
 
 
+def dual_vertices_reference(norm, dim) -> list:
+    """The Fraction vertices of the dual unit ball, in the library's order:
+    sign vectors for l1 in dimension >= 2, +/- unit vectors for linf and in
+    dimension 1, and for l2approx the meeting points of neighbouring
+    tangent lines <u, y> = 1 by angle."""
+    from itertools import product
+
+    if norm.kind == "l1" and dim > 1:
+        return list(product((ONE, -ONE), repeat=dim))
+    if norm.kind != "l2approx" or dim == 1:
+        return [u for v in _unit_vectors(dim) for u in (v, vneg(v))]
+    dirs = sorted(_l2approx_directions(norm.facets),
+                  key=lambda u: (0, -u[0]) if u[1] > 0 or (u[1] == 0 and u[0] > 0) else (1, u[0]))
+    out = []
+    for a, b in zip(dirs, dirs[1:] + dirs[:1]):
+        det = a[0] * b[1] - a[1] * b[0]
+        out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
+    return out
+
+
+class PAReference:
+    """The Fraction model of a PA convex function: its distinct (slope,
+    intercept) pairs in first-occurrence order, on a domain polyhedron, with
+    the calculus written out over Fractions and the kernel's public
+    Fraction constructors."""
+
+    def __init__(self, pieces, domain):
+        self.pieces = []
+        for slope, intercept in pieces:
+            if (slope, intercept) not in self.pieces:
+                self.pieces.append((slope, intercept))
+        self.domain = domain
+        self.dim = domain.dim
+
+    def evaluate(self, x):
+        from subgrad.polykernel import contains_point
+
+        if not contains_point(self.domain, x):
+            return float("inf")
+        return max(dot(s, x) + c for s, c in self.pieces)
+
+    def active_slopes(self, x) -> list:
+        from subgrad.errors import PointOutsideDomain
+        from subgrad.polykernel import contains_point
+
+        if not contains_point(self.domain, x):
+            raise PointOutsideDomain(f"{x} is outside the effective domain")
+        top = max(dot(s, x) + c for s, c in self.pieces)
+        return [s for s, c in self.pieces if dot(s, x) + c == top]
+
+    def subdifferential_at(self, x) -> Polyhedron:
+        from subgrad.polykernel import minkowski_sum, normal_cone_at
+
+        hull = Polyhedron.from_vrep(self.active_slopes(x), dim=self.dim)
+        return minkowski_sum(hull, normal_cone_at(self.domain, x))
+
+    def eps_subdifferential_at(self, x, e, norm) -> Polyhedron:
+        from subgrad.polykernel import minkowski_sum
+
+        ball = Polyhedron.from_vrep([vscale(e, w) for w in dual_vertices_reference(norm, self.dim)], dim=self.dim)
+        return minkowski_sum(self.subdifferential_at(x), ball)
+
+    def directional_derivative(self, x, d):
+        return max(dot(s, d) for s in self.active_slopes(x))
+
+
+def pa_sum_reference(f: PAReference, g: PAReference) -> PAReference:
+    from subgrad.polykernel import intersect
+
+    pieces = [(vadd(p, q), c + k) for p, c in f.pieces for q, k in g.pieces]
+    return PAReference(pieces, intersect(f.domain, g.domain))
+
+
+def f_eps_expand_reference(f: PAReference, x, e, norm) -> PAReference:
+    """f + e·||. - x||, one piece per piece of f and dual vertex w."""
+    ws = dual_vertices_reference(norm, f.dim)
+    pieces = [(vadd(s, vscale(e, w)), c - e * dot(w, x)) for s, c in f.pieces for w in ws]
+    return PAReference(pieces, f.domain)
+
+
 def _blackbox_walk(node, xs: np.ndarray) -> np.ndarray:
     """Values of one expression node by recursion over the tree, parsing each
     constant where it is met."""

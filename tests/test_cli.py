@@ -328,15 +328,21 @@ def test_gap_probe_skips_samples_past_float_range(tmp_path, capsys):
     assert cli.main(["run", str(path)]) in (0, 1, 2), capsys.readouterr()
 
 
-@pytest.mark.parametrize("probe,code", [("dini", 2), ("membership", 0)])
+@pytest.mark.parametrize(
+    "probe,code",
+    [("dini", 2), ("membership", 0), ("regularity-convex", 0), ("regularity-starshaped", 0),
+     ("regularity-directional", 2)],
+)
 def test_probes_past_float_range_do_not_warn(tmp_path, capsys, probe, code):
     from subgrad import cli
 
-    sc = {
-        **_inlined(CORPUS / f"probe_{probe}_abs.json"),
-        "point": "1e308",
-        "plan": {"shell_radii": [1e308]},
-    }
+    kind, _, mode = probe.partition("-")
+    if mode:
+        # |x| from the Dini scenario, whose direction the directional mode reads
+        sc = {**_inlined(CORPUS / "probe_dini_abs.json"), "probe": kind, "eps": "1/10", "mode": mode}
+    else:
+        sc = _inlined(CORPUS / f"probe_{probe}_abs.json")
+    sc.update({"point": "1e308", "plan": {"shell_radii": [1e308]}})
     path = tmp_path / f"{probe}_1e308.json"
     path.write_text(json.dumps(sc))
     with warnings.catch_warnings():

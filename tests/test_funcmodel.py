@@ -1,6 +1,7 @@
 """Piecewise-affine convex models, DC pairs, and the black-box evaluator."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from subgrad.errors import (
     EvaluationFailure,
     NegativeEps,
     ParseError,
+    PointOutsideDomain,
     PointOutsideDomainInterior,
     UnsupportedNorm,
 )
@@ -38,7 +40,9 @@ from subgrad.polykernel import (
     NormSpec,
     Polyhedron,
     dual_norm_ball,
+    intersect,
     minkowski_sum,
+    strictly_contains_point,
     support_function,
 )
 
@@ -60,6 +64,9 @@ def interval(lo, hi):
 def test_affine_piece_make_and_value():
     p = AffinePiece.make(["1/2", "-1"], "3")
     assert p.value_at((F(2), F(1))) == F(3)
+    # a piece built directly is parsed too: a float is no rational
+    with pytest.raises(ParseError):
+        PAConvexFunction([AffinePiece((0.5,), F(0))])
 
 
 @given(small_dims, seeds)
@@ -187,6 +194,75 @@ def test_pa_sum_evaluates_pointwise(dim, seed):
     s = pa_sum(f, g)
     x = oracles.rand_vector(rng, dim)
     assert s.evaluate(x) == f.evaluate(x) + g.evaluate(x)
+
+
+small_fractions = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def pa_reference_cases(draw):
+    """Two functions with repeated pieces, each on the whole space or a box,
+    a point where some pieces tie (possibly on the box boundary), a
+    direction, eps and a norm."""
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[small_fractions] * dim)
+    x = draw(vec)
+
+    def pieces():
+        slopes = draw(st.lists(vec, min_size=1, max_size=4))
+        # a tied piece is 0 at x; repeats exercise the dedupe
+        out = [(s, -oracles.dot(s, x) if draw(st.booleans()) else draw(small_fractions)) for s in slopes]
+        return out + draw(st.lists(st.sampled_from(out), max_size=2))
+
+    def domain():
+        if draw(st.booleans()):
+            return Polyhedron.whole_space(dim)
+        lo = [draw(st.sampled_from([xi, xi - 1, xi + 1])) for xi in x]
+        rows = []
+        for i in range(dim):
+            e = tuple(F(int(j == i)) for j in range(dim))
+            rows += [(e, lo[i] + 2), (tuple(-c for c in e), -lo[i])]
+        return Polyhedron.from_hrep(rows, dim)
+
+    f, g = (pieces(), domain()), (pieces(), domain())
+    norms = [L1, LINF] + ([NormSpec("l2approx", 4), NormSpec("l2approx", 8)] if dim <= 2 else [])
+    return dim, f, g, x, draw(vec), draw(st.sampled_from([F(0), F(1, 2), F(3)])), draw(st.sampled_from(norms))
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except (PointOutsideDomain, PointOutsideDomainInterior) as exc:
+        return type(exc)
+    return result.to_json() if isinstance(result, Polyhedron) else result
+
+
+@given(pa_reference_cases())
+@settings(max_examples=150, deadline=None)
+def test_int_pa_model_matches_fraction_reference(case):
+    dim, (f_pieces, f_dom), (g_pieces, g_dom), x, d, eps, norm = case
+    f = PAConvexFunction(f_pieces, f_dom)
+    ref = oracles.PAReference(f_pieces, f_dom)
+
+    def same_function(got, want):
+        assert [(p.slope, p.intercept) for p in got.pieces] == want.pieces
+        assert got.domain == want.domain
+
+    same_function(f, ref)
+    assert f.evaluate(x) == ref.evaluate(x)
+    assert _outcome(lambda: f.subdifferential_at(x)) == _outcome(lambda: ref.subdifferential_at(x))
+    for e in (eps, F(1, 3)):
+        assert _outcome(lambda: f.eps_subdifferential_at(x, e, norm)) == _outcome(
+            lambda: ref.eps_subdifferential_at(x, e, norm)
+        )
+    interior = strictly_contains_point(f_dom, x)
+    want = ref.directional_derivative(x, d) if interior else PointOutsideDomainInterior
+    assert _outcome(lambda: f.directional_derivative(x, d)) == want
+
+    same_function(f_eps_expand(f, x, eps, norm), oracles.f_eps_expand_reference(ref, x, eps, norm))
+    if not intersect(f_dom, g_dom).is_empty:
+        g = PAConvexFunction(g_pieces, g_dom)
+        same_function(pa_sum(f, g), oracles.pa_sum_reference(ref, oracles.PAReference(g_pieces, g_dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +506,17 @@ def stacked_batches(draw):
     return f, parts
 
 
+# the product of a row with inf and NaN entries gives a NaN whose sign
+# depended on the batch length
+NAN_ROW = np.array([0.0, np.inf, 0.0, np.inf, 0.0, 0.0, 0.0, np.nan])
+NAN_CASE = (
+    PAConvexFunction([((2, 1, 0, -2, -1, -3, -3, -3), 3)]),
+    [np.zeros((2, 8)), np.array([np.zeros(8), NAN_ROW])],
+)
+
+
 @given(stacked_batches())
+@example(NAN_CASE)
 @settings(max_examples=200, deadline=None)
 def test_batch_rows_are_evaluated_independently(case):
     # the probes stack shells and sample sets into one call; that is
@@ -446,6 +532,17 @@ def test_batch_rows_are_evaluated_independently(case):
     assert isinstance(got, np.ndarray) and got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_rows_past_float_range_do_not_warn():
+    # 0·inf in a PA product and inf - inf in g - h give NaN or +inf, quietly
+    xs = np.array([[np.inf], [-np.inf], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pa = linear_function(["0"]).evaluate_batch(xs)
+        dc = DCFunction(abs_function(), abs_function()).evaluate_batch(xs)
+    assert np.isnan(pa[:2]).all() and not np.signbit(pa[:2]).any() and pa[2] == 0.0
+    assert dc.tolist() == [np.inf, np.inf, 0.0]
 
 
 def test_blackbox_composite_expression():

@@ -3,6 +3,7 @@ qualification test, exact inclusion decisions, and descent witnesses that
 replay by rational arithmetic."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from subgrad.dinioracle import SamplingPlan
 from subgrad.errors import (
     InfeasiblePoint,
     NotACone,
@@ -27,6 +29,7 @@ from subgrad.funcmodel import (
 from subgrad.optimality import (
     ConstraintSystem,
     ProblemInstance,
+    _in_generated_set,
     blunt_min_probe,
     certify_blunt_minimizer,
     check_inclusion_28,
@@ -177,6 +180,43 @@ def test_inclusion28_matches_containment(dh, dg, na):
     assert (w is None) == (status == "Holds")
 
 
+@st.composite
+def generated_set_queries(draw):
+    """Homogeneous int gens of conv(points) + cone(rays), possibly none or
+    rays only, and a query: a point (y..., s), a direction (r..., 0) or
+    zero."""
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    points = draw(st.lists(st.tuples(vec, st.integers(1, 3)), max_size=4))
+    rays = draw(st.lists(vec, max_size=3))
+    query = draw(st.one_of(
+        st.tuples(vec, st.integers(1, 3)).map(lambda q: q[0] + (q[1],)),
+        vec.map(lambda r: r + (0,)),
+        st.just((0,) * (dim + 1)),
+    ))
+    return dim, points, rays, query
+
+
+@given(generated_set_queries())
+@settings(max_examples=200, deadline=None)
+def test_in_generated_set_matches_containment(case):
+    dim, points, rays, query = case
+    gens = [v + (t,) for v, t in points] + [r + (0,) for r in rays]
+    y, s = query[:-1], query[-1]
+    if s:
+        # y / s in conv(points) + cone(rays); no point means an empty set
+        if points:
+            hull = Polyhedron.from_vrep([tuple(F(a, t) for a in v) for v, t in points], rays, dim=dim)
+            want = contains_polyhedron(hull, Polyhedron.from_vrep([tuple(F(a, s) for a in y)], dim=dim))[0]
+        else:
+            want = False
+    else:
+        # y in cone(rays)
+        cone = Polyhedron.from_vrep([(0,) * dim], rays, dim=dim)
+        want = contains_polyhedron(cone, Polyhedron.from_vrep([y], dim=dim))[0]
+    assert _in_generated_set(gens, query) == want
+
+
 def test_certify_positive():
     cert = certify_blunt_minimizer(cone_problem(["1", "0"]), (F(0), F(0)))
     assert cert.verdict == "BluntMinimizerAllEps"
@@ -258,6 +298,19 @@ def test_probe_agrees_with_certificate():
     pos = cone_problem(["1", "0"])
     rep = blunt_min_probe(pos, (F(0), F(0)), F(1, 2))
     assert rep.status == "Holds"
+
+
+@pytest.mark.parametrize("h,status", [(linear_function(["0"]), "FailsWithWitness"), (abs_function(), "Holds")],
+                         ids=["zero", "abs"])
+def test_blunt_probe_past_float_range_does_not_warn(h, status):
+    # |x| - h on x >= 0 at 1e308: the samples past float range are dropped,
+    # whether h meets 0·inf (h = 0) or g - h meets inf - inf (h = |x|)
+    cs = ConstraintSystem(Polyhedron.from_hrep([((F(-1),), F(0))], 1), [["-1"]], ["0"])
+    p = ProblemInstance(DCFunction(abs_function(), h), cs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = blunt_min_probe(p, ("1e308",), F(1, 10), SamplingPlan(shell_radii=(1e308,)))
+    assert rep.status == status
 
 
 def test_certificate_json_round_trip():
