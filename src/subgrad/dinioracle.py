@@ -33,7 +33,11 @@ Each shell is one evaluation, so nothing past the first verified violation
 is evaluated.  A regularity shell evaluates its x samples, y samples and
 midpoints together, with a pinned base point as one row: a matrix product
 gives a row the same value at any position in a batch of two or more rows,
-but a one-row product can round differently.
+but a one-row product can round differently.  That still holds with the
+reductions of ``evaluate_batch`` run along the batch axis, since the
+product is unchanged; a one-piece function is the exception, a
+matrix-vector product at every length whose rows at d = 8 can depend on
+their position.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EvaluationFailure, NegativeEps, ParseError, SubgradError
-from .funcmodel import DCFunction, PAConvexFunction, dc_dini_subdifferential
+from .funcmodel import DCFunction, PAConvexFunction, _finite_rows, dc_dini_subdifferential
 from .polykernel import L1, gap
 from .rationals import parse_rational, parse_vector, record_json, to_float
 
@@ -585,7 +589,7 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
         gaps = []
         used = []
         # a sample past float range has no exact point to promote
-        for row in pts[np.isfinite(pts).all(axis=1)]:
+        for row in pts[_finite_rows(pts)]:
             p = tuple(Fraction(float(v)) for v in row)
             try:
                 g = gap(base, map_at(p), L1)

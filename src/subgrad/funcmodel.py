@@ -56,15 +56,16 @@ from .polykernel import (
     Polyhedron,
     _dual_vertices,
     _homogeneous,
+    _normal_cone,
     _point,
     _satisfies,
+    _strictly_inside,
     _translate,
     contains_polyhedron,
     dual_norm_ball,
     intersect,
     intersect_many,
     minkowski_sum,
-    normal_cone_at,
     star_difference,
     strictly_contains_point,
 )
@@ -107,6 +108,29 @@ def _float_rows(rows: Sequence[Sequence[int]], dim: int, den: int = 1) -> tuple[
     except OverflowError as exc:
         raise ParseError("number out of float range") from exc
     return table[:, :dim], table[:, dim]
+
+
+def _fold(ufunc, columns: Iterable[np.ndarray]) -> np.ndarray:
+    """``ufunc`` folded over fresh 1-d arrays, in place into the first.
+
+    The float evaluators reduce each row over a short axis (k pieces, d
+    coordinates or m constraint rows), which NumPy does several times slower
+    than one elementwise call per column along the batch axis.  Only exact
+    reductions (max, and, or) come through here, so the order of the columns
+    cannot change a value; float sums keep their row order.
+    """
+    it = iter(columns)
+    out = next(it)
+    for col in it:
+        ufunc(out, col, out=out)
+    return out
+
+
+def _finite_rows(xs: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (N, d) array whose coordinates are all finite."""
+    import numpy as np
+
+    return _fold(np.logical_and, map(np.isfinite, xs.T))
 
 
 class PAConvexFunction:
@@ -185,12 +209,14 @@ class PAConvexFunction:
 
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
         slopes, intercepts, normals, offsets = self._float_data()
-        # 0·inf or inf - inf at a row past float range is a NaN the probes drop
+        # 0·inf or inf - inf at a row past float range is a NaN the probes drop.
+        # The product stays batch-major: slopes @ xs.T runs on another BLAS
+        # kernel, which gave some rows other values (13 pieces at d = 4)
         with np.errstate(invalid="ignore"):
-            vals = (xs @ slopes.T + intercepts).max(axis=1)
+            vals = _fold(np.maximum, (col + c for col, c in zip((xs @ slopes.T).T, intercepts)))
             if len(normals):
-                outside = (xs @ normals.T > offsets).any(axis=1)
-                vals = np.where(outside, np.inf, vals)
+                outside = _fold(np.logical_or, (col > c for col, c in zip((xs @ normals.T).T, offsets)))
+                vals[outside] = np.inf
         # the sign of a NaN from the product depends on the kernel, which
         # depends on the batch length; one sign keeps every row independent
         vals[np.isnan(vals)] = np.nan
@@ -199,19 +225,19 @@ class PAConvexFunction:
     # -- exact calculus ----------------------------------------------------
 
     def _active_rows(self, p: IntVector) -> list[IntVector]:
-        """Rows attaining the max at a homogeneous point p (exact ties); p
-        must be in the domain."""
-        if not _satisfies(self.domain._rows, p):
-            raise PointOutsideDomain(f"{_point(p)} is outside the effective domain")
+        """Rows attaining the max at a homogeneous point p (exact ties); the
+        caller has tested that p is in the domain."""
         values = self._values(p)
         top = max(values)
         return [z for z, v in zip(self._rows, values) if v == top]
 
     def subdifferential_at(self, x: Sequence) -> Polyhedron:
         """conv{active slopes} + normal cone of the domain at x."""
-        active = self._active_rows(_homogeneous(parse_vector(x, self.dim)))
-        hull = Polyhedron(self.dim, raw_vrep=([z[:-1] + (self._den,) for z in active], ()))
-        return minkowski_sum(hull, normal_cone_at(self.domain, x))
+        p = _homogeneous(parse_vector(x, self.dim))
+        if not _satisfies(self.domain._rows, p):
+            raise PointOutsideDomain(f"{_point(p)} is outside the effective domain")
+        hull = Polyhedron(self.dim, raw_vrep=([z[:-1] + (self._den,) for z in self._active_rows(p)], ()))
+        return minkowski_sum(hull, _normal_cone(self.domain, p))
 
     def eps_subdifferential_at(self, x: Sequence, eps, norm: NormSpec = L1) -> Polyhedron:
         """Dini-Hadamard eps-subdifferential: for a convex function this is
@@ -226,12 +252,14 @@ class PAConvexFunction:
 
     def directional_derivative(self, x: Sequence, h: Sequence) -> Fraction:
         """One-sided derivative at an interior point: max over active slopes."""
-        p = parse_vector(x, self.dim)
-        if not strictly_contains_point(self.domain, p):
-            raise PointOutsideDomainInterior(f"{p} is not interior to the effective domain")
+        xv = parse_vector(x, self.dim)
+        p = _homogeneous(xv)
+        # an interior point is in the domain, so that is the one test
+        if not _strictly_inside(self.domain, p):
+            raise PointOutsideDomainInterior(f"{xv} is not interior to the effective domain")
         # a direction h = (d..., s) for d / s, read like a point
         d = _homogeneous(parse_vector(h, self.dim))
-        best = max(sum(map(mul, z, d[:-1])) for z in self._active_rows(_homogeneous(p)))
+        best = max(sum(map(mul, z, d[:-1])) for z in self._active_rows(p))
         return Fraction(best, self._den * d[-1])
 
     def restrict(self, a: Polyhedron) -> "PAConvexFunction":
@@ -547,7 +575,7 @@ class BlackBoxFunction:
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
         # a row past float range is not evaluated, so that inf - inf there
         # cannot read as a fault of the expression
-        finite = np.isfinite(xs).all(axis=1)
+        finite = _finite_rows(xs)
         run = xs if finite.all() else xs[finite]
         stack = []
         with np.errstate(invalid="raise", over="ignore"):
@@ -564,9 +592,8 @@ class BlackBoxFunction:
             out[finite] = vals
             vals = out
         if self.box is not None:
-            lo = np.array([b[0] for b in self.box])
-            hi = np.array([b[1] for b in self.box])
-            outside = ((xs < lo) | (xs > hi)).any(axis=1)
+            # a NaN coordinate compares false, so it is not outside
+            outside = _fold(np.logical_or, ((col < lo) | (col > hi) for col, (lo, hi) in zip(xs.T, self.box)))
             vals = np.where(outside, np.inf, vals)
         return vals
 

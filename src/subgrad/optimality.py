@@ -25,7 +25,7 @@ from .errors import (
     PointNotInteriorDomG,
     UnboundedC,
 )
-from .funcmodel import DCFunction, _float_rows, certified, hypothesis
+from .funcmodel import DCFunction, _float_rows, _fold, certified, hypothesis
 from .polykernel import (
     LINF,
     IntVector,
@@ -59,6 +59,8 @@ from .rationals import (
 from .simplex import OPTIMAL, solve_lp
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .dinioracle import ProbeVerdict, SamplingPlan
 
 
@@ -384,6 +386,19 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
     )
 
 
+def _float_feasible(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Mask of the rows of pts that meet every float row ``<n, x> <= c`` to
+    within 1e-9; a NaN product is infeasible.  The product stays batch-major
+    and each constraint is one column, as in ``evaluate_batch``."""
+    import numpy as np
+
+    if not len(normals):
+        return np.ones(len(pts), dtype=bool)
+    # 0·inf at a sample past float range gives a NaN, which fails, unwarned
+    with np.errstate(invalid="ignore"):
+        return _fold(np.logical_and, (col <= c + 1e-9 for col, c in zip((pts @ normals.T).T, offsets)))
+
+
 def blunt_min_probe(
     p: ProblemInstance, x: Sequence, eps, plan: SamplingPlan | None = None
 ) -> ProbeVerdict:
@@ -423,11 +438,7 @@ def blunt_min_probe(
         w = _l1_ball_points(rng, plan.samples_per_shell, dim, r)
         with np.errstate(over="ignore"):
             pts = xf[None, :] + w
-        feas = (
-            (pts @ normals.T <= offsets[None, :] + 1e-9).all(axis=1)
-            if len(normals)
-            else np.ones(len(pts), dtype=bool)
-        )
+        feas = _float_feasible(pts, normals, offsets)
         fv = dc.evaluate_batch(pts)
         margins = fv - f0f + ef * np.abs(w).sum(axis=1)
         usable = feas & np.isfinite(fv)

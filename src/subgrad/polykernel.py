@@ -661,7 +661,11 @@ def contains_point(p: Polyhedron, point: Sequence) -> bool:
 
 def strictly_contains_point(p: Polyhedron, point: Sequence) -> bool:
     """Interior membership (canonical facets satisfied strictly)."""
-    x = _homogeneous(parse_vector(point, p.dim))
+    return _strictly_inside(p, _homogeneous(parse_vector(point, p.dim)))
+
+
+def _strictly_inside(p: Polyhedron, x: IntVector) -> bool:
+    """Is the homogeneous int point x interior to p?"""
     return not p.is_empty and all(_slack(z, x) > 0 for z in p.canonical()._hrep)
 
 
@@ -770,24 +774,34 @@ def affine_image(p: Polyhedron, matrix: Sequence[Sequence], offset: Sequence | N
     return Polyhedron(out_dim, raw_vrep=(images, [[sum(map(mul, r, y)) for r in m] for y in p_rays]))
 
 
-def _active_normals(p: Polyhedron, point: Sequence) -> list[IntVector]:
-    """Int normals of the canonical facets of p that hold with equality at a
-    point of p."""
+def _member(p: Polyhedron, point: Sequence) -> IntVector:
+    """A point of p as a homogeneous int point; PointNotInSet off p."""
     xv = parse_vector(point, p.dim)
     x = _homogeneous(xv)
     if not _satisfies(p._rows, x):
         raise PointNotInSet(f"{xv} is not in the polyhedron")
+    return x
+
+
+def _active_normals(p: Polyhedron, x: IntVector) -> list[IntVector]:
+    """Int normals of the canonical facets of p that hold with equality at a
+    homogeneous int point x of p (membership is the caller's test)."""
     return [z[:-1] for z in p.canonical()._hrep if not _slack(z, x)]
+
+
+def _normal_cone(p: Polyhedron, x: IntVector) -> Polyhedron:
+    """Outer normal cone of p at a homogeneous int point x of p."""
+    return Polyhedron(p.dim, raw_vrep=([(0,) * p.dim + (1,)], _active_normals(p, x)))
 
 
 def normal_cone_at(p: Polyhedron, point: Sequence) -> Polyhedron:
     """Outer normal cone of p at a point of p (cone of active facet normals)."""
-    return Polyhedron(p.dim, raw_vrep=([(0,) * p.dim + (1,)], _active_normals(p, point)))
+    return _normal_cone(p, _member(p, point))
 
 
 def tangent_cone_at(p: Polyhedron, point: Sequence) -> Polyhedron:
     """Cone of feasible directions at a point of p (polar of the normal cone)."""
-    return Polyhedron(p.dim, raw_hrep=[n + (0,) for n in _active_normals(p, point)])
+    return Polyhedron(p.dim, raw_hrep=[n + (0,) for n in _active_normals(p, _member(p, point))])
 
 
 def cone_is_linear_subspace(c: Polyhedron) -> bool:

@@ -569,14 +569,18 @@ def _blackbox_walk(node, xs: np.ndarray) -> np.ndarray:
 
 def blackbox_reference(expr, dim, box, xs) -> np.ndarray:
     """Float values of a valid black-box expression at the rows of ``xs``
-    (+inf outside ``box``), by a direct tree walk; an invalid float operation
-    raises ``EvaluationFailure``, as ``BlackBoxFunction.evaluate_batch`` does."""
+    (+inf outside ``box``), by a direct tree walk over the finite rows; a row
+    with a non-finite coordinate is NaN unless the box sends it to +inf.  An
+    invalid float operation raises ``EvaluationFailure``, as
+    ``BlackBoxFunction.evaluate_batch`` does."""
     from subgrad.errors import EvaluationFailure
 
     xs = np.asarray(xs, dtype=float).reshape(-1, dim)
+    finite = np.isfinite(xs).all(axis=1)
+    vals = np.full(len(xs), np.nan)
     with np.errstate(invalid="raise", over="ignore"):
         try:
-            vals = _blackbox_walk(expr, xs)
+            vals[finite] = _blackbox_walk(expr, xs[finite])
         except FloatingPointError as exc:
             raise EvaluationFailure(str(exc)) from exc
     if box is not None:
@@ -585,6 +589,33 @@ def blackbox_reference(expr, dim, box, xs) -> np.ndarray:
         outside = ((xs < lo) | (xs > hi)).any(axis=1)
         vals = np.where(outside, np.inf, vals)
     return vals
+
+
+def pa_batch_reference(f, xs) -> np.ndarray:
+    """``evaluate_batch`` of a PA or DC function by the row-major formula: one
+    product row per point, reduced along that row."""
+    from subgrad.funcmodel import DCFunction
+
+    if isinstance(f, DCFunction):
+        gv, hv = pa_batch_reference(f.g, xs), pa_batch_reference(f.h, xs)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(gv), np.inf, gv - hv)
+    xs = np.asarray(xs, dtype=float).reshape(-1, f.dim)
+    slopes, intercepts, normals, offsets = f._float_data()
+    with np.errstate(invalid="ignore"):
+        vals = (xs @ slopes.T + intercepts).max(axis=1)
+        if len(normals):
+            vals = np.where((xs @ normals.T > offsets).any(axis=1), np.inf, vals)
+    vals[np.isnan(vals)] = np.nan
+    return vals
+
+
+def float_feasible_reference(pts, normals, offsets) -> np.ndarray:
+    """The blunt probe's float feasibility mask by the row-major formula."""
+    if not len(normals):
+        return np.ones(len(pts), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        return (pts @ normals.T <= offsets[None, :] + 1e-9).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from subgrad import optimality
 from subgrad.errors import (
     EmptyDomain,
     EvaluationFailure,
@@ -408,11 +409,12 @@ def _blackbox_trees(dim):
 
 @st.composite
 def blackbox_cases(draw):
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 8))
     expr = draw(_blackbox_trees(dim))
     bound = st.floats(-2, 2, allow_nan=False)
     box = draw(st.none() | st.lists(st.tuples(bound, bound).map(sorted), min_size=dim, max_size=dim))
-    coords = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(-3, 3))
+    # rows past float range pin the finite-row and box masks
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan]), st.floats(-3, 3))
     rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=6))
     return expr, dim, box, np.array(rows)
 
@@ -436,6 +438,8 @@ EVERY_OPERATOR = [
 @given(blackbox_cases())
 @example((EVERY_OPERATOR, 2, None, np.array([[0.5, -2.0], [2.0, 1.0]])))
 @example((EVERY_OPERATOR, 2, [(-1.0, 1.0), (0.0, 0.5)], np.array([[0.0, 0.25], [0.5, 3.0]])))
+@example((["sub", ["coord", 0], ["coord", 1]], 2, [(-1.0, 1.0), (0.0, 0.5)],
+          np.array([[np.inf, 0.25], [0.5, np.nan], [np.nan, -np.inf], [0.5, 0.25]])))
 @settings(max_examples=200, deadline=None)
 def test_compiled_blackbox_matches_tree_walk(case):
     expr, dim, box, xs = case
@@ -481,7 +485,9 @@ def stacked_batches(draw):
     a matrix-vector kernel whose sums can round differently from the
     matrix-matrix kernel of longer batches, and the probes evaluate only
     their base point and witness replays one row at a time, never a part
-    of a batch.
+    of a batch.  Checked again with the reductions run along the batch
+    axis: the product is unchanged, and a one-row product of d >= 2
+    coordinates still rounds differently.
     """
     kind = draw(st.sampled_from(["pa", "pa_domain", "dc", "blackbox"]))
     if kind == "blackbox":
@@ -530,6 +536,54 @@ def test_batch_rows_are_evaluated_independently(case):
         return
     want = np.concatenate(parts)
     assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def layout_cases(draw):
+    """A PA function (with or without a domain), a DC pair, or float
+    constraint rows for the blunt feasibility mask, and one batch."""
+    kind = draw(st.sampled_from(["pa", "pa_domain", "dc", "feasible"]))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "feasible":
+        m = draw(st.integers(0, 16))
+        obj = (rng.integers(-4, 5, size=(m, dim)) / 2.0, rng.integers(-8, 9, size=m) / 4.0)
+    elif kind == "dc":
+        obj = oracles.rand_dc(rng, dim, max_pieces=draw(st.integers(1, 16)), restricted=draw(st.booleans()))
+    else:
+        obj = oracles.rand_pa(rng, dim, max_pieces=draw(st.integers(1, 16)))
+        if kind == "pa_domain":
+            obj = PAConvexFunction(obj.pieces, domain=oracles.rand_box(rng, dim))
+    coords = st.one_of(st.floats(-5, 5), st.sampled_from([0.0, -0.0, 1e200, -1e200, np.inf, -np.inf, np.nan]))
+    xs = np.array(draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=40)))
+    return kind, obj, xs
+
+
+def _tail_case():
+    # 13 pieces at d = 4 and 257 rows: slopes @ xs.T gives the last row
+    # another value than xs @ slopes.T (OpenBLAS 0.3.31, x86-64 AVX-512)
+    rng = np.random.default_rng(8)
+    f = PAConvexFunction([([F(int(v), 3) for v in rng.integers(-6, 7, size=4)], int(rng.integers(-9, 10)))
+                          for _ in range(13)])
+    return "pa", f, rng.uniform(-5, 5, size=(257, 4))
+
+
+@given(layout_cases())
+@example(_tail_case())
+@example(("pa", PAConvexFunction([((2, 1, 0, -2, -1, -3, -3, -3), 3)]), NAN_ROW[None, :]))
+@example(("pa", linear_function(["1/3"]), np.array([[0.1], [np.nan]])))
+@settings(max_examples=200, deadline=None)
+def test_batches_match_row_major_reference(case):
+    # the exact reductions run column by column along the batch axis; the
+    # values, NaN signs included, are those of one product row per point
+    kind, obj, xs = case
+    if kind == "feasible":
+        got, want = optimality._float_feasible(xs, *obj), oracles.float_feasible_reference(xs, *obj)
+    else:
+        got, want = obj.evaluate_batch(xs), oracles.pa_batch_reference(obj, xs)
+    assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
