@@ -21,6 +21,16 @@ samples whose numerator is smaller than the evaluation noise floor are
 discarded outright.  No shell ends the estimate early, so all shells are
 drawn, each from its own stream, and evaluated in one batch.
 
+Streams
+-------
+Shell k of probe tag t draws from PCG64 seeded by
+``SeedSequence(seed mod 2^64, spawn_key=(t, k))`` (NumPy's NEP 19
+construction).  ``SamplingPlan.rng`` does not build that SeedSequence: the
+seed and tag words are mixed once in Python ints, and the shell word and the
+output hash run over every shell of the plan in a few uint32 array
+operations, giving one cached table of PCG64 seed words per (seed, tag).
+The test suite pins every row of it to NumPy's construction.
+
 Shell search
 ------------
 The membership, regularity and blunt-minimality probes share one verdict
@@ -42,6 +52,7 @@ their position.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -77,6 +88,95 @@ _TAG_BLUNT = 5  # optimality.blunt_min_probe
 MAX_SAMPLES_PER_SHELL = 2**16
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words32(value: int) -> list[int]:
+    """A nonnegative int as little-endian 32-bit words, as SeedSequence reads it."""
+    if value < 0:
+        raise ValueError("stream keys must be nonnegative")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(hc: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The next ``count`` (xor, multiplier) pairs of a SeedSequence hash
+    constant, as uint32 arrays, and the constant after them."""
+    xors, muls = [], []
+    for _ in range(count):
+        xors.append(hc)
+        hc = hc * mult & _MASK32
+        muls.append(hc)
+    return np.array(xors, dtype=np.uint32), np.array(muls, dtype=np.uint32), hc
+
+
+# generate_state(4, uint64) hashes the pool cyclically into eight 32-bit words
+_OUT_XOR, _OUT_MUL, _ = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+@functools.lru_cache(maxsize=64)
+def _stream_table(seed: int, tag: int, count: int) -> np.ndarray:
+    """PCG64 seed words of shells 0..count-1 of one probe: row k equals
+    ``SeedSequence(seed, spawn_key=(tag, k)).generate_state(4, np.uint64)``.
+
+    The entropy is the seed's words zero-padded to the pool, the tag's words,
+    then k.  Everything before k is the same in every row, so it is mixed
+    once here; k and the output hash run over all rows at once.
+    """
+    hc = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hc
+        value ^= hc
+        hc = hc * _MULT_A & _MASK32
+        value = value * hc & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    words = _words32(seed)
+    entropy = words + [0] * (_POOL - len(words)) + _words32(tag)
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    xors, muls, _ = _hash_consts(hc, _MULT_A, _POOL)
+    k = np.arange(count, dtype=np.uint32)[:, None]
+    h = (k ^ xors) * muls
+    h ^= h >> 16
+    p = np.array([_MIX_MULT_L * v & _MASK32 for v in pool], dtype=np.uint32) - np.uint32(_MIX_MULT_R) * h
+    p ^= p >> 16
+    out = (p[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_XOR) * _OUT_MUL
+    out ^= out >> 16
+    table = out.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    table.flags.writeable = False
+    return table
+
+
+class _ShellSeed(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 one row of a stream table as its seed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a shell seed holds only PCG64's 4 uint64 words")
+        return self.words
+
+
 def _default_radii() -> tuple[float, ...]:
     return tuple(2.0 ** -k for k in range(1, 21))
 
@@ -95,7 +195,9 @@ class SamplingPlan:
 
     shell_radii must decrease strictly; every random stream is derived from
     seed and the (probe, shell) pair, so verdicts are independent of
-    threading and evaluation order.
+    threading and evaluation order.  ``rng(tag, k)`` is PCG64 seeded by
+    ``SeedSequence(seed mod 2^64, spawn_key=(tag, k))``, read from one table
+    of seed words per (seed, tag) that covers every shell of the plan.
     """
 
     shell_radii: tuple[float, ...] = field(default_factory=_default_radii)
@@ -131,10 +233,11 @@ class SamplingPlan:
             raise ParseError("stabilization_tol must be positive")
 
     def rng(self, tag: int, shell_index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(tag, shell_index)
-        )
-        return np.random.Generator(np.random.PCG64(seq))
+        count = len(self.shell_radii)
+        if not 0 <= shell_index < count:
+            raise IndexError(f"shell {shell_index} is not a shell of this plan")
+        words = _stream_table(self.seed & 0xFFFFFFFFFFFFFFFF, tag, count)[shell_index]
+        return np.random.Generator(np.random.PCG64(_ShellSeed(words)))
 
     def to_json(self) -> dict:
         return record_json(self)
@@ -277,6 +380,9 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     n = plan.samples_per_shell
     rows = n + _ANCHORS
     radii = plan.shell_radii
+    # each shell's anchors are t = r * anchors along u = h itself
+    anchors = 2.0 ** (-np.arange(_ANCHORS) / _ANCHORS)
+    h_rows = np.tile(hf, (_ANCHORS, 1))
     # a call holds as many shells as fit in the rows of one largest shell
     group = max(1, MAX_SAMPLES_PER_SHELL // rows)
     for start in range(0, len(radii), group):
@@ -284,11 +390,10 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
         for k in range(start, min(start + group, len(radii))):
             rng = plan.rng(tag, k)
             r = radii[k]
-            t_anchor = r * 2.0 ** (-np.arange(_ANCHORS) / _ANCHORS)
             t_ann = r * 2.0 ** (-rng.random(n // 2))
             t_deep = r * 2.0 ** (-(1.0 + _DEEP_SPAN * rng.random(n - n // 2)))
-            ts.append(np.concatenate([t_anchor, t_ann, t_deep]))
-            us.append(np.vstack([np.tile(hf, (_ANCHORS, 1)), hf + _l1_ball_points(rng, n, dim, r)]))
+            ts.append(np.concatenate([r * anchors, t_ann, t_deep]))
+            us.append(np.vstack([h_rows, hf + _l1_ball_points(rng, n, dim, r)]))
         t = np.concatenate(ts)
         u = np.vstack(us)
         # samples past float range become inf and fail `finite`
@@ -487,10 +592,11 @@ def approx_regularity_probe(
             "Inconclusive", None, [], notes=("f is not finite at the base point",)
         )
     scale = max(1.0, abs(fx))
-    t_anchor = np.array([0.25, 0.5, 0.75])
+    n = plan.samples_per_shell
+    # one row of ts per anchor mix parameter, the same in every shell
+    anchor_rows = np.repeat([0.25, 0.5, 0.75], n)
 
     def shell(rng, r):
-        n = plan.samples_per_shell
         # a sample past float range is inf, and its margins are dropped
         with np.errstate(over="ignore"):
             if mode == "convex":
@@ -510,7 +616,7 @@ def approx_regularity_probe(
                 xs0 = xf[None, :] + s[:, None] * vs
                 ys0 = xf[None, :]
             # ts[j, i] mixes pair i: one row per anchor, then a random row
-            ts = np.concatenate([np.repeat(t_anchor, n), rng.random(n)]).reshape(-1, n)
+            ts = np.concatenate([anchor_rows, rng.random(n)]).reshape(-1, n)
             mids = (ts[:, :, None] * xs0 + (1.0 - ts)[:, :, None] * ys0).reshape(-1, dim)
         vals = f.evaluate_batch(np.vstack([xs0, ys0, mids]))
         fxv, fyv, fm = vals[:n], vals[n:n + len(ys0)], vals[n + len(ys0):].reshape(ts.shape)

@@ -133,6 +133,17 @@ def _finite_rows(xs: np.ndarray) -> np.ndarray:
     return _fold(np.logical_and, map(np.isfinite, xs.T))
 
 
+def _piece_rows(pieces: Sequence[AffinePiece]) -> tuple[list[IntVector], int]:
+    """Parsed pieces as int rows ``(slope..., intercept)`` over one common
+    denominator."""
+    if not pieces:
+        raise ParseError("a piecewise-affine function needs at least one piece")
+    if len({len(p.slope) for p in pieces}) != 1:
+        raise DimensionMismatch("pieces have mixed dimensions")
+    den = math.lcm(*(v.denominator for p in pieces for v in (*p.slope, p.intercept)))
+    return [tuple(v.numerator * (den // v.denominator) for v in (*p.slope, p.intercept)) for p in pieces], den
+
+
 class PAConvexFunction:
     """Finite max of affine pieces on a polyhedral domain (+inf outside).
 
@@ -147,13 +158,7 @@ class PAConvexFunction:
     def __init__(self, pieces: Iterable, domain: Polyhedron | None = None):
         parsed = [AffinePiece.make(p.slope, p.intercept) if isinstance(p, AffinePiece) else AffinePiece.make(p[0], p[1])
                   for p in pieces]
-        if not parsed:
-            raise ParseError("a piecewise-affine function needs at least one piece")
-        if len({len(p.slope) for p in parsed}) != 1:
-            raise DimensionMismatch("pieces have mixed dimensions")
-        den = math.lcm(*(v.denominator for p in parsed for v in (*p.slope, p.intercept)))
-        self._adopt([tuple(v.numerator * (den // v.denominator) for v in (*p.slope, p.intercept))
-                     for p in parsed], den, domain)
+        self._adopt(*_piece_rows(parsed), domain)
 
     @classmethod
     def _of_rows(cls, rows: Sequence[IntVector], den: int, domain: Polyhedron | None = None) -> "PAConvexFunction":
@@ -293,7 +298,7 @@ class PAConvexFunction:
         pieces = [AffinePiece.make(p["slope"], p["intercept"]) for p in raw]
         dom = obj.get("domain")
         domain = Polyhedron.from_json(dom) if dom is not None else None
-        return cls(pieces, domain)
+        return cls._of_rows(*_piece_rows(pieces), domain)
 
     def __repr__(self) -> str:
         return f"PAConvexFunction(dim={self.dim}, pieces={len(self._rows)})"

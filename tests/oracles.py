@@ -623,9 +623,15 @@ def float_feasible_reference(pts, normals, offsets) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def reference_rng(plan, tag: int, k: int) -> np.random.Generator:
+    """Shell k's stream of probe tag, built by NumPy's own SeedSequence."""
+    seq = np.random.SeedSequence(plan.seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(tag, k))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def dini_reference(f, x, h, plan, tag=0):
     """``dini_directional_estimate`` with one draw and one evaluation per
-    shell, shell by shell."""
+    shell, shell by shell, each shell drawing from ``reference_rng``."""
     import math
 
     from subgrad import dinioracle as D
@@ -642,7 +648,7 @@ def dini_reference(f, x, h, plan, tag=0):
     witness = None
     witness_q = math.inf
     for k, r in enumerate(plan.shell_radii):
-        rng = plan.rng(tag, k)
+        rng = reference_rng(plan, tag, k)
         n = plan.samples_per_shell
         n_ann = n // 2
         n_deep = n - n_ann
@@ -689,7 +695,8 @@ def dini_reference(f, x, h, plan, tag=0):
 def regularity_reference(f, x, eps, mode, plan, direction=None):
     """``approx_regularity_probe`` with three evaluations per shell (x
     samples, y samples with the base point repeated n times, midpoints) on
-    tiled copies of the samples."""
+    tiled copies of the samples, each shell drawing from ``reference_rng``
+    under the shell-search rule written out here."""
     import math
 
     from subgrad import dinioracle as D
@@ -756,7 +763,17 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
         witness = {"x": xw, "y": yw, "t": tw, "lhs": lhs, "rhs": rhs, "margin": float(margin[best])}
         return usable, margin, (witness, f"{mode} inequality violated at the witness")
 
-    return D._shell_search(plan, D._TAG_APPROX, shell, "no evaluable samples")
+    shells = []
+    any_usable = False
+    for k, r in enumerate(plan.shell_radii):
+        usable, margins, found = shell(reference_rng(plan, D._TAG_APPROX, k), r)
+        any_usable = any_usable or bool(usable.any())
+        shells.append({"radius": float(r), "inf": float(np.min(margins[usable])) if usable.any() else math.inf})
+        if found is not None:
+            return D.ProbeVerdict("FailsWithWitness", found[0], shells, notes=(found[1],))
+    if not any_usable:
+        return D.ProbeVerdict("Inconclusive", None, shells, notes=("no evaluable samples",))
+    return D.ProbeVerdict("Holds", None, shells, notes=("no violation found under this plan",))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from subgrad.dinioracle import (
     DEFAULT_PLAN,
     MAX_SAMPLES_PER_SHELL,
     SamplingPlan,
+    _ShellSeed,
     _l1_ball_points,
     _l1_sphere_points,
     approx_regularity_probe,
@@ -94,13 +95,37 @@ def test_plan_json_round_trip():
     assert again == plan
 
 
-def test_plan_rng_streams_are_tagged():
-    plan = DEFAULT_PLAN
-    a = plan.rng(0, 3).random(4)
-    b = plan.rng(0, 3).random(4)
-    c = plan.rng(1, 3).random(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70 + 5]
+
+
+@given(
+    st.sampled_from(STREAM_SEEDS) | st.integers(0, 2**64 - 1),
+    st.integers(0, 5),
+    st.sampled_from([1, 20, 23]),
+)
+@settings(max_examples=60, deadline=None)
+def test_plan_rng_matches_seedsequence(seed, tag, count):
+    """Every shell's stream is NumPy's SeedSequence(seed mod 2^64,
+    spawn_key=(tag, k)) feeding PCG64, bit for bit."""
+    plan = SamplingPlan(shell_radii=tuple(2.0**-k for k in range(1, count + 1)), seed=seed)
+    for k in range(count):
+        got, want = plan.rng(tag, k), oracles.reference_rng(plan, tag, k)
+        assert np.array_equal(got.random(5), want.random(5))
+        assert np.array_equal(got.standard_exponential(7), want.standard_exponential(7))
+        assert np.array_equal(got.integers(0, 2, 9), want.integers(0, 2, 9))
+    for k in (-1, count):
+        with pytest.raises(IndexError):
+            plan.rng(tag, k)
+
+
+def test_shell_seed_answers_only_pcg64():
+    words = np.zeros(4, dtype=np.uint64)
+    seed = _ShellSeed(words)
+    assert isinstance(seed, np.random.bit_generator.ISeedSequence)
+    assert seed.generate_state(4, np.uint64) is words
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
 
 
 # ---------------------------------------------------------------------------

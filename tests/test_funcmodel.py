@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from subgrad import optimality
 from subgrad.errors import (
+    DimensionMismatch,
     EmptyDomain,
     EvaluationFailure,
     NegativeEps,
@@ -631,6 +632,35 @@ def test_json_round_trips():
 
     with pytest.raises(ParseError):
         function_from_json({"type": "mystery"})
+
+
+BAD_DOMAIN = {"dim": 1, "rows": []}
+DOMAIN_1 = {"dim": 1, "hrep": [{"normal": ["1"], "offset": "1"}]}
+MIXED = [{"slope": ["1", "2"], "intercept": "0"}, {"slope": ["1"], "intercept": "0"}]
+
+
+@pytest.mark.parametrize(
+    "pieces, domain, error, message",
+    [
+        ([{"slope": ["x"], "intercept": "0"}], BAD_DOMAIN, ParseError, "bad rational literal 'x'"),
+        (MIXED[:1] + [{"slope": ["1/0"], "intercept": "0"}], None, ParseError, "bad rational literal '1/0'"),
+        ([], BAD_DOMAIN, ParseError, "polyhedron needs an 'hrep' or a 'vrep'"),
+        (MIXED, BAD_DOMAIN, ParseError, "polyhedron needs an 'hrep' or a 'vrep'"),
+        ([], DOMAIN_1, ParseError, "a piecewise-affine function needs at least one piece"),
+        (MIXED, DOMAIN_1, DimensionMismatch, "pieces have mixed dimensions"),
+        (MIXED[:1], DOMAIN_1, DimensionMismatch, "domain dimension does not match pieces"),
+    ],
+    ids=["piece+domain", "piece+mixed", "empty+domain", "mixed+domain", "empty+dim", "mixed+dim", "dim"],
+)
+def test_pa_from_json_reports_the_first_error(pieces, domain, error, message):
+    """Each piece parses before the domain, and the domain before the
+    piece-count, mixed-dimension and domain-dimension checks."""
+    obj = {"type": "pa_convex", "pieces": pieces}
+    if domain is not None:
+        obj["domain"] = domain
+    with pytest.raises(error) as info:
+        PAConvexFunction.from_json(obj)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_norm_constructors():
