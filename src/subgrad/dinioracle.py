@@ -19,7 +19,8 @@ resolution gate classifies each sample: quotients whose worst-case rounding
 error exceeds a precision budget are kept for divergence detection only, and
 samples whose numerator is smaller than the evaluation noise floor are
 discarded outright.  No shell ends the estimate early, so all shells are
-drawn, each from its own stream, and evaluated in one batch.
+drawn, each from its own stream, and evaluated in groups of shells (one
+group for a default plan), as described under "Shell search".
 
 Streams
 -------
@@ -37,17 +38,28 @@ The membership, regularity and blunt-minimality probes share one verdict
 rule, kept in ``_shell_search``.  Shell k draws only from ``plan.rng(tag,
 k)`` and records {"radius", "inf"}, with "inf" the least margin over its
 usable samples.  The first shell holding a violation that survives the
-probe's own re-check ends the search with FailsWithWitness.  When no shell
-had a usable sample the verdict is Inconclusive; otherwise it is Holds.
-Each shell is one evaluation, so nothing past the first verified violation
-is evaluated.  A regularity shell evaluates its x samples, y samples and
-midpoints together, with a pinned base point as one row: a matrix product
-gives a row the same value at any position in a batch of two or more rows,
-but a one-row product can round differently.  That still holds with the
+probe's own re-check ends the search with FailsWithWitness, and the shell
+records stop there; a shell whose re-check fails does not end it.  When no
+shell had a usable sample the verdict is Inconclusive; otherwise it is
+Holds.
+
+Shell 0 is evaluated alone, since a probe that fails mostly fails there.
+The other shells are evaluated in groups, one ``evaluate_batch`` call per
+group, and each group's margins are reduced as one (shells, samples) array
+before its shells are searched in order.  A verified violation ends the
+search at its group: nothing past that group is evaluated, but the rest of
+the group is, so a black box that fails to evaluate there fails the probe.
+A group, like a Dini estimate's, holds as many shells as fit in
+``_ROWS_PER_EVALUATION`` rows, and a larger shell goes alone.
+
+A regularity group evaluates its x samples, y samples and midpoints
+together, with a pinned base point as one row: a matrix product gives a row
+the same value at any position in a batch of two or more rows, but a
+one-row product can round differently.  That still holds with the
 reductions of ``evaluate_batch`` run along the batch axis, since the
 product is unchanged; a one-piece function is the exception, a
 matrix-vector product at every length whose rows at d = 8 can depend on
-their position.
+their position, in a shell's own rows as in a group's.
 """
 
 from __future__ import annotations
@@ -82,10 +94,18 @@ _TAG_GAP = 4
 _TAG_BLUNT = 5  # optimality.blunt_min_probe
 
 
-# One convex-mode regularity probe at d = 8 peaks near 155 MB of resident
-# memory at this count, about 2 KB a sample (x86-64 Linux, NumPy 2.4): 256
-# times the default count, far short of the gigabytes a count of 10**8 asks for.
+# One convex-mode regularity probe at d = 8 peaks near 117 MB of resident
+# memory at this count, about 2 KB a sample (four pieces, x86-64 Linux, NumPy
+# 2.4): 256 times the default count, far short of the gigabytes a count of
+# 10**8 asks for.  A shell this large is past _ROWS_PER_EVALUATION, so each
+# call holds one shell.
 MAX_SAMPLES_PER_SHELL = 2**16
+
+# The rows of one evaluate_batch call: a probe evaluates as many shells at
+# once as fit, and a larger shell alone.  On the sampling benchmark (seed 1,
+# x86-64 Linux) this budget peaked at 42.9 MB resident, 2^14 rows at 43.6 MB
+# and one call for every shell at 45.4 MB, which was no faster.
+_ROWS_PER_EVALUATION = 2**13
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -330,23 +350,50 @@ def _eval_float(f, x: Sequence) -> float:
     return float(f.evaluate_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
-def _shell_search(plan: SamplingPlan, tag: int, shell, no_samples_note: str) -> ProbeVerdict:
+def _shell_groups(count: int, rows: int, start: int = 0) -> list[range]:
+    """Consecutive shells start..count-1, as many to a group as fit in
+    ``_ROWS_PER_EVALUATION`` rows at ``rows`` rows a shell."""
+    size = max(1, _ROWS_PER_EVALUATION // rows)
+    return [range(k, min(k + size, count)) for k in range(start, count, size)]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """A group's per-shell arrays along a new first axis; a lone shell's as
+    a view, so a shell past the row budget is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _shell_search(
+    plan: SamplingPlan, tag: int, rows: int, draw, evaluate, limit: float, no_samples_note: str
+) -> ProbeVerdict:
     """The shell-verdict rule of the module docstring.
 
-    ``shell(rng, radius)`` draws and evaluates one shell.  It returns the
-    mask of usable samples, their margins, and None or a verified
-    ``(witness, note)``.
+    ``draw(rng, radius)`` draws one shell, which takes at most ``rows`` rows
+    of an evaluation.  ``evaluate(drawn)`` evaluates a group of drawn shells
+    in one ``evaluate_batch`` call.  It returns (shells, samples) arrays of
+    the usable mask and the margins, and ``recheck(j, bad)``, which re-checks
+    the bad samples of the group's shell j and returns None or a verified
+    ``(witness, note)``.  A usable sample is bad when its margin is below
+    ``limit``.
     """
+    radii = plan.shell_radii
     shells: list[dict] = []
     any_usable = False
-    for k, r in enumerate(plan.shell_radii):
-        usable, margins, found = shell(plan.rng(tag, k), r)
+    for group in [range(1)] + _shell_groups(len(radii), rows, 1):
+        usable, margins, recheck = evaluate([draw(plan.rng(tag, k), radii[k]) for k in group])
         any_usable = any_usable or bool(usable.any())
-        inf_margin = float(np.min(margins[usable])) if usable.any() else math.inf
-        shells.append({"radius": float(r), "inf": inf_margin})
-        if found is not None:
-            witness, note = found
-            return ProbeVerdict("FailsWithWitness", witness, shells, notes=(note,))
+        infs = np.where(usable, margins, np.inf).min(axis=1)
+        bad = usable & (margins < limit)
+        has_bad = bad.any(axis=1)
+        for j, k in enumerate(group):
+            shells.append({"radius": float(radii[k]), "inf": float(infs[j])})
+            if has_bad[j]:
+                found = recheck(j, np.flatnonzero(bad[j]))
+                if found is not None:
+                    witness, note = found
+                    return ProbeVerdict("FailsWithWitness", witness, shells, notes=(note,))
+        # free this group's samples before the next group is drawn
+        del usable, margins, recheck, bad
     if not any_usable:
         return ProbeVerdict("Inconclusive", None, shells, notes=(no_samples_note,))
     return ProbeVerdict(
@@ -383,11 +430,9 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     # each shell's anchors are t = r * anchors along u = h itself
     anchors = 2.0 ** (-np.arange(_ANCHORS) / _ANCHORS)
     h_rows = np.tile(hf, (_ANCHORS, 1))
-    # a call holds as many shells as fit in the rows of one largest shell
-    group = max(1, MAX_SAMPLES_PER_SHELL // rows)
-    for start in range(0, len(radii), group):
+    for group in _shell_groups(len(radii), rows):
         ts, us = [], []
-        for k in range(start, min(start + group, len(radii))):
+        for k in group:
             rng = plan.rng(tag, k)
             r = radii[k]
             t_ann = r * 2.0 ** (-rng.random(n // 2))
@@ -406,15 +451,20 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
         precise = finite & (res / t <= _PRECISE_RTOL)
         coarse = finite & ~precise & (np.abs(delta) > res)
         info = precise | coarse
-        for j, r in enumerate(radii[start:start + group]):
-            s = slice(j * rows, (j + 1) * rows)
-            q_s, info_s, precise_s = q[s], info[s], precise[s]
-            absorbed = int((finite[s] & ~info_s).sum())
-            raw = float(np.min(q_s[info_s])) if info_s.any() else math.inf
-            est = float(np.min(q_s[precise_s])) if precise_s.any() else None
+        # one row per shell of the group
+        q_info = np.where(info, q, np.inf).reshape(len(group), rows)
+        shell_raws = q_info.min(axis=1).tolist()
+        shell_best = q_info.argmin(axis=1).tolist()
+        precise = precise.reshape(len(group), rows)
+        shell_ests = np.where(precise, q.reshape(precise.shape), np.inf).min(axis=1).tolist()
+        has_est = precise.any(axis=1).tolist()
+        shell_absorbed = (finite & ~info).reshape(len(group), rows).sum(axis=1).tolist()
+        for j, k in enumerate(group):
+            raw = shell_raws[j]
+            est = shell_ests[j] if has_est[j] else None
             if raw < witness_q:
                 witness_q = raw
-                idx = s.start + int(np.argmin(np.where(info_s, q_s, np.inf)))
+                idx = j * rows + shell_best[j]
                 witness = {
                     "t": float(t[idx]),
                     "u": [float(z) for z in u[idx]],
@@ -423,7 +473,7 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
             raws.append(raw)
             ests.append(est)
             shells.append(
-                {"radius": float(r), "inf": raw, "estimate_inf": est, "absorbed": absorbed}
+                {"radius": float(radii[k]), "inf": raw, "estimate_inf": est, "absorbed": shell_absorbed[j]}
             )
     env = math.inf
     for j in range(len(shells) - 1, -1, -1):
@@ -521,27 +571,34 @@ def eps_subgradient_membership_probe(
             "Inconclusive", None, [], notes=("f is not finite at the base point",)
         )
     scale = max(1.0, abs(fx))
+    n = plan.samples_per_shell
 
-    def shell(rng, r):
-        w = _l1_ball_points(rng, plan.samples_per_shell, dim, r)
+    def draw(rng, r):
+        return _l1_ball_points(rng, n, dim, r)
+
+    def evaluate(drawn):
+        w = _stack(drawn)
         with np.errstate(over="ignore"):
-            pts = xf[None, :] + w
-        fv = f.evaluate_batch(pts)
-        norms = np.abs(w).sum(axis=1)
+            pts = xf + w
+        fv = f.evaluate_batch(pts.reshape(-1, dim)).reshape(len(drawn), n)
+        norms = np.abs(w).sum(axis=2)
         margin = fv - fx - w @ sf + (a + e) * norms
         usable = np.isfinite(fv) & (norms > 0)
-        bad = np.flatnonzero(usable & (margin < -_VERIFY_RTOL * scale))
-        if not len(bad):
-            return usable, margin, None
-        best = min(bad, key=_lex_key(pts, margin))
-        witness = {
-            "x": [float(z) for z in pts[best]],
-            "f_x": float(fv[best]),
-            "margin": float(margin[best]),
-        }
-        return usable, margin, (witness, "inequality violated at the witness point")
 
-    verdict = _shell_search(plan, _TAG_MEMBER, shell, "no evaluable samples")
+        def recheck(j, bad):
+            best = min(bad, key=_lex_key(pts[j], margin[j]))
+            witness = {
+                "x": [float(z) for z in pts[j, best]],
+                "f_x": float(fv[j, best]),
+                "margin": float(margin[j, best]),
+            }
+            return witness, "inequality violated at the witness point"
+
+        return usable, margin, recheck
+
+    verdict = _shell_search(
+        plan, _TAG_MEMBER, n, draw, evaluate, -_VERIFY_RTOL * scale, "no evaluable samples"
+    )
     if not verdict.holds:
         return verdict
     calm = calmness_probe(f, x, plan)
@@ -595,8 +652,10 @@ def approx_regularity_probe(
     n = plan.samples_per_shell
     # one row of ts per anchor mix parameter, the same in every shell
     anchor_rows = np.repeat([0.25, 0.5, 0.75], n)
+    pinned = mode != "convex"
 
-    def shell(rng, r):
+    def draw(rng, r):
+        ys0 = None  # the base point, in the pinned modes
         # a sample past float range is inf, and its margins are dropped
         with np.errstate(over="ignore"):
             if mode == "convex":
@@ -609,52 +668,66 @@ def approx_regularity_probe(
                 ys0 = centers - ((1.0 - rho) * ell)[:, None] * dirs
             elif mode == "starshaped":
                 xs0 = xf[None, :] + _l1_ball_points(rng, n, dim, r)
-                ys0 = xf[None, :]
             else:
                 vs = df[None, :] + _l1_ball_points(rng, n, dim, r)
                 s = r * rng.random(n)
                 xs0 = xf[None, :] + s[:, None] * vs
-                ys0 = xf[None, :]
-            # ts[j, i] mixes pair i: one row per anchor, then a random row
-            ts = np.concatenate([anchor_rows, rng.random(n)]).reshape(-1, n)
-            mids = (ts[:, :, None] * xs0 + (1.0 - ts)[:, :, None] * ys0).reshape(-1, dim)
-        vals = f.evaluate_batch(np.vstack([xs0, ys0, mids]))
-        fxv, fyv, fm = vals[:n], vals[n:n + len(ys0)], vals[n + len(ys0):].reshape(ts.shape)
-        dist = np.abs(xs0 - ys0).sum(axis=1)
+        # ts[j, i] mixes pair i: one row per anchor, then a random row
+        return xs0, ys0, np.concatenate([anchor_rows, rng.random(n)]).reshape(-1, n)
+
+    def evaluate(drawn):
+        g = len(drawn)
+        xs0 = _stack([d[0] for d in drawn])
+        # the pinned y is the base point, evaluated once as one row
+        ys0 = xf[None, None, :] if pinned else _stack([d[1] for d in drawn])
+        ts = _stack([d[2] for d in drawn])
+        with np.errstate(over="ignore"):
+            mids = ts[..., None] * xs0[:, None] + (1.0 - ts)[..., None] * ys0[:, None]
+        y_rows = ys0.reshape(-1, dim)
+        vals = f.evaluate_batch(np.vstack([xs0.reshape(-1, dim), y_rows, mids.reshape(-1, dim)]))
+        fxv = vals[:g * n].reshape(g, 1, n)
+        fyv = vals[g * n:g * n + len(y_rows)].reshape(ys0.shape[:2])[:, None, :]
+        fm = vals[g * n + len(y_rows):].reshape(ts.shape)
+        dist = np.abs(xs0 - ys0).sum(axis=2)[:, None, :]
         rhs = ts * fxv + (1.0 - ts) * fyv + e * ts * (1.0 - ts) * dist
         # inf - inf off the domain gives NaN, which counts as unusable
         with np.errstate(invalid="ignore"):
-            margin = (rhs - fm).ravel()
-        usable = np.isfinite(margin)
-        bad = np.flatnonzero(usable & (margin < -_VERIFY_RTOL * scale))
-        if not len(bad):
-            return usable, margin, None
-        xs = np.tile(xs0, (len(ts), 1))
-        ys = np.tile(np.broadcast_to(ys0, xs0.shape), (len(ts), 1))
-        ts = ts.ravel()
-        best = min(bad, key=_lex_key(xs, ys, ts))
-        xw = [float(z) for z in xs[best]]
-        yw = [float(z) for z in ys[best]]
-        tw = float(ts[best])
-        lhs = _eval_float(f, np.array(xw) * tw + np.array(yw) * (1.0 - tw))
-        rhs = (
-            tw * _eval_float(f, xw)
-            + (1.0 - tw) * _eval_float(f, yw)
-            + e * tw * (1.0 - tw) * float(np.abs(np.array(xw) - np.array(yw)).sum())
-        )
-        if not lhs > rhs:
-            return usable, margin, None
-        witness = {
-            "x": xw,
-            "y": yw,
-            "t": tw,
-            "lhs": lhs,
-            "rhs": rhs,
-            "margin": float(margin[best]),
-        }
-        return usable, margin, (witness, f"{mode} inequality violated at the witness")
+            margin = (rhs - fm).reshape(g, -1)
 
-    return _shell_search(plan, _TAG_APPROX, shell, "no evaluable samples")
+        def recheck(j, bad):
+            reps = ts.shape[1]
+            xs = np.tile(xs0[j], (reps, 1))
+            ys = np.tile(np.broadcast_to(ys0[0 if pinned else j], xs0[j].shape), (reps, 1))
+            tj = ts[j].ravel()
+            best = min(bad, key=_lex_key(xs, ys, tj))
+            xw = [float(z) for z in xs[best]]
+            yw = [float(z) for z in ys[best]]
+            tw = float(tj[best])
+            lhs = _eval_float(f, np.array(xw) * tw + np.array(yw) * (1.0 - tw))
+            rhs = (
+                tw * _eval_float(f, xw)
+                + (1.0 - tw) * _eval_float(f, yw)
+                + e * tw * (1.0 - tw) * float(np.abs(np.array(xw) - np.array(yw)).sum())
+            )
+            if not lhs > rhs:
+                return None
+            witness = {
+                "x": xw,
+                "y": yw,
+                "t": tw,
+                "lhs": lhs,
+                "rhs": rhs,
+                "margin": float(margin[j, best]),
+            }
+            return witness, f"{mode} inequality violated at the witness"
+
+        return np.isfinite(margin), margin, recheck
+
+    # a pinned group also holds the base point's row
+    rows = 5 * n + 1 if pinned else 6 * n
+    return _shell_search(
+        plan, _TAG_APPROX, rows, draw, evaluate, -_VERIFY_RTOL * scale, "no evaluable samples"
+    )
 
 
 def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:

@@ -54,6 +54,7 @@ from .polykernel import (
     IntVector,
     NormSpec,
     Polyhedron,
+    _check_product,
     _dual_vertices,
     _homogeneous,
     _normal_cone,
@@ -306,6 +307,7 @@ class PAConvexFunction:
 
 def _plus(f: PAConvexFunction, rows: Sequence[IntVector], den: int, domain: Polyhedron) -> PAConvexFunction:
     """f plus the max of int rows over den, on domain: one piece per pair."""
+    _check_product(len(f._rows), len(rows), "pieces of a sum")
     sums = [tuple(a * den + b * f._den for a, b in zip(p, q)) for p in f._rows for q in rows]
     return PAConvexFunction._of_rows(sums, f._den * den, domain)
 
@@ -437,6 +439,7 @@ def dc_dini_subdifferential_definitional(
         if any(sum(map(mul, z, r)) > 0 for z in facets):
             return Polyhedron.empty(dim)
     # the translate by -v of each point v = (y..., s) of subdiff(h)
+    _check_product(len(facets), len(b._points), "rows of the definitional route")
     return intersect_many([_translate(target, tuple(-y for y in v[:-1]) + v[-1:]) for v in b._points])
 
 

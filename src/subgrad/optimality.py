@@ -418,6 +418,7 @@ def blunt_min_probe(
         _l1_ball_points,
         _lex_key,
         _shell_search,
+        _stack,
     )
 
     if plan is None:
@@ -434,30 +435,37 @@ def blunt_min_probe(
     xf = _as_float_vec(xv, dim)
     normals, offsets = _float_rows(a_set.canonical()._hrep, dim)
 
-    def shell(rng, r):
-        w = _l1_ball_points(rng, plan.samples_per_shell, dim, r)
-        with np.errstate(over="ignore"):
-            pts = xf[None, :] + w
-        feas = _float_feasible(pts, normals, offsets)
-        fv = dc.evaluate_batch(pts)
-        margins = fv - f0f + ef * np.abs(w).sum(axis=1)
-        usable = feas & np.isfinite(fv)
-        cand = np.flatnonzero(usable & (margins < 1e-9))
-        cand = sorted(cand, key=_lex_key(pts))
-        for i in cand:
-            yq = tuple(Fraction(float(z)) for z in pts[i])
-            if not contains_point(a_set, yq):
-                continue
-            fy = dc.evaluate(yq)
-            dist = sum(abs(a - b) for a, b in zip(yq, xv))
-            if fy - f0 + e * dist < 0:
-                witness = {
-                    "x": [float(z) for z in pts[i]],
-                    "x_exact": format_vector(yq),
-                    "f_x": format_rational(fy),
-                    "margin": format_rational(fy - f0 + e * dist),
-                }
-                return usable, margins, (witness, "violation verified in exact arithmetic")
-        return usable, margins, None
+    n = plan.samples_per_shell
 
-    return _shell_search(plan, _TAG_BLUNT, shell, "no feasible samples")
+    def draw(rng, r):
+        return _l1_ball_points(rng, n, dim, r)
+
+    def evaluate(drawn):
+        w = _stack(drawn)
+        with np.errstate(over="ignore"):
+            pts = xf + w
+        rows = pts.reshape(-1, dim)
+        feas = _float_feasible(rows, normals, offsets).reshape(len(drawn), n)
+        fv = dc.evaluate_batch(rows).reshape(len(drawn), n)
+        margins = fv - f0f + ef * np.abs(w).sum(axis=2)
+
+        def recheck(j, cand):
+            for i in sorted(cand, key=_lex_key(pts[j])):
+                yq = tuple(Fraction(float(z)) for z in pts[j, i])
+                if not contains_point(a_set, yq):
+                    continue
+                fy = dc.evaluate(yq)
+                dist = sum(abs(a - b) for a, b in zip(yq, xv))
+                if fy - f0 + e * dist < 0:
+                    witness = {
+                        "x": [float(z) for z in pts[j, i]],
+                        "x_exact": format_vector(yq),
+                        "f_x": format_rational(fy),
+                        "margin": format_rational(fy - f0 + e * dist),
+                    }
+                    return witness, "violation verified in exact arithmetic"
+            return None
+
+        return feas & np.isfinite(fv), margins, recheck
+
+    return _shell_search(plan, _TAG_BLUNT, n, draw, evaluate, 1e-9, "no feasible samples")

@@ -78,7 +78,8 @@ from .rationals import (
 
 @dataclass
 class Caps:
-    """Size limits enforced by representation conversion."""
+    """Size limits enforced by representation conversion, and on the
+    pairwise products that build a representation."""
 
     max_dim: int = 8
     max_facets: int = 100_000
@@ -86,6 +87,12 @@ class Caps:
 
 
 CAPS = Caps()
+
+
+def _check_product(m: int, n: int, what: str) -> None:
+    """Stops a pairwise product of m by n items before it is built."""
+    if m * n > CAPS.max_generators:
+        raise CapExceeded(f"{what}: {m} x {n} exceeds the generator cap {CAPS.max_generators}")
 
 
 class Halfspace(NamedTuple):
@@ -712,6 +719,7 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     if p.is_empty or q.is_empty:
         return Polyhedron.empty(dim)
     (p_points, p_rays), (q_points, q_rays) = p._gens, q._gens
+    _check_product(len(p_points), len(q_points), "Minkowski sum points")
     # x1 / t1 + x2 / t2 = (x1·t2 + x2·t1) / (t1·t2)
     points = [tuple(a * w[-1] + b * v[-1] for a, b in zip(v[:-1], w)) + (v[-1] * w[-1],)
               for v in p_points for w in q_points]

@@ -692,6 +692,118 @@ def dini_reference(f, x, h, plan, tag=0):
     return D.DiniEstimate(estimate, stable, diverged, shells, witness)
 
 
+def _shell_search_reference(plan, tag, shell, no_samples_note):
+    """The shell-search rule, one shell at a time: ``shell(rng, r)`` draws
+    and evaluates one shell and returns its usable mask, its margins and
+    None or a verified (witness, note)."""
+    import math
+
+    from subgrad import dinioracle as D
+
+    shells = []
+    any_usable = False
+    for k, r in enumerate(plan.shell_radii):
+        usable, margins, found = shell(reference_rng(plan, tag, k), r)
+        any_usable = any_usable or bool(usable.any())
+        shells.append({"radius": float(r), "inf": float(np.min(margins[usable])) if usable.any() else math.inf})
+        if found is not None:
+            return D.ProbeVerdict("FailsWithWitness", found[0], shells, notes=(found[1],))
+    if not any_usable:
+        return D.ProbeVerdict("Inconclusive", None, shells, notes=(no_samples_note,))
+    return D.ProbeVerdict("Holds", None, shells, notes=("no violation found under this plan",))
+
+
+def membership_reference(f, x, xstar, eps, alpha, plan):
+    """``eps_subgradient_membership_probe`` with one draw and one evaluation
+    per shell, each shell drawing from ``reference_rng``, then the calmness
+    probe when the search finds nothing."""
+    import math
+    from dataclasses import replace
+
+    from subgrad import dinioracle as D
+    from subgrad.rationals import parse_rational, to_float
+
+    e = to_float(parse_rational(eps))
+    a = to_float(parse_rational(alpha))
+    dim = f.dim
+    xf = D._as_float_vec(x, dim)
+    sf = D._as_float_vec(xstar, dim)
+    fx = D._eval_float(f, xf)
+    if not math.isfinite(fx):
+        return D.ProbeVerdict("Inconclusive", None, [], notes=("f is not finite at the base point",))
+    scale = max(1.0, abs(fx))
+
+    def shell(rng, r):
+        w = D._l1_ball_points(rng, plan.samples_per_shell, dim, r)
+        with np.errstate(over="ignore"):
+            pts = xf[None, :] + w
+        fv = f.evaluate_batch(pts)
+        norms = np.abs(w).sum(axis=1)
+        margin = fv - fx - w @ sf + (a + e) * norms
+        usable = np.isfinite(fv) & (norms > 0)
+        bad = np.flatnonzero(usable & (margin < -D._VERIFY_RTOL * scale))
+        if not len(bad):
+            return usable, margin, None
+        best = min(bad, key=D._lex_key(pts, margin))
+        witness = {"x": [float(z) for z in pts[best]], "f_x": float(fv[best]), "margin": float(margin[best])}
+        return usable, margin, (witness, "inequality violated at the witness point")
+
+    verdict = _shell_search_reference(plan, D._TAG_MEMBER, shell, "no evaluable samples")
+    if not verdict.holds:
+        return verdict
+    calm = D.calmness_probe(f, x, plan)
+    if calm.holds:
+        return replace(verdict, notes=verdict.notes + calm.notes)
+    return D.ProbeVerdict(
+        "Inconclusive", None, verdict.shells, notes=("no violation found, but calmness is " + calm.status,)
+    )
+
+
+def blunt_reference(p, x, eps, plan):
+    """``blunt_min_probe`` with one draw and one evaluation per shell, each
+    shell drawing from ``reference_rng``, with the row-major feasibility
+    mask and each candidate re-checked in exact arithmetic."""
+    from subgrad import dinioracle as D
+    from subgrad.funcmodel import _float_rows
+    from subgrad.optimality import _feasible_point
+    from subgrad.rationals import parse_rational, to_float
+
+    e = parse_rational(eps)
+    a_set, xv = _feasible_point(p.constraints, x)
+    dc = p.objective
+    f0 = dc.evaluate(xv)
+    dim = p.constraints.dim
+    xf = D._as_float_vec(xv, dim)
+    hrep = a_set.canonical()._hrep
+    normals, offsets = _float_rows(hrep, dim)
+
+    def shell(rng, r):
+        w = D._l1_ball_points(rng, plan.samples_per_shell, dim, r)
+        with np.errstate(over="ignore"):
+            pts = xf[None, :] + w
+        feas = float_feasible_reference(pts, normals, offsets)
+        fv = dc.evaluate_batch(pts)
+        margins = fv - to_float(f0) + to_float(e) * np.abs(w).sum(axis=1)
+        usable = feas & np.isfinite(fv)
+        for i in sorted(np.flatnonzero(usable & (margins < 1e-9)), key=D._lex_key(pts)):
+            yq = tuple(Fraction(float(z)) for z in pts[i])
+            if any(sum(a * y for a, y in zip(z[:-1], yq)) > z[-1] for z in hrep):
+                continue
+            fy = dc.evaluate(yq)
+            margin = fy - f0 + e * sum(abs(a - b) for a, b in zip(yq, xv))
+            if margin < 0:
+                witness = {
+                    "x": [float(z) for z in pts[i]],
+                    "x_exact": format_vector(yq),
+                    "f_x": format_rational(fy),
+                    "margin": format_rational(margin),
+                }
+                return usable, margins, (witness, "violation verified in exact arithmetic")
+        return usable, margins, None
+
+    return _shell_search_reference(plan, D._TAG_BLUNT, shell, "no feasible samples")
+
+
 def regularity_reference(f, x, eps, mode, plan, direction=None):
     """``approx_regularity_probe`` with three evaluations per shell (x
     samples, y samples with the base point repeated n times, midpoints) on
@@ -763,17 +875,7 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
         witness = {"x": xw, "y": yw, "t": tw, "lhs": lhs, "rhs": rhs, "margin": float(margin[best])}
         return usable, margin, (witness, f"{mode} inequality violated at the witness")
 
-    shells = []
-    any_usable = False
-    for k, r in enumerate(plan.shell_radii):
-        usable, margins, found = shell(reference_rng(plan, D._TAG_APPROX, k), r)
-        any_usable = any_usable or bool(usable.any())
-        shells.append({"radius": float(r), "inf": float(np.min(margins[usable])) if usable.any() else math.inf})
-        if found is not None:
-            return D.ProbeVerdict("FailsWithWitness", found[0], shells, notes=(found[1],))
-    if not any_usable:
-        return D.ProbeVerdict("Inconclusive", None, shells, notes=("no evaluable samples",))
-    return D.ProbeVerdict("Holds", None, shells, notes=("no violation found under this plan",))
+    return _shell_search_reference(plan, D._TAG_APPROX, shell, "no evaluable samples")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -667,6 +668,24 @@ def test_main_restores_caps(monkeypatch):
     assert CAPS == before
     assert cli.main(["stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json")]) == 3
     assert CAPS == before
+
+
+def test_sum_rule_stops_at_the_product_cap(tmp_path, capsys):
+    # the sum of 2,000 + 2,000 pieces would build one piece per pair, 4e6 of
+    # them, before anything else looked at its size
+    from subgrad import cli
+
+    def pieces(sign):
+        return {"type": "pa_convex", "pieces": [{"slope": [str(sign * k)], "intercept": str(-k * k)} for k in range(2000)]}
+
+    scenario = tmp_path / "sum.json"
+    scenario.write_text(json.dumps({
+        "kind": "check", "claim": "sumrule12", "f": pieces(1), "g": pieces(-1), "point": "0", "eps": "1/2", "eta": "1/2",
+    }))
+    start = time.perf_counter()
+    assert cli.main(["run", str(scenario)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the generator cap" in capsys.readouterr().err
 
 
 def test_max_dim_flag():

@@ -22,6 +22,7 @@ from subgrad.dinioracle import (
     DEFAULT_PLAN,
     MAX_SAMPLES_PER_SHELL,
     SamplingPlan,
+    _ROWS_PER_EVALUATION,
     _ShellSeed,
     _l1_ball_points,
     _l1_sphere_points,
@@ -38,8 +39,10 @@ from subgrad.funcmodel import (
     DCFunction,
     PAConvexFunction,
     abs_function,
+    l1_norm_function,
     linear_function,
 )
+from subgrad.optimality import ConstraintSystem, ProblemInstance, blunt_min_probe
 from subgrad.polykernel import Polyhedron
 
 F = Fraction
@@ -450,6 +453,19 @@ def test_dini_estimate_matches_reference(fx, plan, h, tag):
     assert got == _json_or_failure(oracles.dini_reference, f, x, h, plan, tag)
 
 
+# Failures the goldens never reach, all of whose probes fail at shell 0: the
+# first verified violation in shell 4, inside the group of shells 1-19, and,
+# with OpenBLAS on x86-64, a shell whose bad sample fails the re-check (its
+# one-row values round otherwise) before a later shell with a verified one.
+# The slopes of STEEP are 2^30 around a base point where it is 0, so its
+# margins are rounding noise.
+EIGHT_PER_SHELL = replace(DEFAULT_PLAN, samples_per_shell=8)
+STEEP_X = (F(1000), F(-700))
+STEEP = PAConvexFunction(
+    [(a, -(a[0] * STEEP_X[0] + a[1] * STEEP_X[1])) for a in ((F(2**30), F(3 * 2**30)), (F(-(2**30)), F(2**29)))]
+)
+
+
 @given(
     probe_functions(),
     probe_plans(),
@@ -460,12 +476,72 @@ def test_dini_estimate_matches_reference(fx, plan, h, tag):
 @example((STAIRCASE, (F(0),)), DEFAULT_PLAN, "convex", F(1, 100), [1, 0, 0, 0])
 @example((PINNED, (F(1, 2),)), DEFAULT_PLAN, "starshaped", F(1, 10), [1, 0, 0, 0])
 @example((PINNED, (F(1, 2),)), DEFAULT_PLAN, "directional", F(1, 10), [1, 0, 0, 0])
+@example((NEG_ABS, (F(0),)), replace(EIGHT_PER_SHELL, seed=3), "convex", F(1, 100), [1, 0, 0, 0])
+@example((STEEP, STEEP_X), replace(EIGHT_PER_SHELL, seed=0), "starshaped", F(1, 100), [1, 0, 0, 0])
 @settings(max_examples=120, deadline=None)
 def test_regularity_probe_matches_reference(fx, plan, mode, eps, direction):
     f, x = fx
     direction = direction[: f.dim]
     got = _json_or_failure(approx_regularity_probe, f, x, eps, mode, plan, direction=direction)
     assert got == _json_or_failure(oracles.regularity_reference, f, x, eps, mode, plan, direction)
+
+
+@given(
+    probe_functions(),
+    probe_plans(),
+    st.lists(small_rationals, min_size=4, max_size=4),
+    st.sampled_from([F(0), F(1, 10), F(1)]),
+    st.sampled_from([F(1, 100), F(1, 4), F(2)]),
+)
+# ||y||_1 at 0 against (3/2, 0): violations fill a narrow cone, first met in shell 4
+@example((l1_norm_function(2), (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=3),
+         [F(3, 2), F(0), F(0), F(0)], F(0), F(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_membership_probe_matches_reference(fx, plan, xstar, eps, alpha):
+    f, x = fx
+    xstar = xstar[: f.dim]
+    got = _json_or_failure(eps_subgradient_membership_probe, f, x, xstar, eps, alpha, plan)
+    assert got == _json_or_failure(oracles.membership_reference, f, x, xstar, eps, alpha, plan)
+
+
+@st.composite
+def blunt_problems(draw):
+    """An objective from ``probe_functions`` (a PA f as f - 0), over the box
+    of radius 1 around its base point cut by one K-row through that point."""
+    f, x = draw(probe_functions().filter(lambda fx: not isinstance(fx[0], BlackBoxFunction)))
+    dim = f.dim
+    if isinstance(f, PAConvexFunction):
+        f = DCFunction(f, linear_function([0] * dim))
+    unit = [tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)]
+    box = Polyhedron.from_hrep(
+        [(u, x[i] + 1) for i, u in enumerate(unit)] + [(tuple(-v for v in u), 1 - x[i]) for i, u in enumerate(unit)],
+        dim,
+    )
+    row = draw(st.tuples(*[small_rationals] * dim))
+    cs = ConstraintSystem(box, [row], [-sum(a * b for a, b in zip(row, x))])
+    return ProblemInstance(f, cs), x
+
+
+# -2 y2 - 3 max(0, y1 + 10 y2) on y2 <= 0 at 0: the feasible violations fill
+# a narrow cone, first met in shell 4; on shells of radius 1e-9 and below,
+# samples with 0 < y2 pass the float prefilter's 1e-9 slack, and their exact
+# re-check fails in shells 0-3 before shell 4 holds a verified violation
+CUT = ProblemInstance(
+    DCFunction(linear_function([0, 0]), PAConvexFunction([((F(0), F(2)), F(0)), ((F(3), F(32)), F(0))])),
+    ConstraintSystem(Polyhedron.from_hrep([((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1)),
+                                           ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(1))], 2), [[0, 1]], [0]),
+)
+
+
+@given(blunt_problems(), probe_plans(), st.sampled_from([F(1, 100), F(1, 10), F(1, 2), F(2)]))
+@example((CUT, (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=6), F(1, 2))
+@example((CUT, (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=6, shell_radii=tuple(1e-9 * 2.0**-k for k in range(20))),
+         F(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_blunt_probe_matches_reference(px, plan, eps):
+    p, x = px
+    got = json.dumps(blunt_min_probe(p, x, eps, plan).to_json())
+    assert got == json.dumps(oracles.blunt_reference(p, x, eps, plan).to_json())
 
 
 def test_probes_batch_their_evaluations(monkeypatch):
@@ -479,21 +555,41 @@ def test_probes_batch_their_evaluations(monkeypatch):
     monkeypatch.setattr(PAConvexFunction, "evaluate_batch", counted)
     f = PAConvexFunction([((F(1), F(2)), F(0)), ((F(-1), F(0)), F(1))])
     x = (F(1, 2), F(0))
-    shells = len(DEFAULT_PLAN.shell_radii)
+
+    def probes(plan):
+        """Each probe's call lengths under plan, all of them Holds."""
+        out = {}
+        for name, run in (
+            ("dini", lambda: dini_directional_estimate(f, x, (F(1), F(-1)), plan)),
+            ("membership", lambda: eps_subgradient_membership_probe(f, x, (F(1), F(2)), F(0), F(1, 4), plan)),
+            *(
+                (mode, lambda mode=mode: approx_regularity_probe(f, x, F(1, 10), mode, plan, direction=(F(1), F(0))))
+                for mode in ("convex", "starshaped", "directional")
+            ),
+        ):
+            calls.clear()
+            result = run()
+            assert name == "dini" or result.holds, name
+            out[name] = list(calls)
+        return out
+
+    assert len(DEFAULT_PLAN.shell_radii) == 20
     n = DEFAULT_PLAN.samples_per_shell
-    dini_directional_estimate(f, x, (F(1), F(-1)))
-    assert calls == [1, shells * (n + 8)], "the base point, then every shell in one call"
-    calls.clear()
-    big = replace(DEFAULT_PLAN, shell_radii=(0.5, 0.25, 0.125), samples_per_shell=2**15)
-    dini_directional_estimate(f, x, (F(1), F(-1)), big)
-    assert calls == [1] + [2**15 + 8] * 3, "no call holds more rows than one largest shell"
-    for mode, y_rows in (("convex", n), ("starshaped", 1), ("directional", 1)):
-        calls.clear()
-        v = approx_regularity_probe(f, x, F(1, 10), mode, direction=(F(1), F(0)))
-        assert v.holds
-        # the base point, then per shell the x samples, the y samples (the
-        # base point once in the pinned modes) and four midpoints per pair
-        assert calls == [1] + [n + y_rows + 4 * n] * shells
+    got = probes(DEFAULT_PLAN)
+    # the base point, then all shells in one call
+    assert got["dini"] == [1, 20 * (n + 8)]
+    # the base point, shell 0 alone, then groups of shells within the budget
+    assert got["membership"] == [1, n, 19 * n]
+    # x samples, y samples and four midpoints per pair: five shells a group
+    assert got["convex"] == [1, 6 * n] + [5 * 6 * n] * 3 + [4 * 6 * n]
+    # the pinned y is the base point, one row of each call: six shells a group
+    assert got["starshaped"] == got["directional"] == [1, 5 * n + 1] + [6 * 5 * n + 1] * 3 + [5 * n + 1]
+    assert all(max(lengths) <= _ROWS_PER_EVALUATION for lengths in got.values())
+    n = MAX_SAMPLES_PER_SHELL
+    shell = {"dini": n + 8, "membership": n, "convex": 6 * n, "starshaped": 5 * n + 1, "directional": 5 * n + 1}
+    big = replace(DEFAULT_PLAN, shell_radii=(0.5, 0.25, 0.125), samples_per_shell=n)
+    for name, lengths in probes(big).items():
+        assert lengths == [1] + [shell[name]] * 3, f"{name}: a shell past the budget goes alone"
 
 
 # ---------------------------------------------------------------------------
