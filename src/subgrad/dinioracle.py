@@ -19,37 +19,39 @@ resolution gate classifies each sample: quotients whose worst-case rounding
 error exceeds a precision budget are kept for divergence detection only, and
 samples whose numerator is smaller than the evaluation noise floor are
 discarded outright.  No shell ends the estimate early, so all shells are
-drawn, each from its own stream, and evaluated in groups of shells (one
-group for a default plan), as described under "Shell search".
+drawn and evaluated in groups of shells (one group for a default plan).
 
 Streams
 -------
-Shell k of probe tag t draws from PCG64 seeded by
-``SeedSequence(seed mod 2^64, spawn_key=(t, k))`` (NumPy's NEP 19
-construction).  ``SamplingPlan.rng`` does not build that SeedSequence: the
-seed and tag words are mixed once in Python ints, and the shell word and the
-output hash run over every shell of the plan in a few uint32 array
-operations, giving one cached table of PCG64 seed words per (seed, tag).
-The test suite pins every row of it to NumPy's construction.
+Each probe call draws from one stream, PCG64 seeded by
+``SeedSequence(seed mod 2^64, spawn_key=(tag,))`` with the probe's tag
+(NumPy's NEP 19 construction).  The stream is drawn in the probe's
+evaluation schedule: a group of shells takes one call per random quantity,
+with the group's radii as a per-row column, and every array drawn has a
+leading shell axis.  The Dini estimate (also under calmness) draws its
+groups from shell 0, the shell searches draw shell 0 alone and then their
+groups, and the gap probe draws all its shells, at most 16 rows a shell, in
+one call.  A shell's samples therefore depend on the plan's shells and
+sample count, not only on its own radius.
 
 Shell search
 ------------
 The membership, regularity and blunt-minimality probes share one verdict
-rule, kept in ``_shell_search``.  Shell k draws only from ``plan.rng(tag,
-k)`` and records {"radius", "inf"}, with "inf" the least margin over its
-usable samples.  The first shell holding a violation that survives the
-probe's own re-check ends the search with FailsWithWitness, and the shell
-records stop there; a shell whose re-check fails does not end it.  When no
-shell had a usable sample the verdict is Inconclusive; otherwise it is
-Holds.
+rule, kept in ``_shell_search``.  Each shell records {"radius", "inf"},
+with "inf" the least margin over its usable samples.  The first shell
+holding a violation that survives the probe's own re-check ends the search
+with FailsWithWitness, and the shell records stop there; a shell whose
+re-check fails does not end it.  When no shell had a usable sample the
+verdict is Inconclusive; otherwise it is Holds.
 
-Shell 0 is evaluated alone, since a probe that fails mostly fails there.
-The other shells are evaluated in groups, one ``evaluate_batch`` call per
-group, and each group's margins are reduced as one (shells, samples) array
-before its shells are searched in order.  A verified violation ends the
-search at its group: nothing past that group is evaluated, but the rest of
-the group is, so a black box that fails to evaluate there fails the probe.
-A group, like a Dini estimate's, holds as many shells as fit in
+Shell 0 is drawn and evaluated alone, since a probe that fails mostly fails
+there, and a failure there draws nothing more.  The other shells are drawn
+and evaluated in groups, one ``evaluate_batch`` call per group, and each
+group's margins are reduced as one (shells, samples) array before its
+shells are searched in order.  A verified violation ends the search at its
+group: nothing past that group is drawn or evaluated, but the rest of the
+group is, so a black box that fails to evaluate there fails the probe.  A
+group, like a Dini estimate's, holds as many shells as fit in
 ``_ROWS_PER_EVALUATION`` rows, and a larger shell goes alone.
 
 A regularity group evaluates its x samples, y samples and midpoints
@@ -57,14 +59,12 @@ together, with a pinned base point as one row: a matrix product gives a row
 the same value at any position in a batch of two or more rows, but a
 one-row product can round differently.  That still holds with the
 reductions of ``evaluate_batch`` run along the batch axis, since the
-product is unchanged; a one-piece function is the exception, a
-matrix-vector product at every length whose rows at d = 8 can depend on
-their position, in a shell's own rows as in a group's.
+product is unchanged, and for one-piece functions, whose lone row the
+float models hold twice so that the product is never matrix-vector.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -108,95 +108,6 @@ MAX_SAMPLES_PER_SHELL = 2**16
 _ROWS_PER_EVALUATION = 2**13
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-
-
-def _words32(value: int) -> list[int]:
-    """A nonnegative int as little-endian 32-bit words, as SeedSequence reads it."""
-    if value < 0:
-        raise ValueError("stream keys must be nonnegative")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_consts(hc: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The next ``count`` (xor, multiplier) pairs of a SeedSequence hash
-    constant, as uint32 arrays, and the constant after them."""
-    xors, muls = [], []
-    for _ in range(count):
-        xors.append(hc)
-        hc = hc * mult & _MASK32
-        muls.append(hc)
-    return np.array(xors, dtype=np.uint32), np.array(muls, dtype=np.uint32), hc
-
-
-# generate_state(4, uint64) hashes the pool cyclically into eight 32-bit words
-_OUT_XOR, _OUT_MUL, _ = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-@functools.lru_cache(maxsize=64)
-def _stream_table(seed: int, tag: int, count: int) -> np.ndarray:
-    """PCG64 seed words of shells 0..count-1 of one probe: row k equals
-    ``SeedSequence(seed, spawn_key=(tag, k)).generate_state(4, np.uint64)``.
-
-    The entropy is the seed's words zero-padded to the pool, the tag's words,
-    then k.  Everything before k is the same in every row, so it is mixed
-    once here; k and the output hash run over all rows at once.
-    """
-    hc = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hc
-        value ^= hc
-        hc = hc * _MULT_A & _MASK32
-        value = value * hc & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return value ^ (value >> 16)
-
-    words = _words32(seed)
-    entropy = words + [0] * (_POOL - len(words)) + _words32(tag)
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL:]:
-        pool = [mix(p, hashmix(w)) for p in pool]
-    xors, muls, _ = _hash_consts(hc, _MULT_A, _POOL)
-    k = np.arange(count, dtype=np.uint32)[:, None]
-    h = (k ^ xors) * muls
-    h ^= h >> 16
-    p = np.array([_MIX_MULT_L * v & _MASK32 for v in pool], dtype=np.uint32) - np.uint32(_MIX_MULT_R) * h
-    p ^= p >> 16
-    out = (p[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_XOR) * _OUT_MUL
-    out ^= out >> 16
-    table = out.astype("<u4", order="C").view("<u8").astype(np.uint64)
-    table.flags.writeable = False
-    return table
-
-
-class _ShellSeed(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 one row of a stream table as its seed words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a shell seed holds only PCG64's 4 uint64 words")
-        return self.words
-
-
 def _default_radii() -> tuple[float, ...]:
     return tuple(2.0 ** -k for k in range(1, 21))
 
@@ -213,11 +124,10 @@ def _is_real(value) -> bool:
 class SamplingPlan:
     """Deterministic sampling schedule shared by all probes.
 
-    shell_radii must decrease strictly; every random stream is derived from
-    seed and the (probe, shell) pair, so verdicts are independent of
-    threading and evaluation order.  ``rng(tag, k)`` is PCG64 seeded by
-    ``SeedSequence(seed mod 2^64, spawn_key=(tag, k))``, read from one table
-    of seed words per (seed, tag) that covers every shell of the plan.
+    shell_radii must decrease strictly.  ``rng(tag)`` is the one stream of
+    a probe call, PCG64 seeded by ``SeedSequence(seed mod 2^64,
+    spawn_key=(tag,))``, and each probe draws its shells from it in a fixed
+    schedule, so verdicts are independent of threading and of other probes.
     """
 
     shell_radii: tuple[float, ...] = field(default_factory=_default_radii)
@@ -252,12 +162,9 @@ class SamplingPlan:
         if self.stabilization_tol <= 0:
             raise ParseError("stabilization_tol must be positive")
 
-    def rng(self, tag: int, shell_index: int) -> np.random.Generator:
-        count = len(self.shell_radii)
-        if not 0 <= shell_index < count:
-            raise IndexError(f"shell {shell_index} is not a shell of this plan")
-        words = _stream_table(self.seed & 0xFFFFFFFFFFFFFFFF, tag, count)[shell_index]
-        return np.random.Generator(np.random.PCG64(_ShellSeed(words)))
+    def rng(self, tag: int) -> np.random.Generator:
+        seq = np.random.SeedSequence(self.seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(tag,))
+        return np.random.Generator(np.random.PCG64(seq))
 
     def to_json(self) -> dict:
         return record_json(self)
@@ -314,15 +221,18 @@ def _random_signs(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, size=(n, dim)) - 1.0
 
 
-def _l1_ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+def _l1_ball_points(rng: np.random.Generator, n: int, dim: int, radius) -> np.ndarray:
     """n uniform points in the closed l1 ball of the given radius, in O(n*dim).
 
-    With E_0, ..., E_dim i.i.d. standard exponentials, the spacings
+    ``radius`` is a number or an (n, 1) column of one radius a row.  With
+    E_0, ..., E_dim i.i.d. standard exponentials, the spacings
     E_i / (E_0 + ... + E_dim), i < dim, are uniform on the solid simplex
     {y >= 0, sum(y) <= 1}; independent fair signs then spread the point
     uniformly over the 2^dim orthants (Devroye 1986, Non-Uniform Random
     Variate Generation, ch. V).  No draw is rejected, so the cost does not
-    grow like dim! as rejection from the enclosing cube does.
+    grow like dim! as rejection from the enclosing cube does.  One Laplace
+    draw would give sign and size at once, but NumPy's Laplace sampler made
+    the grouped draws slower than these two.
     """
     e = rng.standard_exponential((n, dim + 1))
     simplex = e[:, :dim] / e.sum(axis=1, keepdims=True)
@@ -338,6 +248,12 @@ def _l1_sphere_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     e[small, 0] = 1.0
     norms[small] = 1.0
     return _random_signs(rng, n, dim) * (e / norms[:, None])
+
+
+def _ball_shells(rng: np.random.Generator, radii: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """n l1-ball points around 0 for each radius, as a (shells, n, dim) array
+    drawn in one call."""
+    return _l1_ball_points(rng, len(radii) * n, dim, np.repeat(radii, n)[:, None]).reshape(len(radii), n, dim)
 
 
 def _as_float_vec(x: Sequence, dim: int) -> np.ndarray:
@@ -357,30 +273,26 @@ def _shell_groups(count: int, rows: int, start: int = 0) -> list[range]:
     return [range(k, min(k + size, count)) for k in range(start, count, size)]
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """A group's per-shell arrays along a new first axis; a lone shell's as
-    a view, so a shell past the row budget is not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _shell_search(
     plan: SamplingPlan, tag: int, rows: int, draw, evaluate, limit: float, no_samples_note: str
 ) -> ProbeVerdict:
     """The shell-verdict rule of the module docstring.
 
-    ``draw(rng, radius)`` draws one shell, which takes at most ``rows`` rows
-    of an evaluation.  ``evaluate(drawn)`` evaluates a group of drawn shells
-    in one ``evaluate_batch`` call.  It returns (shells, samples) arrays of
-    the usable mask and the margins, and ``recheck(j, bad)``, which re-checks
-    the bad samples of the group's shell j and returns None or a verified
-    ``(witness, note)``.  A usable sample is bad when its margin is below
-    ``limit``.
+    ``draw(rng, radii)`` draws a group of shells from the probe's stream,
+    one call per random quantity, each array with a leading shell axis; a
+    shell takes at most ``rows`` rows of an evaluation.  ``evaluate(drawn)``
+    evaluates the group in one ``evaluate_batch`` call.  It returns (shells,
+    samples) arrays of the usable mask and the margins, and ``recheck(j,
+    bad)``, which re-checks the bad samples of the group's shell j and
+    returns None or a verified ``(witness, note)``.  A usable sample is bad
+    when its margin is below ``limit``.
     """
-    radii = plan.shell_radii
+    rng = plan.rng(tag)
+    radii = np.array(plan.shell_radii)
     shells: list[dict] = []
     any_usable = False
     for group in [range(1)] + _shell_groups(len(radii), rows, 1):
-        usable, margins, recheck = evaluate([draw(plan.rng(tag, k), radii[k]) for k in group])
+        usable, margins, recheck = evaluate(draw(rng, radii[group]))
         any_usable = any_usable or bool(usable.any())
         infs = np.where(usable, margins, np.inf).min(axis=1)
         bad = usable & (margins < limit)
@@ -426,21 +338,17 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     witness_q = math.inf
     n = plan.samples_per_shell
     rows = n + _ANCHORS
-    radii = plan.shell_radii
+    rng = plan.rng(tag)
+    radii = np.array(plan.shell_radii)
     # each shell's anchors are t = r * anchors along u = h itself
     anchors = 2.0 ** (-np.arange(_ANCHORS) / _ANCHORS)
-    h_rows = np.tile(hf, (_ANCHORS, 1))
     for group in _shell_groups(len(radii), rows):
-        ts, us = [], []
-        for k in group:
-            rng = plan.rng(tag, k)
-            r = radii[k]
-            t_ann = r * 2.0 ** (-rng.random(n // 2))
-            t_deep = r * 2.0 ** (-(1.0 + _DEEP_SPAN * rng.random(n - n // 2)))
-            ts.append(np.concatenate([r * anchors, t_ann, t_deep]))
-            us.append(np.vstack([h_rows, hf + _l1_ball_points(rng, n, dim, r)]))
-        t = np.concatenate(ts)
-        u = np.vstack(us)
+        r = radii[group][:, None]
+        t_ann = r * 2.0 ** (-rng.random((len(r), n // 2)))
+        t_deep = r * 2.0 ** (-(1.0 + _DEEP_SPAN * rng.random((len(r), n - n // 2))))
+        t = np.concatenate([r * anchors, t_ann, t_deep], axis=1).ravel()
+        h_rows = np.broadcast_to(hf, (len(r), _ANCHORS, dim))
+        u = np.concatenate([h_rows, hf + _ball_shells(rng, radii[group], n, dim)], axis=1).reshape(-1, dim)
         # samples past float range become inf and fail `finite`
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             pts = xf[None, :] + t[:, None] * u
@@ -573,14 +481,13 @@ def eps_subgradient_membership_probe(
     scale = max(1.0, abs(fx))
     n = plan.samples_per_shell
 
-    def draw(rng, r):
-        return _l1_ball_points(rng, n, dim, r)
+    def draw(rng, radii):
+        return _ball_shells(rng, radii, n, dim)
 
-    def evaluate(drawn):
-        w = _stack(drawn)
+    def evaluate(w):
         with np.errstate(over="ignore"):
             pts = xf + w
-        fv = f.evaluate_batch(pts.reshape(-1, dim)).reshape(len(drawn), n)
+        fv = f.evaluate_batch(pts.reshape(-1, dim)).reshape(len(w), n)
         norms = np.abs(w).sum(axis=2)
         margin = fv - fx - w @ sf + (a + e) * norms
         usable = np.isfinite(fv) & (norms > 0)
@@ -654,33 +561,33 @@ def approx_regularity_probe(
     anchor_rows = np.repeat([0.25, 0.5, 0.75], n)
     pinned = mode != "convex"
 
-    def draw(rng, r):
-        ys0 = None  # the base point, in the pinned modes
+    def draw(rng, radii):
+        g = len(radii)
+        # the pinned y is the base point, evaluated once as one row
+        ys0 = xf[None, None, :]
         # a sample past float range is inf, and its margins are dropped
         with np.errstate(over="ignore"):
             if mode == "convex":
-                w_cap = 0.999 * min(r / 2.0, e)
-                centers = xf[None, :] + _l1_ball_points(rng, n, dim, r / 2.0)
-                dirs = _l1_sphere_points(rng, n, dim)
-                ell = w_cap * rng.random(n)
-                rho = rng.random(n)
-                xs0 = centers + (rho * ell)[:, None] * dirs
-                ys0 = centers - ((1.0 - rho) * ell)[:, None] * dirs
+                w_cap = 0.999 * np.minimum(radii / 2.0, e)[:, None]
+                centers = xf + _ball_shells(rng, radii / 2.0, n, dim)
+                dirs = _l1_sphere_points(rng, g * n, dim).reshape(g, n, dim)
+                ell = w_cap * rng.random((g, n))
+                rho = rng.random((g, n))
+                xs0 = centers + (rho * ell)[..., None] * dirs
+                ys0 = centers - ((1.0 - rho) * ell)[..., None] * dirs
             elif mode == "starshaped":
-                xs0 = xf[None, :] + _l1_ball_points(rng, n, dim, r)
+                xs0 = xf + _ball_shells(rng, radii, n, dim)
             else:
-                vs = df[None, :] + _l1_ball_points(rng, n, dim, r)
-                s = r * rng.random(n)
-                xs0 = xf[None, :] + s[:, None] * vs
-        # ts[j, i] mixes pair i: one row per anchor, then a random row
-        return xs0, ys0, np.concatenate([anchor_rows, rng.random(n)]).reshape(-1, n)
+                vs = df + _ball_shells(rng, radii, n, dim)
+                s = radii[:, None] * rng.random((g, n))
+                xs0 = xf + s[..., None] * vs
+        # ts[k, j, i] mixes pair i of shell k: one row per anchor, then a random row
+        ts = np.concatenate([np.broadcast_to(anchor_rows, (g, 3 * n)), rng.random((g, n))], axis=1)
+        return xs0, ys0, ts.reshape(g, 4, n)
 
     def evaluate(drawn):
-        g = len(drawn)
-        xs0 = _stack([d[0] for d in drawn])
-        # the pinned y is the base point, evaluated once as one row
-        ys0 = xf[None, None, :] if pinned else _stack([d[1] for d in drawn])
-        ts = _stack([d[2] for d in drawn])
+        xs0, ys0, ts = drawn
+        g = len(xs0)
         with np.errstate(over="ignore"):
             mids = ts[..., None] * xs0[:, None] + (1.0 - ts)[..., None] * ys0[:, None]
         y_rows = ys0.reshape(-1, dim)
@@ -760,11 +667,10 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
     n = min(plan.samples_per_shell, 16)
     shells: list[dict] = []
     records: list[tuple[int, list, list]] = []
-    for k, r in enumerate(plan.shell_radii):
-        rng = plan.rng(_TAG_GAP, k)
-        w = _l1_ball_points(rng, n, dim, r)
-        with np.errstate(over="ignore"):
-            pts = xf[None, :] + w
+    radii = plan.shell_radii
+    with np.errstate(over="ignore"):
+        shell_pts = xf + _ball_shells(plan.rng(_TAG_GAP), np.array(radii), n, dim)
+    for k, (r, pts) in enumerate(zip(radii, shell_pts)):
         gaps = []
         used = []
         # a sample past float range has no exact point to promote

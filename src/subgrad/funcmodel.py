@@ -101,13 +101,20 @@ class AffinePiece:
 
 def _float_rows(rows: Sequence[Sequence[int]], dim: int, den: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Float (normals, offsets) of int rows ``(normal..., offset)`` over
-    ``den``, for vectorised prefilters; an int quotient is rounded once."""
+    ``den``, for vectorised prefilters; an int quotient is rounded once.
+
+    A lone row comes back twice: a product with one row is matrix-vector,
+    whose rows at d = 8 took values that depended on their place in the
+    batch, and the max, and, or folds over the rows ignore a duplicate.
+    """
     import numpy as np
 
     try:
         table = np.array([[a / den for a in z] for z in rows], dtype=float).reshape(len(rows), dim + 1)
     except OverflowError as exc:
         raise ParseError("number out of float range") from exc
+    if len(table) == 1:
+        table = np.repeat(table, 2, axis=0)
     return table[:, :dim], table[:, dim]
 
 

@@ -415,10 +415,9 @@ def blunt_min_probe(
         _TAG_BLUNT,
         DEFAULT_PLAN,
         _as_float_vec,
-        _l1_ball_points,
+        _ball_shells,
         _lex_key,
         _shell_search,
-        _stack,
     )
 
     if plan is None:
@@ -437,16 +436,15 @@ def blunt_min_probe(
 
     n = plan.samples_per_shell
 
-    def draw(rng, r):
-        return _l1_ball_points(rng, n, dim, r)
+    def draw(rng, radii):
+        return _ball_shells(rng, radii, n, dim)
 
-    def evaluate(drawn):
-        w = _stack(drawn)
+    def evaluate(w):
         with np.errstate(over="ignore"):
             pts = xf + w
         rows = pts.reshape(-1, dim)
-        feas = _float_feasible(rows, normals, offsets).reshape(len(drawn), n)
-        fv = dc.evaluate_batch(rows).reshape(len(drawn), n)
+        feas = _float_feasible(rows, normals, offsets).reshape(len(w), n)
+        fv = dc.evaluate_batch(rows).reshape(len(w), n)
         margins = fv - f0f + ef * np.abs(w).sum(axis=2)
 
         def recheck(j, cand):

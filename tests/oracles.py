@@ -623,15 +623,25 @@ def float_feasible_reference(pts, normals, offsets) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def reference_rng(plan, tag: int, k: int) -> np.random.Generator:
-    """Shell k's stream of probe tag, built by NumPy's own SeedSequence."""
-    seq = np.random.SeedSequence(plan.seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(tag, k))
+def reference_rng(plan, tag: int) -> np.random.Generator:
+    """The one stream of probe tag, built by NumPy's own SeedSequence."""
+    seq = np.random.SeedSequence(plan.seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(tag,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _ball_draw(rng, radii, n, dim):
+    """n l1-ball points around 0 for each of a group's radii, drawn in one
+    call, as a (shells, n, dim) array."""
+    from subgrad import dinioracle as D
+
+    col = np.repeat(np.asarray(radii), n)[:, None]
+    return D._l1_ball_points(rng, len(radii) * n, dim, col).reshape(len(radii), n, dim)
+
+
 def dini_reference(f, x, h, plan, tag=0):
-    """``dini_directional_estimate`` with one draw and one evaluation per
-    shell, shell by shell, each shell drawing from ``reference_rng``."""
+    """``dini_directional_estimate`` with one evaluation per shell, shell by
+    shell.  Each group of shells is drawn from ``reference_rng`` as the
+    probe draws it: t of the annulus band, t of the deep band, then u."""
     import math
 
     from subgrad import dinioracle as D
@@ -647,16 +657,20 @@ def dini_reference(f, x, h, plan, tag=0):
     raws, ests, shells = [], [], []
     witness = None
     witness_q = math.inf
-    for k, r in enumerate(plan.shell_radii):
-        rng = reference_rng(plan, tag, k)
-        n = plan.samples_per_shell
-        n_ann = n // 2
-        n_deep = n - n_ann
+    rng = reference_rng(plan, tag)
+    n = plan.samples_per_shell
+    n_ann = n // 2
+    n_deep = n - n_ann
+    drawn = []
+    for group in D._shell_groups(len(plan.shell_radii), n + D._ANCHORS):
+        radii = np.array([plan.shell_radii[k] for k in group])
+        t_ann = radii[:, None] * 2.0 ** (-rng.random((len(group), n_ann)))
+        t_deep = radii[:, None] * 2.0 ** (-(1.0 + D._DEEP_SPAN * rng.random((len(group), n_deep))))
+        drawn.extend(zip(t_ann, t_deep, _ball_draw(rng, radii, n, dim)))
+    for r, (t_ann, t_deep, w) in zip(plan.shell_radii, drawn):
         t_anchor = r * 2.0 ** (-np.arange(D._ANCHORS) / D._ANCHORS)
-        t_ann = r * 2.0 ** (-rng.random(n_ann))
-        t_deep = r * 2.0 ** (-(1.0 + D._DEEP_SPAN * rng.random(n_deep)))
         t = np.concatenate([t_anchor, t_ann, t_deep])
-        u = np.vstack([np.tile(hf, (D._ANCHORS, 1)), hf + D._l1_ball_points(rng, n, dim, r)])
+        u = np.vstack([np.tile(hf, (D._ANCHORS, 1)), hf + w])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             pts = xf[None, :] + t[:, None] * u
             fv = f.evaluate_batch(pts)
@@ -692,31 +706,38 @@ def dini_reference(f, x, h, plan, tag=0):
     return D.DiniEstimate(estimate, stable, diverged, shells, witness)
 
 
-def _shell_search_reference(plan, tag, shell, no_samples_note):
-    """The shell-search rule, one shell at a time: ``shell(rng, r)`` draws
-    and evaluates one shell and returns its usable mask, its margins and
-    None or a verified (witness, note)."""
+def _shell_search_reference(plan, tag, rows, draw, shell, no_samples_note):
+    """The shell-search rule, one shell at a time.  ``draw(rng, radii)``
+    draws a group of shells from ``reference_rng`` in the probe's schedule
+    (shell 0, then groups of ``rows``-row shells within the row budget) and
+    returns one draw a shell; ``shell(drawn)`` evaluates one shell's draw
+    alone and returns its usable mask, its margins and None or a verified
+    (witness, note)."""
     import math
 
     from subgrad import dinioracle as D
 
+    rng = reference_rng(plan, tag)
+    radii = plan.shell_radii
     shells = []
     any_usable = False
-    for k, r in enumerate(plan.shell_radii):
-        usable, margins, found = shell(reference_rng(plan, tag, k), r)
-        any_usable = any_usable or bool(usable.any())
-        shells.append({"radius": float(r), "inf": float(np.min(margins[usable])) if usable.any() else math.inf})
-        if found is not None:
-            return D.ProbeVerdict("FailsWithWitness", found[0], shells, notes=(found[1],))
+    for group in [range(1)] + D._shell_groups(len(radii), rows, 1):
+        for k, drawn in zip(group, draw(rng, np.array([radii[k] for k in group]))):
+            r = radii[k]
+            usable, margins, found = shell(drawn)
+            any_usable = any_usable or bool(usable.any())
+            shells.append({"radius": float(r), "inf": float(np.min(margins[usable])) if usable.any() else math.inf})
+            if found is not None:
+                return D.ProbeVerdict("FailsWithWitness", found[0], shells, notes=(found[1],))
     if not any_usable:
         return D.ProbeVerdict("Inconclusive", None, shells, notes=(no_samples_note,))
     return D.ProbeVerdict("Holds", None, shells, notes=("no violation found under this plan",))
 
 
 def membership_reference(f, x, xstar, eps, alpha, plan):
-    """``eps_subgradient_membership_probe`` with one draw and one evaluation
-    per shell, each shell drawing from ``reference_rng``, then the calmness
-    probe when the search finds nothing."""
+    """``eps_subgradient_membership_probe`` with one evaluation per shell
+    under the shell-search rule, then the calmness probe when the search
+    finds nothing."""
     import math
     from dataclasses import replace
 
@@ -732,9 +753,12 @@ def membership_reference(f, x, xstar, eps, alpha, plan):
     if not math.isfinite(fx):
         return D.ProbeVerdict("Inconclusive", None, [], notes=("f is not finite at the base point",))
     scale = max(1.0, abs(fx))
+    n = plan.samples_per_shell
 
-    def shell(rng, r):
-        w = D._l1_ball_points(rng, plan.samples_per_shell, dim, r)
+    def draw(rng, radii):
+        return _ball_draw(rng, radii, n, dim)
+
+    def shell(w):
         with np.errstate(over="ignore"):
             pts = xf[None, :] + w
         fv = f.evaluate_batch(pts)
@@ -748,7 +772,7 @@ def membership_reference(f, x, xstar, eps, alpha, plan):
         witness = {"x": [float(z) for z in pts[best]], "f_x": float(fv[best]), "margin": float(margin[best])}
         return usable, margin, (witness, "inequality violated at the witness point")
 
-    verdict = _shell_search_reference(plan, D._TAG_MEMBER, shell, "no evaluable samples")
+    verdict = _shell_search_reference(plan, D._TAG_MEMBER, n, draw, shell, "no evaluable samples")
     if not verdict.holds:
         return verdict
     calm = D.calmness_probe(f, x, plan)
@@ -760,9 +784,9 @@ def membership_reference(f, x, xstar, eps, alpha, plan):
 
 
 def blunt_reference(p, x, eps, plan):
-    """``blunt_min_probe`` with one draw and one evaluation per shell, each
-    shell drawing from ``reference_rng``, with the row-major feasibility
-    mask and each candidate re-checked in exact arithmetic."""
+    """``blunt_min_probe`` with one evaluation per shell under the
+    shell-search rule, with the row-major feasibility mask and each
+    candidate re-checked in exact arithmetic."""
     from subgrad import dinioracle as D
     from subgrad.funcmodel import _float_rows
     from subgrad.optimality import _feasible_point
@@ -776,9 +800,12 @@ def blunt_reference(p, x, eps, plan):
     xf = D._as_float_vec(xv, dim)
     hrep = a_set.canonical()._hrep
     normals, offsets = _float_rows(hrep, dim)
+    n = plan.samples_per_shell
 
-    def shell(rng, r):
-        w = D._l1_ball_points(rng, plan.samples_per_shell, dim, r)
+    def draw(rng, radii):
+        return _ball_draw(rng, radii, n, dim)
+
+    def shell(w):
         with np.errstate(over="ignore"):
             pts = xf[None, :] + w
         feas = float_feasible_reference(pts, normals, offsets)
@@ -801,14 +828,16 @@ def blunt_reference(p, x, eps, plan):
                 return usable, margins, (witness, "violation verified in exact arithmetic")
         return usable, margins, None
 
-    return _shell_search_reference(plan, D._TAG_BLUNT, shell, "no feasible samples")
+    return _shell_search_reference(plan, D._TAG_BLUNT, n, draw, shell, "no feasible samples")
 
 
 def regularity_reference(f, x, eps, mode, plan, direction=None):
     """``approx_regularity_probe`` with three evaluations per shell (x
     samples, y samples with the base point repeated n times, midpoints) on
-    tiled copies of the samples, each shell drawing from ``reference_rng``
-    under the shell-search rule written out here."""
+    tiled copies of the samples, under the shell-search rule.  A group is
+    drawn as the probe draws it: the pairs (convex: ball centres, sphere
+    directions, lengths, splits; otherwise ball points, then the directional
+    scales), then a random mix parameter per pair."""
     import math
 
     from subgrad import dinioracle as D
@@ -824,26 +853,30 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
         return D.ProbeVerdict("Inconclusive", None, [], notes=("f is not finite at the base point",))
     scale = max(1.0, abs(fx))
     t_anchor = np.array([0.25, 0.5, 0.75])
+    n = plan.samples_per_shell
 
-    def shell(rng, r):
-        n = plan.samples_per_shell
+    def draw(rng, radii):
+        g = len(radii)
         if mode == "convex":
-            w_cap = 0.999 * min(r / 2.0, e)
-            centers = xf[None, :] + D._l1_ball_points(rng, n, dim, r / 2.0)
-            dirs = D._l1_sphere_points(rng, n, dim)
-            ell = w_cap * rng.random(n)
-            rho = rng.random(n)
-            xs0 = centers + (rho * ell)[:, None] * dirs
-            ys0 = centers - ((1.0 - rho) * ell)[:, None] * dirs
+            w_cap = np.array([0.999 * min(r / 2.0, e) for r in radii])
+            centers = xf + _ball_draw(rng, radii / 2.0, n, dim)
+            dirs = D._l1_sphere_points(rng, g * n, dim).reshape(g, n, dim)
+            ell = w_cap[:, None] * rng.random((g, n))
+            rho = rng.random((g, n))
+            xs0 = centers + (rho * ell)[:, :, None] * dirs
+            ys0 = centers - ((1.0 - rho) * ell)[:, :, None] * dirs
         elif mode == "starshaped":
-            xs0 = xf[None, :] + D._l1_ball_points(rng, n, dim, r)
-            ys0 = np.tile(xf, (n, 1))
+            xs0 = xf + _ball_draw(rng, radii, n, dim)
+            ys0 = np.tile(xf, (g, n, 1))
         else:
-            vs = df[None, :] + D._l1_ball_points(rng, n, dim, r)
-            s = r * rng.random(n)
-            xs0 = xf[None, :] + s[:, None] * vs
-            ys0 = np.tile(xf, (n, 1))
-        t_rand = rng.random(n)
+            vs = df + _ball_draw(rng, radii, n, dim)
+            s = radii[:, None] * rng.random((g, n))
+            xs0 = xf + s[:, :, None] * vs
+            ys0 = np.tile(xf, (g, n, 1))
+        return list(zip(xs0, ys0, rng.random((g, n))))
+
+    def shell(drawn):
+        xs0, ys0, t_rand = drawn
         reps = len(t_anchor) + 1
         xs = np.tile(xs0, (reps, 1))
         ys = np.tile(ys0, (reps, 1))
@@ -875,7 +908,8 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
         witness = {"x": xw, "y": yw, "t": tw, "lhs": lhs, "rhs": rhs, "margin": float(margin[best])}
         return usable, margin, (witness, f"{mode} inequality violated at the witness")
 
-    return _shell_search_reference(plan, D._TAG_APPROX, shell, "no evaluable samples")
+    rows = 5 * n + 1 if mode != "convex" else 6 * n
+    return _shell_search_reference(plan, D._TAG_APPROX, rows, draw, shell, "no evaluable samples")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from subgrad.dinioracle import (
     MAX_SAMPLES_PER_SHELL,
     SamplingPlan,
     _ROWS_PER_EVALUATION,
-    _ShellSeed,
     _l1_ball_points,
     _l1_sphere_points,
     approx_regularity_probe,
@@ -101,34 +100,20 @@ def test_plan_json_round_trip():
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70 + 5]
 
 
-@given(
-    st.sampled_from(STREAM_SEEDS) | st.integers(0, 2**64 - 1),
-    st.integers(0, 5),
-    st.sampled_from([1, 20, 23]),
-)
-@settings(max_examples=60, deadline=None)
-def test_plan_rng_matches_seedsequence(seed, tag, count):
-    """Every shell's stream is NumPy's SeedSequence(seed mod 2^64,
-    spawn_key=(tag, k)) feeding PCG64, bit for bit."""
-    plan = SamplingPlan(shell_radii=tuple(2.0**-k for k in range(1, count + 1)), seed=seed)
-    for k in range(count):
-        got, want = plan.rng(tag, k), oracles.reference_rng(plan, tag, k)
-        assert np.array_equal(got.random(5), want.random(5))
-        assert np.array_equal(got.standard_exponential(7), want.standard_exponential(7))
-        assert np.array_equal(got.integers(0, 2, 9), want.integers(0, 2, 9))
-    for k in (-1, count):
-        with pytest.raises(IndexError):
-            plan.rng(tag, k)
-
-
-def test_shell_seed_answers_only_pcg64():
-    words = np.zeros(4, dtype=np.uint64)
-    seed = _ShellSeed(words)
-    assert isinstance(seed, np.random.bit_generator.ISeedSequence)
-    assert seed.generate_state(4, np.uint64) is words
-    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)):
-        with pytest.raises(ValueError):
-            seed.generate_state(n_words, dtype)
+def test_plan_rng_is_one_seedsequence_stream_per_tag():
+    """A probe's stream is NumPy's SeedSequence(seed mod 2^64,
+    spawn_key=(tag,)) feeding PCG64, bit for bit, and each tag has its own."""
+    for seed in STREAM_SEEDS:
+        plan = replace(DEFAULT_PLAN, seed=seed)
+        firsts = set()
+        for tag in range(6):
+            seq = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(tag,))
+            got, want = plan.rng(tag), np.random.Generator(np.random.PCG64(seq))
+            assert np.array_equal(got.random(5), want.random(5))
+            assert np.array_equal(got.standard_exponential((3, 4)), want.standard_exponential((3, 4)))
+            assert got.bit_generator.state == want.bit_generator.state
+            firsts.add(plan.rng(tag).random())
+        assert len(firsts) == 6, seed
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +438,21 @@ def test_dini_estimate_matches_reference(fx, plan, h, tag):
     assert got == _json_or_failure(oracles.dini_reference, f, x, h, plan, tag)
 
 
-# Failures the goldens never reach, all of whose probes fail at shell 0: the
-# first verified violation in shell 4, inside the group of shells 1-19, and,
-# with OpenBLAS on x86-64, a shell whose bad sample fails the re-check (its
-# one-row values round otherwise) before a later shell with a verified one.
-# The slopes of STEEP are 2^30 around a base point where it is 0, so its
-# margins are rounding noise.
+# Failures the goldens never reach, all of whose probes fail at shell 0: a
+# first verified violation past shell 0, inside the group of shells 1-19,
+# and a shell whose bad sample fails the re-check before a later shell with
+# a verified one.  The plan seeds were picked for these paths, and
+# test_rare_path_examples_reach_their_paths checks that they still do.  The
+# slopes of STEEP are 2^30 around a base point where it is 0, so its
+# margins are rounding noise, and its re-check fails where its one-row
+# values round otherwise (OpenBLAS on x86-64).
 EIGHT_PER_SHELL = replace(DEFAULT_PLAN, samples_per_shell=8)
 STEEP_X = (F(1000), F(-700))
 STEEP = PAConvexFunction(
     [(a, -(a[0] * STEEP_X[0] + a[1] * STEEP_X[1])) for a in ((F(2**30), F(3 * 2**30)), (F(-(2**30)), F(2**29)))]
 )
+REGULARITY_PAST_SHELL_0 = ((NEG_ABS, (F(0),)), replace(EIGHT_PER_SHELL, seed=2), "convex", F(1, 100), [1, 0, 0, 0])
+REGULARITY_RECHECK_FAILS = ((STEEP, STEEP_X), replace(EIGHT_PER_SHELL, seed=5), "starshaped", F(1, 100), [1, 0, 0, 0])
 
 
 @given(
@@ -476,14 +465,19 @@ STEEP = PAConvexFunction(
 @example((STAIRCASE, (F(0),)), DEFAULT_PLAN, "convex", F(1, 100), [1, 0, 0, 0])
 @example((PINNED, (F(1, 2),)), DEFAULT_PLAN, "starshaped", F(1, 10), [1, 0, 0, 0])
 @example((PINNED, (F(1, 2),)), DEFAULT_PLAN, "directional", F(1, 10), [1, 0, 0, 0])
-@example((NEG_ABS, (F(0),)), replace(EIGHT_PER_SHELL, seed=3), "convex", F(1, 100), [1, 0, 0, 0])
-@example((STEEP, STEEP_X), replace(EIGHT_PER_SHELL, seed=0), "starshaped", F(1, 100), [1, 0, 0, 0])
+@example(*REGULARITY_PAST_SHELL_0)
+@example(*REGULARITY_RECHECK_FAILS)
 @settings(max_examples=120, deadline=None)
 def test_regularity_probe_matches_reference(fx, plan, mode, eps, direction):
     f, x = fx
     direction = direction[: f.dim]
     got = _json_or_failure(approx_regularity_probe, f, x, eps, mode, plan, direction=direction)
     assert got == _json_or_failure(oracles.regularity_reference, f, x, eps, mode, plan, direction)
+
+
+# ||y||_1 at 0 against (3/2, 0): violations fill a narrow cone, first met past shell 0
+MEMBERSHIP_PAST_SHELL_0 = ((l1_norm_function(2), (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=15),
+                           [F(3, 2), F(0), F(0), F(0)], F(0), F(1, 4))
 
 
 @given(
@@ -493,9 +487,7 @@ def test_regularity_probe_matches_reference(fx, plan, mode, eps, direction):
     st.sampled_from([F(0), F(1, 10), F(1)]),
     st.sampled_from([F(1, 100), F(1, 4), F(2)]),
 )
-# ||y||_1 at 0 against (3/2, 0): violations fill a narrow cone, first met in shell 4
-@example((l1_norm_function(2), (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=3),
-         [F(3, 2), F(0), F(0), F(0)], F(0), F(1, 4))
+@example(*MEMBERSHIP_PAST_SHELL_0)
 @settings(max_examples=120, deadline=None)
 def test_membership_probe_matches_reference(fx, plan, xstar, eps, alpha):
     f, x = fx
@@ -523,25 +515,66 @@ def blunt_problems(draw):
 
 
 # -2 y2 - 3 max(0, y1 + 10 y2) on y2 <= 0 at 0: the feasible violations fill
-# a narrow cone, first met in shell 4; on shells of radius 1e-9 and below,
+# a narrow cone, first met past shell 0; on shells of radius 1e-9 and below,
 # samples with 0 < y2 pass the float prefilter's 1e-9 slack, and their exact
-# re-check fails in shells 0-3 before shell 4 holds a verified violation
+# re-check fails in the shells before the one with a verified violation
 CUT = ProblemInstance(
     DCFunction(linear_function([0, 0]), PAConvexFunction([((F(0), F(2)), F(0)), ((F(3), F(32)), F(0))])),
     ConstraintSystem(Polyhedron.from_hrep([((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1)),
                                            ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(1))], 2), [[0, 1]], [0]),
 )
+BLUNT_PAST_SHELL_0 = ((CUT, (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=3), F(1, 2))
+BLUNT_RECHECK_FAILS = (
+    (CUT, (F(0), F(0))),
+    replace(EIGHT_PER_SHELL, seed=3, shell_radii=tuple(1e-9 * 2.0**-k for k in range(20))),
+    F(1, 2),
+)
 
 
 @given(blunt_problems(), probe_plans(), st.sampled_from([F(1, 100), F(1, 10), F(1, 2), F(2)]))
-@example((CUT, (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=6), F(1, 2))
-@example((CUT, (F(0), F(0))), replace(EIGHT_PER_SHELL, seed=6, shell_radii=tuple(1e-9 * 2.0**-k for k in range(20))),
-         F(1, 2))
+@example(*BLUNT_PAST_SHELL_0)
+@example(*BLUNT_RECHECK_FAILS)
 @settings(max_examples=60, deadline=None)
 def test_blunt_probe_matches_reference(px, plan, eps):
     p, x = px
     got = json.dumps(blunt_min_probe(p, x, eps, plan).to_json())
     assert got == json.dumps(oracles.blunt_reference(p, x, eps, plan).to_json())
+
+
+def _regularity(fx, plan, mode, eps, direction):
+    return approx_regularity_probe(*fx, eps, mode, plan, direction=direction[: fx[0].dim])
+
+
+def _membership(fx, plan, xstar, eps, alpha):
+    return eps_subgradient_membership_probe(*fx, xstar[: fx[0].dim], eps, alpha, plan)
+
+
+def _blunt(px, plan, eps):
+    return blunt_min_probe(*px, eps, plan)
+
+
+@pytest.mark.parametrize(
+    "probe, case, limit, recheck_fails",
+    [
+        (_regularity, REGULARITY_PAST_SHELL_0, -1e-10, False),
+        (_regularity, REGULARITY_RECHECK_FAILS, -1e-10, True),
+        (_membership, MEMBERSHIP_PAST_SHELL_0, -1e-10, False),
+        (_blunt, BLUNT_PAST_SHELL_0, 1e-9, False),
+        (_blunt, BLUNT_RECHECK_FAILS, 1e-9, True),
+    ],
+    ids=["regularity", "regularity-recheck", "membership", "blunt", "blunt-recheck"],
+)
+def test_rare_path_examples_reach_their_paths(probe, case, limit, recheck_fails):
+    # the witness's shell is the last one recorded; it lies past shell 0 and
+    # is not the first shell of its group (shells 1-19 at 8 samples a shell)
+    verdict = probe(*case)
+    assert verdict.status == "FailsWithWitness"
+    witness_shell = len(verdict.shells) - 1
+    assert witness_shell >= 2
+    # an earlier shell with a margin below the limit had a bad sample whose
+    # re-check failed; one inside the group shows the search going past it
+    failed = [k for k, s in enumerate(verdict.shells[:-1]) if s["inf"] < limit]
+    assert any(k >= 1 for k in failed) == recheck_fails
 
 
 def test_probes_batch_their_evaluations(monkeypatch):

@@ -522,8 +522,18 @@ NAN_CASE = (
 )
 
 
+# one piece at d = 8: the last row took another value as row 5 of a 6-row
+# batch than as row 3 of a 4-row one while the product with a lone piece
+# row was matrix-vector (OpenBLAS 0.3.31, x86-64)
+ONE_PIECE_D8 = (
+    PAConvexFunction([((-1, 0, -2, 3, -4, -1, -2, 2), 0)]),
+    [np.zeros((2, 8)), np.vstack([np.zeros((3, 8)), [0.0, 0.0, 0.7, 0.0, -1.0, 0.0, 0.1, 0.0]])],
+)
+
+
 @given(stacked_batches())
 @example(NAN_CASE)
+@example(ONE_PIECE_D8)
 @settings(max_examples=200, deadline=None)
 def test_batch_rows_are_evaluated_independently(case):
     # the probes stack shells and sample sets into one call; that is
