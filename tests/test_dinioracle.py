@@ -100,7 +100,7 @@ def test_plan_json_round_trip():
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70 + 5]
 
 
-def test_plan_rng_is_one_seedsequence_stream_per_tag():
+def test_plan_rng_matches_seedsequence():
     """A probe's stream is NumPy's SeedSequence(seed mod 2^64,
     spawn_key=(tag,)) feeding PCG64, bit for bit, and each tag has its own."""
     for seed in STREAM_SEEDS:
