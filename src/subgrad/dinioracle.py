@@ -1,11 +1,13 @@
 """Sampling oracles for Dini-Hadamard quantities of black-box functions.
 
-Everything here is floating point and three-valued: sampling can exhibit a
-violation (FailsWithWitness, always replayable) but can never prove one
-absent, so "Holds" means "no violation found under this plan, plus any exact
-shortcut that applies".  Exact answers live in funcmodel and calculus; these
-probes cross-check them and extend coverage to functions given only as
-expression trees.
+Everything here samples in floating point and is three-valued: sampling can
+exhibit a violation (FailsWithWitness) but can never prove one absent, so
+"Holds" means "no violation found under this plan, plus any exact shortcut
+that applies".  On PA and DC data the shell searches re-check a sampled
+violation in exact arithmetic before they report it, so their witness is a
+proof; a black box's witness replays through ``evaluate_batch``.  Exact
+answers live in funcmodel and calculus; these probes cross-check them and
+extend coverage to functions given only as expression trees.
 
 Shell design
 ------------
@@ -44,6 +46,13 @@ with FailsWithWitness, and the shell records stop there; a shell whose
 re-check fails does not end it.  When no shell had a usable sample the
 verdict is Inconclusive; otherwise it is Holds.
 
+A re-check takes a shell's bad samples in lexicographic order of their
+floats (``_lex_order``).  Membership and regularity re-check the first: on
+PA or DC data by ``evaluate`` on the Fractions of its floats, with eps,
+alpha, x* and the membership base point exact; a black box keeps its batch
+value.  The blunt probe re-checks them in turn, feasibility and value in
+exact arithmetic, until one holds.
+
 Shell 0 is drawn and evaluated alone, since a probe that fails mostly fails
 there, and a failure there draws nothing more.  The other shells are drawn
 and evaluated in groups, one ``evaluate_batch`` call per group, and each
@@ -69,6 +78,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -94,7 +104,7 @@ _TAG_GAP = 4
 _TAG_BLUNT = 5  # optimality.blunt_min_probe
 
 
-# One convex-mode regularity probe at d = 8 peaks near 117 MB of resident
+# One convex-mode regularity probe at d = 8 peaks near 115 MB of resident
 # memory at this count, about 2 KB a sample (four pieces, x86-64 Linux, NumPy
 # 2.4): 256 times the default count, far short of the gigabytes a count of
 # 10**8 asks for.  A shell this large is past _ROWS_PER_EVALUATION, so each
@@ -273,26 +283,34 @@ def _shell_groups(count: int, rows: int, start: int = 0) -> list[range]:
     return [range(k, min(k + size, count)) for k in range(start, count, size)]
 
 
+def _lex_order(*keys) -> np.ndarray:
+    """The indices of the rows of ``keys`` in lexicographic order, as tuples
+    of floats compare: each key is a 1-D array (one value a row) or a 2-D
+    array (one vector a row), earlier keys and columns first, ties in index
+    order."""
+    return np.lexsort([col for key in reversed(keys) for col in np.atleast_2d(np.asarray(key).T)[::-1]])
+
+
 def _shell_search(
-    plan: SamplingPlan, tag: int, rows: int, draw, evaluate, limit: float, no_samples_note: str
+    plan: SamplingPlan, tag: int, rows: int, evaluate, limit: float, no_samples_note: str
 ) -> ProbeVerdict:
     """The shell-verdict rule of the module docstring.
 
-    ``draw(rng, radii)`` draws a group of shells from the probe's stream,
-    one call per random quantity, each array with a leading shell axis; a
-    shell takes at most ``rows`` rows of an evaluation.  ``evaluate(drawn)``
-    evaluates the group in one ``evaluate_batch`` call.  It returns (shells,
-    samples) arrays of the usable mask and the margins, and ``recheck(j,
-    bad)``, which re-checks the bad samples of the group's shell j and
-    returns None or a verified ``(witness, note)``.  A usable sample is bad
-    when its margin is below ``limit``.
+    ``evaluate(rng, radii)`` draws a group of shells from the probe's
+    stream, one call per random quantity, each array with a leading shell
+    axis, and evaluates it in one ``evaluate_batch`` call; a shell takes at
+    most ``rows`` rows of it.  It returns (shells, samples) arrays of the
+    usable mask and the margins, and ``recheck(j, bad)``, which re-checks
+    the bad samples of the group's shell j and returns None or a verified
+    ``(witness, note)``.  A usable sample is bad when its margin is below
+    ``limit``.
     """
     rng = plan.rng(tag)
     radii = np.array(plan.shell_radii)
     shells: list[dict] = []
     any_usable = False
     for group in [range(1)] + _shell_groups(len(radii), rows, 1):
-        usable, margins, recheck = evaluate(draw(rng, radii[group]))
+        usable, margins, recheck = evaluate(rng, radii[group])
         any_usable = any_usable or bool(usable.any())
         infs = np.where(usable, margins, np.inf).min(axis=1)
         bad = usable & (margins < limit)
@@ -331,8 +349,6 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     if not math.isfinite(fx):
         raise EvaluationFailure("f is not finite at the base point")
     res = _RES_FACTOR * _EPS_MACH * max(1.0, abs(fx))
-    raws: list[float] = []
-    ests: list[float | None] = []
     shells: list[dict] = []
     witness = None
     witness_q = math.inf
@@ -361,46 +377,28 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
         info = precise | coarse
         # one row per shell of the group
         q_info = np.where(info, q, np.inf).reshape(len(group), rows)
-        shell_raws = q_info.min(axis=1).tolist()
-        shell_best = q_info.argmin(axis=1).tolist()
+        infs = q_info.min(axis=1)
+        j = int(infs.argmin())
+        if infs[j] < witness_q:
+            witness_q = infs[j]
+            idx = j * rows + int(q_info[j].argmin())
+            witness = {"t": float(t[idx]), "u": [float(z) for z in u[idx]], "quotient": float(q[idx])}
         precise = precise.reshape(len(group), rows)
-        shell_ests = np.where(precise, q.reshape(precise.shape), np.inf).min(axis=1).tolist()
-        has_est = precise.any(axis=1).tolist()
-        shell_absorbed = (finite & ~info).reshape(len(group), rows).sum(axis=1).tolist()
-        for j, k in enumerate(group):
-            raw = shell_raws[j]
-            est = shell_ests[j] if has_est[j] else None
-            if raw < witness_q:
-                witness_q = raw
-                idx = j * rows + shell_best[j]
-                witness = {
-                    "t": float(t[idx]),
-                    "u": [float(z) for z in u[idx]],
-                    "quotient": float(q[idx]),
-                }
-            raws.append(raw)
-            ests.append(est)
-            shells.append(
-                {"radius": float(radii[k]), "inf": raw, "estimate_inf": est, "absorbed": shell_absorbed[j]}
-            )
-    env = math.inf
-    for j in range(len(shells) - 1, -1, -1):
-        env = min(env, raws[j])
-        shells[j]["envelope"] = env
-    diverged = sum(1 for v in raws if v < plan.divergence_threshold) >= 2
-    estimate = math.inf
-    for est in reversed(ests):
-        if est is not None:
-            estimate = est
-            break
-    stable = False
-    if diverged:
-        estimate = -math.inf
-    else:
-        w = plan.stabilization_window
-        tail = [v for v in ests[-w:] if v is not None]
-        if len(tail) == w and max(tail) - min(tail) <= plan.stabilization_tol:
-            stable = True
+        est_infs = np.where(precise, q.reshape(precise.shape), np.inf).min(axis=1)
+        absorbed = (finite & ~info).reshape(len(group), rows).sum(axis=1)
+        shells += [
+            {"radius": float(r), "inf": float(raw), "estimate_inf": float(est) if has else None, "absorbed": int(a)}
+            for r, raw, est, has, a in zip(radii[group], infs, est_infs, precise.any(axis=1), absorbed)
+        ]
+    raws = np.array([rec["inf"] for rec in shells])
+    for rec, env in zip(shells, np.minimum.accumulate(raws[::-1])[::-1].tolist()):
+        rec["envelope"] = env
+    ests = [rec["estimate_inf"] for rec in shells]
+    diverged = int((raws < plan.divergence_threshold).sum()) >= 2
+    w = plan.stabilization_window
+    tail = [v for v in ests[-w:] if v is not None]
+    stable = not diverged and len(tail) == w and max(tail) - min(tail) <= plan.stabilization_tol
+    estimate = -math.inf if diverged else next((est for est in reversed(ests) if est is not None), math.inf)
     return DiniEstimate(estimate, stable, diverged, shells, witness)
 
 
@@ -441,26 +439,13 @@ def calmness_probe(f, x, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:
     )
 
 
-def _lex_key(*arrays):
-    def key(i: int):
-        parts = []
-        for a in arrays:
-            v = a[i]
-            if isinstance(v, np.ndarray):
-                parts.extend(float(z) for z in v)
-            else:
-                parts.append(float(v))
-        return tuple(parts)
-
-    return key
-
-
 def eps_subgradient_membership_probe(
     f, x, xstar, eps, alpha, plan: SamplingPlan = DEFAULT_PLAN
 ) -> ProbeVerdict:
     """Searches for points violating the eps-subgradient inequality at x.
 
-    Violation: f(y) - f(x) < <xstar, y - x> - (alpha + eps) * ||y - x||_1.
+    Violation: f(y) - f(x) < <xstar, y - x> - (alpha + eps) * ||y - x||_1,
+    which on PA and DC data is verified in exact arithmetic at the sampled y.
     Holds needs both an empty search and a Holds from calmness_probe, since
     the inequality family defines membership only for calm functions.
     """
@@ -480,11 +465,13 @@ def eps_subgradient_membership_probe(
         )
     scale = max(1.0, abs(fx))
     n = plan.samples_per_shell
+    exact = isinstance(f, (PAConvexFunction, DCFunction))
+    if exact:
+        xq, sq = parse_vector(x, dim), parse_vector(xstar, dim)
+        fxq, slack = f.evaluate(xq), parse_rational(alpha) + parse_rational(eps)
 
-    def draw(rng, radii):
-        return _ball_shells(rng, radii, n, dim)
-
-    def evaluate(w):
+    def evaluate(rng, radii):
+        w = _ball_shells(rng, radii, n, dim)
         with np.errstate(over="ignore"):
             pts = xf + w
         fv = f.evaluate_batch(pts.reshape(-1, dim)).reshape(len(w), n)
@@ -493,7 +480,12 @@ def eps_subgradient_membership_probe(
         usable = np.isfinite(fv) & (norms > 0)
 
         def recheck(j, bad):
-            best = min(bad, key=_lex_key(pts[j], margin[j]))
+            best = bad[_lex_order(pts[j, bad], margin[j, bad])[0]]
+            if exact:
+                yq = [Fraction(z) for z in pts[j, best].tolist()]
+                step = [y - b for y, b in zip(yq, xq)]
+                if not f.evaluate(yq) - fxq < sum(map(mul, sq, step)) - slack * sum(map(abs, step)):
+                    return None
             witness = {
                 "x": [float(z) for z in pts[j, best]],
                 "f_x": float(fv[j, best]),
@@ -503,9 +495,7 @@ def eps_subgradient_membership_probe(
 
         return usable, margin, recheck
 
-    verdict = _shell_search(
-        plan, _TAG_MEMBER, n, draw, evaluate, -_VERIFY_RTOL * scale, "no evaluable samples"
-    )
+    verdict = _shell_search(plan, _TAG_MEMBER, n, evaluate, -_VERIFY_RTOL * scale, "no evaluable samples")
     if not verdict.holds:
         return verdict
     calm = calmness_probe(f, x, plan)
@@ -537,9 +527,11 @@ def approx_regularity_probe(
     mode "starshaped": y is pinned to the base point.
     mode "directional": x = base + s*v with v near the given direction.
     Verdicts are literal: FailsWithWitness iff a sampled violation survives
-    scalar re-evaluation, Holds otherwise.
+    the re-check of the module docstring, exact on PA and DC data, Holds
+    otherwise.
     """
-    e = to_float(parse_rational(eps))
+    eq = parse_rational(eps)
+    e = to_float(eq)
     if e <= 0:
         raise NegativeEps(f"eps must be positive, got {eps}")
     if mode not in ("convex", "starshaped", "directional"):
@@ -559,9 +551,9 @@ def approx_regularity_probe(
     n = plan.samples_per_shell
     # one row of ts per anchor mix parameter, the same in every shell
     anchor_rows = np.repeat([0.25, 0.5, 0.75], n)
-    pinned = mode != "convex"
+    exact = isinstance(f, (PAConvexFunction, DCFunction))
 
-    def draw(rng, radii):
+    def evaluate(rng, radii):
         g = len(radii)
         # the pinned y is the base point, evaluated once as one row
         ys0 = xf[None, None, :]
@@ -575,6 +567,7 @@ def approx_regularity_probe(
                 rho = rng.random((g, n))
                 xs0 = centers + (rho * ell)[..., None] * dirs
                 ys0 = centers - ((1.0 - rho) * ell)[..., None] * dirs
+                del centers, dirs  # not held through the evaluation
             elif mode == "starshaped":
                 xs0 = xf + _ball_shells(rng, radii, n, dim)
             else:
@@ -582,48 +575,37 @@ def approx_regularity_probe(
                 s = radii[:, None] * rng.random((g, n))
                 xs0 = xf + s[..., None] * vs
         # ts[k, j, i] mixes pair i of shell k: one row per anchor, then a random row
-        ts = np.concatenate([np.broadcast_to(anchor_rows, (g, 3 * n)), rng.random((g, n))], axis=1)
-        return xs0, ys0, ts.reshape(g, 4, n)
-
-    def evaluate(drawn):
-        xs0, ys0, ts = drawn
-        g = len(xs0)
+        ts = np.concatenate([np.broadcast_to(anchor_rows, (g, 3 * n)), rng.random((g, n))], axis=1).reshape(g, 4, n)
         with np.errstate(over="ignore"):
             mids = ts[..., None] * xs0[:, None] + (1.0 - ts)[..., None] * ys0[:, None]
         y_rows = ys0.reshape(-1, dim)
         vals = f.evaluate_batch(np.vstack([xs0.reshape(-1, dim), y_rows, mids.reshape(-1, dim)]))
         fxv = vals[:g * n].reshape(g, 1, n)
         fyv = vals[g * n:g * n + len(y_rows)].reshape(ys0.shape[:2])[:, None, :]
-        fm = vals[g * n + len(y_rows):].reshape(ts.shape)
+        fm = vals[g * n + len(y_rows):].reshape(g, -1)
         dist = np.abs(xs0 - ys0).sum(axis=2)[:, None, :]
-        rhs = ts * fxv + (1.0 - ts) * fyv + e * ts * (1.0 - ts) * dist
+        rhs = (ts * fxv + (1.0 - ts) * fyv + e * ts * (1.0 - ts) * dist).reshape(g, -1)
         # inf - inf off the domain gives NaN, which counts as unusable
         with np.errstate(invalid="ignore"):
-            margin = (rhs - fm).reshape(g, -1)
+            margin = rhs - fm
+        ys0 = np.broadcast_to(ys0, xs0.shape)
 
         def recheck(j, bad):
-            reps = ts.shape[1]
-            xs = np.tile(xs0[j], (reps, 1))
-            ys = np.tile(np.broadcast_to(ys0[0 if pinned else j], xs0[j].shape), (reps, 1))
-            tj = ts[j].ravel()
-            best = min(bad, key=_lex_key(xs, ys, tj))
-            xw = [float(z) for z in xs[best]]
-            yw = [float(z) for z in ys[best]]
-            tw = float(tj[best])
-            lhs = _eval_float(f, np.array(xw) * tw + np.array(yw) * (1.0 - tw))
-            rhs = (
-                tw * _eval_float(f, xw)
-                + (1.0 - tw) * _eval_float(f, yw)
-                + e * tw * (1.0 - tw) * float(np.abs(np.array(xw) - np.array(yw)).sum())
-            )
-            if not lhs > rhs:
-                return None
+            # sample i of a shell mixes pair i mod n by ts[j].flat[i]
+            best = bad[_lex_order(xs0[j, bad % n], ys0[j, bad % n], ts[j].flat[bad])[0]]
+            xw, yw, tw = xs0[j, best % n].tolist(), ys0[j, best % n].tolist(), float(ts[j].flat[best])
+            if exact:
+                xq, yq, tq = [Fraction(z) for z in xw], [Fraction(z) for z in yw], Fraction(tw)
+                mid = [tq * p + (1 - tq) * q for p, q in zip(xq, yq)]
+                dq = sum(abs(p - q) for p, q in zip(xq, yq))
+                if not f.evaluate(mid) > tq * f.evaluate(xq) + (1 - tq) * f.evaluate(yq) + eq * tq * (1 - tq) * dq:
+                    return None
             witness = {
                 "x": xw,
                 "y": yw,
                 "t": tw,
-                "lhs": lhs,
-                "rhs": rhs,
+                "lhs": float(fm[j, best]),
+                "rhs": float(rhs[j, best]),
                 "margin": float(margin[j, best]),
             }
             return witness, f"{mode} inequality violated at the witness"
@@ -631,10 +613,8 @@ def approx_regularity_probe(
         return np.isfinite(margin), margin, recheck
 
     # a pinned group also holds the base point's row
-    rows = 5 * n + 1 if pinned else 6 * n
-    return _shell_search(
-        plan, _TAG_APPROX, rows, draw, evaluate, -_VERIFY_RTOL * scale, "no evaluable samples"
-    )
+    rows = 6 * n if mode == "convex" else 5 * n + 1
+    return _shell_search(plan, _TAG_APPROX, rows, evaluate, -_VERIFY_RTOL * scale, "no evaluable samples")
 
 
 def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:

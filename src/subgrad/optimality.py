@@ -416,7 +416,7 @@ def blunt_min_probe(
         DEFAULT_PLAN,
         _as_float_vec,
         _ball_shells,
-        _lex_key,
+        _lex_order,
         _shell_search,
     )
 
@@ -436,10 +436,8 @@ def blunt_min_probe(
 
     n = plan.samples_per_shell
 
-    def draw(rng, radii):
-        return _ball_shells(rng, radii, n, dim)
-
-    def evaluate(w):
+    def evaluate(rng, radii):
+        w = _ball_shells(rng, radii, n, dim)
         with np.errstate(over="ignore"):
             pts = xf + w
         rows = pts.reshape(-1, dim)
@@ -448,7 +446,7 @@ def blunt_min_probe(
         margins = fv - f0f + ef * np.abs(w).sum(axis=2)
 
         def recheck(j, cand):
-            for i in sorted(cand, key=_lex_key(pts[j])):
+            for i in cand[_lex_order(pts[j, cand])]:
                 yq = tuple(Fraction(float(z)) for z in pts[j, i])
                 if not contains_point(a_set, yq):
                     continue
@@ -466,4 +464,4 @@ def blunt_min_probe(
 
         return feas & np.isfinite(fv), margins, recheck
 
-    return _shell_search(plan, _TAG_BLUNT, n, draw, evaluate, 1e-9, "no feasible samples")
+    return _shell_search(plan, _TAG_BLUNT, n, evaluate, 1e-9, "no feasible samples")

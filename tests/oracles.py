@@ -706,6 +706,23 @@ def dini_reference(f, x, h, plan, tag=0):
     return D.DiniEstimate(estimate, stable, diverged, shells, witness)
 
 
+def _lex_key(*arrays):
+    """A sort key for row i of ``arrays``: the tuple of its values, array by
+    array, as Python floats."""
+
+    def key(i: int):
+        parts = []
+        for a in arrays:
+            v = a[i]
+            if isinstance(v, np.ndarray):
+                parts.extend(float(z) for z in v)
+            else:
+                parts.append(float(v))
+        return tuple(parts)
+
+    return key
+
+
 def _shell_search_reference(plan, tag, rows, draw, shell, no_samples_note):
     """The shell-search rule, one shell at a time.  ``draw(rng, radii)``
     draws a group of shells from ``reference_rng`` in the probe's schedule
@@ -737,12 +754,15 @@ def _shell_search_reference(plan, tag, rows, draw, shell, no_samples_note):
 def membership_reference(f, x, xstar, eps, alpha, plan):
     """``eps_subgradient_membership_probe`` with one evaluation per shell
     under the shell-search rule, then the calmness probe when the search
-    finds nothing."""
+    finds nothing.  On PA and DC data a shell's first bad sample in tuple
+    order must also violate the inequality in Fraction arithmetic at the
+    exact base point."""
     import math
     from dataclasses import replace
 
     from subgrad import dinioracle as D
-    from subgrad.rationals import parse_rational, to_float
+    from subgrad.funcmodel import DCFunction, PAConvexFunction
+    from subgrad.rationals import parse_rational, parse_vector, to_float
 
     e = to_float(parse_rational(eps))
     a = to_float(parse_rational(alpha))
@@ -768,7 +788,15 @@ def membership_reference(f, x, xstar, eps, alpha, plan):
         bad = np.flatnonzero(usable & (margin < -D._VERIFY_RTOL * scale))
         if not len(bad):
             return usable, margin, None
-        best = min(bad, key=D._lex_key(pts, margin))
+        best = min(bad, key=_lex_key(pts, margin))
+        if isinstance(f, (DCFunction, PAConvexFunction)):
+            xq, sq = parse_vector(x, dim), parse_vector(xstar, dim)
+            yq = [Fraction(float(z)) for z in pts[best]]
+            rhs = dot(sq, vsub(yq, xq)) - (parse_rational(alpha) + parse_rational(eps)) * sum(
+                abs(p - q) for p, q in zip(yq, xq)
+            )
+            if not f.evaluate(yq) - f.evaluate(xq) < rhs:
+                return usable, margin, None
         witness = {"x": [float(z) for z in pts[best]], "f_x": float(fv[best]), "margin": float(margin[best])}
         return usable, margin, (witness, "inequality violated at the witness point")
 
@@ -812,7 +840,7 @@ def blunt_reference(p, x, eps, plan):
         fv = dc.evaluate_batch(pts)
         margins = fv - to_float(f0) + to_float(e) * np.abs(w).sum(axis=1)
         usable = feas & np.isfinite(fv)
-        for i in sorted(np.flatnonzero(usable & (margins < 1e-9)), key=D._lex_key(pts)):
+        for i in sorted(np.flatnonzero(usable & (margins < 1e-9)), key=_lex_key(pts)):
             yq = tuple(Fraction(float(z)) for z in pts[i])
             if any(sum(a * y for a, y in zip(z[:-1], yq)) > z[-1] for z in hrep):
                 continue
@@ -837,10 +865,14 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
     tiled copies of the samples, under the shell-search rule.  A group is
     drawn as the probe draws it: the pairs (convex: ball centres, sphere
     directions, lengths, splits; otherwise ball points, then the directional
-    scales), then a random mix parameter per pair."""
+    scales), then a random mix parameter per pair.  On PA and DC data a
+    shell's first bad triple in tuple order must also violate the
+    inequality in Fraction arithmetic; the witness values are the
+    shell's own."""
     import math
 
     from subgrad import dinioracle as D
+    from subgrad.funcmodel import DCFunction, PAConvexFunction
     from subgrad.rationals import parse_rational, to_float
 
     e = to_float(parse_rational(eps))
@@ -893,19 +925,20 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
         bad = np.flatnonzero(usable & (margin < -D._VERIFY_RTOL * scale))
         if not len(bad):
             return usable, margin, None
-        best = min(bad, key=D._lex_key(xs, ys, ts))
+        best = min(bad, key=_lex_key(xs, ys, ts))
         xw = [float(z) for z in xs[best]]
         yw = [float(z) for z in ys[best]]
         tw = float(ts[best])
-        lhs = D._eval_float(f, np.array(xw) * tw + np.array(yw) * (1.0 - tw))
-        rhs = (
-            tw * D._eval_float(f, xw)
-            + (1.0 - tw) * D._eval_float(f, yw)
-            + e * tw * (1.0 - tw) * float(np.abs(np.array(xw) - np.array(yw)).sum())
-        )
-        if not lhs > rhs:
-            return usable, margin, None
-        witness = {"x": xw, "y": yw, "t": tw, "lhs": lhs, "rhs": rhs, "margin": float(margin[best])}
+        if isinstance(f, (DCFunction, PAConvexFunction)):
+            xq, yq, tq = [Fraction(z) for z in xw], [Fraction(z) for z in yw], Fraction(tw)
+            mid = [tq * p + (1 - tq) * q for p, q in zip(xq, yq)]
+            bound = tq * f.evaluate(xq) + (1 - tq) * f.evaluate(yq)
+            bound += parse_rational(eps) * tq * (1 - tq) * sum(abs(p - q) for p, q in zip(xq, yq))
+            if not f.evaluate(mid) > bound:
+                return usable, margin, None
+        witness = {
+            "x": xw, "y": yw, "t": tw, "lhs": float(fm[best]), "rhs": float(rhs[best]), "margin": float(margin[best])
+        }
         return usable, margin, (witness, f"{mode} inequality violated at the witness")
 
     rows = 5 * n + 1 if mode != "convex" else 6 * n

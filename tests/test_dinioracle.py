@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from test_funcmodel import _blackbox_trees
@@ -25,6 +26,7 @@ from subgrad.dinioracle import (
     _ROWS_PER_EVALUATION,
     _l1_ball_points,
     _l1_sphere_points,
+    _lex_order,
     approx_regularity_probe,
     calmness_probe,
     dini_directional_estimate,
@@ -362,6 +364,26 @@ def test_regularity_witness_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# witness order
+# ---------------------------------------------------------------------------
+
+
+# few distinct values, so that rows tie, with both zeros and infinities
+tie_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf]) | st.floats(allow_nan=False)
+
+
+@given(st.data(), st.integers(1, 12), st.lists(st.integers(0, 3), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_lex_order_matches_tuple_order(data, rows, widths):
+    # width 0 is a 1-D key, one value a row; width k an (rows, k) key
+    keys = [data.draw(arrays(np.float64, (rows, w) if w else rows, elements=tie_floats)) for w in widths]
+    want = sorted(range(rows), key=oracles._lex_key(*keys))
+    got = _lex_order(*keys)
+    assert got[0] == want[0]
+    assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # batched evaluation against the one-shell-at-a-time references
 # ---------------------------------------------------------------------------
 
@@ -443,16 +465,35 @@ def test_dini_estimate_matches_reference(fx, plan, h, tag):
 # and a shell whose bad sample fails the re-check before a later shell with
 # a verified one.  The plan seeds were picked for these paths, and
 # test_rare_path_examples_reach_their_paths checks that they still do.  The
-# slopes of STEEP are 2^30 around a base point where it is 0, so its
-# margins are rounding noise, and its re-check fails where its one-row
-# values round otherwise (OpenBLAS on x86-64).
+# slopes of STEEP are 2^30 around a base point where it is 0, so its float
+# margins are rounding noise of about 1e-4, which its exact re-check
+# rejects.  KINKED is STEEP less a kink of slope 1/4 at distance 2^-8 from
+# the base point, whose violations are real.
 EIGHT_PER_SHELL = replace(DEFAULT_PLAN, samples_per_shell=8)
 STEEP_X = (F(1000), F(-700))
 STEEP = PAConvexFunction(
     [(a, -(a[0] * STEEP_X[0] + a[1] * STEEP_X[1])) for a in ((F(2**30), F(3 * 2**30)), (F(-(2**30)), F(2**29)))]
 )
+KINKED = DCFunction(STEEP, PAConvexFunction([((F(0), F(0)), F(0)), ((F(1, 4), F(0)), -(STEEP_X[0] + F(1, 256)) / 4)]))
 REGULARITY_PAST_SHELL_0 = ((NEG_ABS, (F(0),)), replace(EIGHT_PER_SHELL, seed=2), "convex", F(1, 100), [1, 0, 0, 0])
-REGULARITY_RECHECK_FAILS = ((STEEP, STEEP_X), replace(EIGHT_PER_SHELL, seed=5), "starshaped", F(1, 100), [1, 0, 0, 0])
+REGULARITY_RECHECK_FAILS = ((KINKED, STEEP_X), replace(EIGHT_PER_SHELL, seed=38), "starshaped", F(1, 100), [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mode", ["convex", "starshaped", "directional", "membership"])
+def test_float_noise_on_exact_data_is_no_witness(mode, seed):
+    # STEEP is convex and (2^30, 3 * 2^30) is one of its slopes at STEEP_X,
+    # so every sampled violation is rounding noise; each of these plans
+    # reported one before bad samples of PA and DC data were re-checked in
+    # exact arithmetic
+    plan = replace(DEFAULT_PLAN, seed=seed)
+    if mode == "membership":
+        verdict = eps_subgradient_membership_probe(STEEP, STEEP_X, (F(2**30), F(3 * 2**30)), F(0), F(1, 100), plan)
+    else:
+        verdict = approx_regularity_probe(STEEP, STEEP_X, F(1, 100), mode, plan, direction=(F(1), F(0)))
+    assert verdict.status == "Holds"
+    # the noise reached the re-check in a shell of the group after shell 0
+    assert any(s["inf"] < -1e-10 for s in verdict.shells[1:])
 
 
 @given(
