@@ -33,6 +33,7 @@ from .polykernel import (
     contains_point,
     contains_polyhedron,
     intersect_many,
+    memo_scope,
     minkowski_sum,
     star_difference,
 )
@@ -91,6 +92,7 @@ def _two_way_verdict(lhs: Polyhedron, rhs: Polyhedron) -> tuple[str, Vector | No
     return "StrictInclusion", escape_r
 
 
+@memo_scope
 def check_sum_rule(
     f: PAConvexFunction, g: PAConvexFunction, x: Sequence, eps=0, eta=0
 ) -> Certificate:
@@ -133,6 +135,7 @@ def _erosion_certificate(
     return Certificate(claim, lhs, rhs, verdict, witness, dc_hypothesis_report(dc, x), notes)
 
 
+@memo_scope
 def check_difference_formula(
     dc: DCFunction, x: Sequence, eps=0, eta=0, norm: NormSpec = L1
 ) -> Certificate:
@@ -145,6 +148,7 @@ def check_difference_formula(
     return _erosion_certificate(claim, dc, x, eps, eta, norm)
 
 
+@memo_scope
 def check_inclusion_13(
     dc: DCFunction, x: Sequence, eps=0, eta=0, norm: NormSpec = L1
 ) -> Certificate:
@@ -153,6 +157,7 @@ def check_inclusion_13(
     return _erosion_certificate("Inclusion13", dc, x, eps, eta, norm)
 
 
+@memo_scope
 def check_intersection_formula(
     dc: DCFunction, x: Sequence, eps=0, mu_list: Sequence = (0,), norm: NormSpec = L1
 ) -> Certificate:
@@ -183,6 +188,7 @@ def check_intersection_formula(
     )
 
 
+@memo_scope
 def check_corollary11(
     dc: DCFunction, x: Sequence, eta_list: Sequence = (0, Fraction(1, 2), 1)
 ) -> Certificate:
@@ -226,6 +232,7 @@ def check_corollary11(
     )
 
 
+@memo_scope
 def check_corollary12(
     dc: DCFunction, x: Sequence, eps=0, norm: NormSpec = L1, variant: str = "a"
 ) -> Certificate:
@@ -238,6 +245,7 @@ def check_corollary12(
     return _erosion_certificate("Cor12" + variant, dc, x, eps, 0, norm, notes)
 
 
+@memo_scope
 def local_min_necessary(dc: DCFunction, x: Sequence) -> Certificate:
     """Necessary condition at a local minimizer of g - h: the subdifferential
     of h sits inside that of g.  Cross-checked against zero-membership of the

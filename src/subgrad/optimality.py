@@ -38,6 +38,7 @@ from .polykernel import (
     conic_hull,
     contains_point,
     contains_polyhedron,
+    memo_scope,
     minkowski_sum,
     normal_cone_at,
     strictly_contains_point,
@@ -291,6 +292,7 @@ class OptimalityCertificate:
         return record_json(self, "theorem_certified")
 
 
+@memo_scope
 def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertificate:
     """Decides spongiously local eps-blunt minimality for every eps > 0.
 

@@ -27,6 +27,14 @@ and the zero sets of its output rays prune the input side: a generator (a
 row) is kept exactly when it spans an extreme ray modulo the lineality space,
 which the incidence alone decides (see ``_extreme``).
 
+Inside one top-level exact call (a ``calculus`` check or
+``certify_blunt_minimizer``, each wrapped in ``memo_scope``) each distinct
+raw input is converted once: a memo keyed on the dimension, the facet and
+generator caps and the raw rows or points hands the canonical data of the
+first conversion to every later polyhedron with the same input.  The memo
+is dropped when the outermost call returns or raises; outside a call every
+canonicalization runs its own DD pass.
+
 The empty set is canonically ``x1 <= -1, -x1 <= -1`` with no vertices; the
 whole space has an empty facet list.
 
@@ -43,6 +51,7 @@ generators and never converts the ball.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -87,6 +96,29 @@ class Caps:
 
 
 CAPS = Caps()
+
+
+# (dim, max_facets, max_generators, raw hrep, raw vrep) -> (facets, points,
+# rays) for the outermost open ``memo_scope`` call; None outside one.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("canonical_memo", default=None)
+
+
+def memo_scope(fn):
+    """`fn` with one canonical-form memo for its outermost call: a nested
+    call reuses the open memo, and the memo is dropped when the outermost
+    call returns or raises."""
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _MEMO.get() is not None:
+            return fn(*args, **kwargs)
+        token = _MEMO.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _MEMO.reset(token)
+
+    return scoped
 
 
 def _check_product(m: int, n: int, what: str) -> None:
@@ -375,6 +407,40 @@ def _vrep_to_hrep(points: Iterable[IntVector], rays: Iterable[IntVector], dim: i
     return facets, [g for g in kept if g[dim]], [g[:dim] for g in kept if not g[dim]]
 
 
+def _canonical_form(dim: int, raw_hrep: tuple | None, raw_vrep: tuple | None) -> tuple:
+    """The canonical (facets, points, rays) of a raw input, by one int pass
+    with one DD run.
+
+    An H-rep input runs H->V: its rays modulo the lines give the vertices
+    and rays, and their zero sets prune the input rows to the facets.  A
+    V-rep input runs V->H: the polar rays give the facets, and their zero
+    sets prune the input points and rays to the vertices and rays.
+    """
+    facets = None
+    if raw_hrep is not None:
+        facets, points, rays, lines = _hrep_to_vrep(raw_hrep, dim)
+        if facets is not None:
+            ortho, rays = _mod_lines(rays, lines)
+            if ortho:
+                # a zero last entry scales each point's t by u.u with its x
+                ortho = [(u + (0,), uu) for u, uu in ortho]
+                points = [_project(p, ortho) for p in points]
+    elif raw_vrep[0]:
+        facets, points, rays = _vrep_to_hrep(*raw_vrep, dim)
+        if not points:
+            raise InternalCheckError("nonempty V-rep kept no vertex")
+    if facets is None:
+        e1 = (1,) + (0,) * (dim - 1)
+        facets, points, rays = (e1 + (-1,), (-1,) + e1[1:] + (-1,)), (), ()
+    else:
+        # In the order of the public vertices: by rational value, read off
+        # the numerators over a common denominator.
+        common = math.lcm(*(p[dim] for p in points))
+        points = sorted(set(points), key=lambda p: tuple(x * (common // p[dim]) for x in p[:dim]))
+        rays = tuple(sorted(set(rays)))
+    return facets, tuple(points), rays
+
+
 # ---------------------------------------------------------------------------
 # Polyhedron
 # ---------------------------------------------------------------------------
@@ -401,7 +467,10 @@ class Polyhedron:
     Canonicalization fills ``_hrep`` (facet rows), ``_points`` (in the order
     of the public vertices) and ``_rays`` in place, once, with one DD run
     whose zero sets prune the input side; ``hrep``, ``vertices``, ``rays``
-    and ``to_json`` build their Fractions from these on each access.
+    and ``to_json`` build their Fractions from these on each access.  Inside
+    a ``memo_scope`` call the run happens once per distinct raw input and
+    caps: a later polyhedron with the same ``(dim, max_facets,
+    max_generators, _raw_hrep, _raw_vrep)`` takes the stored canonical data.
     """
 
     __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_points", "_rays")
@@ -451,40 +520,21 @@ class Polyhedron:
     # -- canonicalization ----------------------------------------------
 
     def _canonicalize(self) -> None:
-        """One int pass to the canonical facets, points and rays, with one
-        DD run.
-
-        An H-rep input runs H->V: its rays modulo the lines give the vertices
-        and rays, and their zero sets prune the input rows to the facets.  A
-        V-rep input runs V->H: the polar rays give the facets, and their zero
-        sets prune the input points and rays to the vertices and rays.
-        """
+        """Fills the canonical facets, points and rays: from the open memo
+        if an earlier polyhedron of this call had the same raw input under
+        the same caps, else by one int pass with one DD run (`_canonical_form`),
+        stored in the memo if one is open."""
         if self._hrep is not None:
             return
-        dim = self.dim
-        facets = None
-        if self._raw_hrep is not None:
-            facets, points, rays, lines = _hrep_to_vrep(self._raw_hrep, dim)
-            if facets is not None:
-                ortho, rays = _mod_lines(rays, lines)
-                if ortho:
-                    # a zero last entry scales each point's t by u.u with its x
-                    ortho = [(u + (0,), uu) for u, uu in ortho]
-                    points = [_project(p, ortho) for p in points]
-        elif self._raw_vrep[0]:
-            facets, points, rays = _vrep_to_hrep(*self._raw_vrep, dim)
-            if not points:
-                raise InternalCheckError("nonempty V-rep kept no vertex")
-        if facets is None:
-            e1 = (1,) + (0,) * (dim - 1)
-            facets, points, rays = (e1 + (-1,), (-1,) + e1[1:] + (-1,)), (), ()
+        memo = _MEMO.get()
+        if memo is None:
+            form = _canonical_form(self.dim, self._raw_hrep, self._raw_vrep)
         else:
-            # In the order of the public vertices: by rational value, read off
-            # the numerators over a common denominator.
-            common = math.lcm(*(p[dim] for p in points))
-            points = sorted(set(points), key=lambda p: tuple(x * (common // p[dim]) for x in p[:dim]))
-            rays = tuple(sorted(set(rays)))
-        self._hrep, self._points, self._rays = facets, tuple(points), rays
+            key = (self.dim, CAPS.max_facets, CAPS.max_generators, self._raw_hrep, self._raw_vrep)
+            form = memo.get(key)
+            if form is None:
+                form = memo[key] = _canonical_form(self.dim, self._raw_hrep, self._raw_vrep)
+        self._hrep, self._points, self._rays = form
 
     def canonical(self) -> "Polyhedron":
         self._canonicalize()

@@ -6,6 +6,7 @@ hypothesis bookkeeping.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from subgrad.funcmodel import (
     abs_function,
     linear_function,
 )
-from subgrad.polykernel import Polyhedron, contains_point
+from subgrad import calculus, polykernel
+from subgrad.polykernel import Polyhedron, contains_point, memo_scope
 
 F = Fraction
 
@@ -207,3 +209,43 @@ def test_random_instances_cover_all_grid_claims(seed):
     c11 = check_corollary11(dc, x)
     assert c11.verdict in ("Equal", "StrictInclusion", "Fails")
     assert any("statements agree" in n for n in c11.notes)
+
+
+CHECK_ARGS = {
+    "check_sum_rule": lambda: (abs_function(), linear_function(["1"]), (F(0),), F(1, 2), F(1, 2)),
+    "check_difference_formula": lambda: (abs_minus_x(), (F(0),), F(1, 2), F(1, 2)),
+    "check_inclusion_13": lambda: (restricted_abs_dc(), (F(0),)),
+    "check_intersection_formula": lambda: (abs_minus_x(), (F(0),), F(1, 2), (F(0), F(1))),
+    "check_corollary11": lambda: (DCFunction(abs_function(), abs_function()), (F(0),)),
+    "check_corollary12": lambda: (abs_minus_x(), (F(0),), F(1, 2)),
+    "local_min_necessary": lambda: (abs_minus_x(), (F(0),)),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_ARGS)
+def test_each_check_canonicalizes_under_one_memo(canonical_memos, name):
+    check, args = getattr(calculus, name), CHECK_ARGS[name]()
+    canonical_memos.clear()
+    check(*args)
+    assert check.__name__ == name
+    assert canonical_memos and canonical_memos[0] is not None
+    assert all(m is canonical_memos[0] for m in canonical_memos)
+    assert polykernel._MEMO.get() is None
+
+
+def test_nested_checks_share_the_outer_memo():
+    def dd_runs():
+        args = CHECK_ARGS["check_difference_formula"]()
+        with mock.patch.object(polykernel, "_cone_generators", wraps=polykernel._cone_generators) as dd:
+            check_difference_formula(*args)
+        return dd.call_count
+
+    alone = dd_runs(), dd_runs()
+    assert alone[0] == alone[1] > 0, "each outermost call starts a fresh memo"
+
+    @memo_scope
+    def both():
+        return dd_runs(), dd_runs()
+
+    first, second = both()
+    assert first > 0 and second == 0

@@ -39,6 +39,7 @@ from subgrad.optimality import (
     normal_cone_feasible,
     qualification_check,
 )
+from subgrad import polykernel
 from subgrad.polykernel import Polyhedron, contains_point, contains_polyhedron, minkowski_sum
 from subgrad.rationals import parse_rational, parse_vector
 
@@ -244,6 +245,16 @@ def test_certify_negative_with_replayable_descent():
     assert contains_point(feasible_set(p.constraints), y)
     assert d["f_step"] - d["f_base"] == d["step"] * d["rate"]
     assert p.objective.evaluate(y) == d["f_step"]
+
+
+def test_certify_canonicalizes_under_one_memo(canonical_memos):
+    problem = cone_problem(["3", "0"])
+    canonical_memos.clear()
+    certify_blunt_minimizer(problem, (F(0), F(0)))
+    assert certify_blunt_minimizer.__name__ == "certify_blunt_minimizer"
+    assert canonical_memos and canonical_memos[0] is not None
+    assert all(m is canonical_memos[0] for m in canonical_memos)
+    assert polykernel._MEMO.get() is None
 
 
 def test_certify_rejects_bad_points():

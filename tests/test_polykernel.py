@@ -41,6 +41,7 @@ from subgrad.polykernel import (
     gap,
     intersect,
     intersect_many,
+    memo_scope,
     minkowski_sum,
     norm_unit_ball,
     normal_cone_at,
@@ -452,6 +453,86 @@ def test_generator_cap_stops_during_combination(monkeypatch):
     cross = Polyhedron.from_vrep(units + [tuple(-x for x in u) for u in units], dim=4)
     with pytest.raises(CapExceeded, match="generator count 7 exceeds cap 6"):
         cross.canonical()
+
+
+# ---------------------------------------------------------------------------
+# the canonical-form memo of one top-level call
+# ---------------------------------------------------------------------------
+
+
+def rebuild(dim, raw):
+    if "hrep" in raw:
+        return Polyhedron.from_hrep(raw["hrep"], dim)
+    return Polyhedron.from_vrep(*raw["vrep"], dim=dim)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(raw_polyhedra))
+@settings(max_examples=150, deadline=None)
+def test_memo_hit_is_the_unscoped_canonical_form(case):
+    p, raw = case
+    dim = p.dim
+    assert polykernel._MEMO.get() is None
+    expected = (p._key(), p.to_json())
+
+    @memo_scope
+    def twice():
+        first = rebuild(dim, raw)
+        first.canonical()
+        with mock.patch.object(polykernel, "_cone_generators", wraps=polykernel._cone_generators) as dd:
+            second = rebuild(dim, raw)
+            second.canonical()
+        assert dd.call_count == 0, "the same raw input hits the memo"
+        return first, second
+
+    for q in twice():
+        assert (q._key(), q.to_json()) == expected
+
+
+def test_memo_scope_is_dropped_on_return_and_on_raise():
+    seen = []
+
+    @memo_scope
+    def inner():
+        seen.append(polykernel._MEMO.get())
+
+    @memo_scope
+    def outer(fail):
+        seen.append(polykernel._MEMO.get())
+        inner()
+        if fail:
+            raise ValueError("boom")
+        return "done"
+
+    assert outer.__name__ == "outer"
+    assert outer(False) == "done"
+    assert polykernel._MEMO.get() is None
+    with pytest.raises(ValueError):
+        outer(True)
+    assert polykernel._MEMO.get() is None
+    # one memo per outermost call, shared by the nested one
+    assert seen[0] is seen[1] and seen[2] is seen[3]
+    assert seen[0] is not None and seen[0] is not seen[2]
+
+
+def test_memo_hit_does_not_skip_the_facet_cap(monkeypatch):
+    units = [tuple(frac(int(i == j)) for j in range(4)) for i in range(4)]
+
+    def cross():
+        return Polyhedron.from_vrep(units + [tuple(-x for x in u) for u in units], dim=4)
+
+    @memo_scope
+    def run():
+        monkeypatch.setattr(CAPS, "max_facets", 16)
+        assert len(cross().canonical().hrep) == 16
+        monkeypatch.setattr(CAPS, "max_facets", 15)
+        with pytest.raises(CapExceeded, match="facet count 16 exceeds cap 15"):
+            cross().canonical()
+        monkeypatch.setattr(CAPS, "max_facets", 16)
+        with mock.patch.object(polykernel, "_cone_generators", wraps=polykernel._cone_generators) as dd:
+            assert len(cross().canonical().hrep) == 16
+        assert not dd.called
+
+    run()
 
 
 # ---------------------------------------------------------------------------
