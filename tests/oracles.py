@@ -945,6 +945,63 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
     return _shell_search_reference(plan, D._TAG_APPROX, rows, draw, shell, "no evaluable samples")
 
 
+def gap_reference(f, x, eps, plan):
+    """``gap_continuity_probe`` sample by sample: all shells drawn in one
+    call, at most 16 points a shell, each finite sample promoted to
+    Fractions, its exact map's gap to the base point's map kept unless the
+    sample lies outside the domain.  Shells decide deepest first; a failing
+    shell's witness is its first sample in tuple order."""
+    import math
+
+    from subgrad import dinioracle as D
+    from subgrad.errors import PointOutsideDomain
+    from subgrad.funcmodel import PAConvexFunction, dc_dini_subdifferential
+    from subgrad.polykernel import L1, gap
+    from subgrad.rationals import parse_rational, parse_vector
+
+    e = parse_rational(eps)
+    if isinstance(f, PAConvexFunction):
+        map_at = f.subdifferential_at
+    else:
+        def map_at(p):
+            return dc_dini_subdifferential(f, p, 0, 0)
+    dim = f.dim
+    exact_x = parse_vector(x, dim)
+    xf = D._as_float_vec(exact_x, dim)
+    base = map_at(exact_x)
+    n = min(plan.samples_per_shell, 16)
+    with np.errstate(over="ignore"):
+        drawn = xf + _ball_draw(reference_rng(plan, D._TAG_GAP), plan.shell_radii, n, dim)
+    shells, kept = [], []
+    for r, pts in zip(plan.shell_radii, drawn):
+        gaps, used = [], []
+        for row in pts:
+            if not all(math.isfinite(v) for v in row):
+                continue
+            p = tuple(Fraction(float(v)) for v in row)
+            try:
+                g = gap(base, map_at(p), L1)
+            except PointOutsideDomain:
+                continue
+            gaps.append(g)
+            used.append([float(v) for v in row])
+        lo = float(min(gaps)) if gaps else math.inf
+        hi = float(max(gaps)) if gaps else math.inf
+        shells.append({"radius": float(r), "inf": lo, "sup": hi})
+        kept.append((gaps, used))
+    for k in range(len(shells) - 1, -1, -1):
+        gaps, used = kept[k]
+        if not gaps:
+            continue
+        if all(g < e for g in gaps):
+            return D.ProbeVerdict("Holds", None, shells, notes=(f"all sampled gaps below eps in shell {k}",))
+        if all(g >= e for g in gaps):
+            i = min(range(len(used)), key=lambda i: tuple(used[i]))
+            witness = {"x": used[i], "gap": float(gaps[i])}
+            return D.ProbeVerdict("FailsWithWitness", witness, shells, notes=(f"every sampled gap reaches eps in shell {k}",))
+    return D.ProbeVerdict("Inconclusive", None, shells, notes=("no decisive shell under this plan",))
+
+
 # ---------------------------------------------------------------------------
 # linear programming
 # ---------------------------------------------------------------------------

@@ -307,6 +307,18 @@ def test_run_malformed_scenario(tmp_path, capsys):
             **json.loads((CORPUS / "probe_regularity_abssq.json").read_text()),
             "function": {"type": "blackbox", "dim": 1, "expr": abs_expr, "box": [[-1, math.nan]]},
         },
+        # well-formed functions of the wrong kind for the scenario
+        "check_dc_is_pa": {"kind": "check", "claim": "equality22", "point": "0", "dc": pa},
+        "sumrule12_blackbox_f": {
+            "kind": "check", "claim": "sumrule12", "point": "0",
+            "f": {"type": "blackbox", "dim": 1, "expr": abs_expr}, "g": pa,
+        },
+        "equality22_selects_equality26": {
+            "kind": "check", "claim": "equality22", "point": "0", "dc": dc, "eps": "1/2",
+        },
+        "subdiff_blackbox": {
+            "kind": "subdiff", "point": "0", "function": {"type": "blackbox", "dim": 1, "expr": abs_expr},
+        },
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"

@@ -277,6 +277,16 @@ def test_calmness_neg_sqrt_fails_with_witness():
     assert (fy - 0.0) / t < w["threshold"]
 
 
+def test_calmness_steep_negative_slope_is_inconclusive():
+    # -1000|x|: every quotient is -1000, stable and far below zero, yet
+    # never past the -1e6 divergence threshold
+    steep = BlackBoxFunction(["mul", ["const", -1000], ["abs", ["coord", 0]]], 1)
+    v = calmness_probe(steep, (F(0),))
+    assert v.status == "Inconclusive"
+    assert v.witness is None
+    assert v.notes == ("quotients negative or unstable without crossing the threshold",)
+
+
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -690,6 +700,47 @@ def test_gap_probe_detects_empty_map():
 def test_gap_probe_rejects_blackbox():
     with pytest.raises(ParseError):
         gap_continuity_probe(ABS, (F(0),), F(1, 10))
+
+
+@st.composite
+def gap_plans(draw):
+    shells = draw(st.integers(1, 6))
+    top = draw(st.floats(-3, 8))
+    step = draw(st.floats(0.25, 3))
+    return SamplingPlan(
+        shell_radii=tuple(2.0 ** -(top + step * k) for k in range(shells)),
+        samples_per_shell=draw(st.integers(8, 24)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+# the domain {0}: every sample off the base point is outside it
+PA_AT_ZERO = PAConvexFunction([((F(1),), F(0))], domain=Polyhedron.from_vrep([(F(0),)], dim=1))
+# |x| on x >= 0: the samples left of 0 are outside the domain
+ABS_NONNEG = PAConvexFunction([((1,), 0), ((-1,), 0)], domain=Polyhedron.from_hrep([((F(-1),), F(0))], 1))
+
+
+@given(
+    probe_functions().filter(lambda fx: not isinstance(fx[0], BlackBoxFunction)),
+    gap_plans(),
+    st.sampled_from([F(1, 100), F(1, 10), F(1, 2), F(2)]),
+)
+@example((PA_AT_ZERO, (F(0),)), DEFAULT_PLAN, F(1, 10))
+@example((ABS_NONNEG, (F(0),)), DEFAULT_PLAN, F(1, 10))
+@settings(max_examples=150, deadline=None)
+def test_gap_probe_matches_reference(fx, plan, eps):
+    f, x = fx
+    got = json.dumps(gap_continuity_probe(f, x, eps, plan).to_json())
+    assert got == json.dumps(oracles.gap_reference(f, x, eps, plan).to_json())
+
+
+def test_gap_probe_examples_reach_their_paths():
+    v = gap_continuity_probe(PA_AT_ZERO, (F(0),), F(1, 10))
+    assert v.status == "Inconclusive"
+    assert v.notes == ("no decisive shell under this plan",)
+    assert all(s["inf"] == s["sup"] == math.inf for s in v.shells)
+    v = gap_continuity_probe(ABS_NONNEG, (F(0),), F(1, 10))
+    assert v.status == "Holds"
 
 
 def test_probe_json_schema():

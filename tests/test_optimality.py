@@ -292,6 +292,21 @@ def test_unvalidated_lagrange_when_qualification_fails():
     assert any("restricted-function route" in n for n in cert.notes)
 
 
+def test_unbounded_c_skips_the_qualification():
+    # C = {x >= -1}, f = |x| - 0 and k(x) = 0 x + 0 in -K: 0 is a minimizer,
+    # and the qualification is not evaluated on an unbounded C
+    c_set = Polyhedron.from_hrep([((F(-1),), F(1))], 1)
+    cs = ConstraintSystem(c_set, [[0]], [0])
+    dc = DCFunction(abs_function(), linear_function(["0"]))
+    cert = certify_blunt_minimizer(ProblemInstance(dc, cs), (F(0),))
+    assert cert.verdict == "BluntMinimizerAllEps"
+    assert cert.qualification == "Fails"
+    assert cert.qualification_cone is None
+    assert not cert.lagrange_validated
+    assert "C unbounded: qualification not evaluated" in cert.notes
+    assert any("restricted-function route" in n for n in cert.notes)
+
+
 def test_probe_agrees_with_certificate():
     neg = cone_problem(["3", "0"])
     for eps in (F(1, 4), F(1, 2), F(1)):
