@@ -83,7 +83,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EvaluationFailure, NegativeEps, ParseError, SubgradError
+from .errors import EvaluationFailure, NegativeEps, ParseError, PointOutsideDomain
 from .funcmodel import DCFunction, PAConvexFunction, _finite_rows, dc_dini_subdifferential
 from .polykernel import L1, gap
 from .rationals import parse_rational, parse_vector, record_json, to_float
@@ -623,16 +623,17 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
     The map is the exact subdifferential for a PA convex function and the
     exact Dini-Hadamard subdifferential (eps = eta = 0) for a DC pair; each
     sampled float point is promoted to exact rationals, so every reported
-    gap is exact.  Decision runs deepest shell first: a shell whose gaps all
-    stay below eps certifies Holds (a candidate delta), a shell whose gaps
-    all reach eps certifies FailsWithWitness, anything else is Inconclusive.
+    gap is exact.  A sample outside the domain is skipped, and a shell with
+    no sample records "inf" and "sup" as inf.  Decision runs deepest shell
+    first: a shell whose gaps all stay below eps certifies Holds (a
+    candidate delta), a shell whose gaps all reach eps certifies
+    FailsWithWitness, anything else is Inconclusive.
     """
     e = parse_rational(eps)
     if e <= 0:
         raise NegativeEps(f"eps must be positive, got {eps}")
     if isinstance(f, PAConvexFunction):
-        def map_at(p):
-            return f.subdifferential_at(p)
+        map_at = f.subdifferential_at
     elif isinstance(f, DCFunction):
         def map_at(p):
             return dc_dini_subdifferential(f, p, 0, 0)
@@ -645,55 +646,34 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
     xf = _as_float_vec(exact_x, dim)
     base = map_at(exact_x)
     n = min(plan.samples_per_shell, 16)
-    shells: list[dict] = []
-    records: list[tuple[int, list, list]] = []
     radii = plan.shell_radii
     with np.errstate(over="ignore"):
         shell_pts = xf + _ball_shells(plan.rng(_TAG_GAP), np.array(radii), n, dim)
-    for k, (r, pts) in enumerate(zip(radii, shell_pts)):
-        gaps = []
-        used = []
+    shells: list[dict] = []
+    # per shell, its (point, gap) pairs in sample order
+    samples: list[list[tuple[list[float], Fraction | float]]] = []
+    for r, pts in zip(radii, shell_pts):
+        pairs = []
         # a sample past float range has no exact point to promote
-        for row in pts[_finite_rows(pts)]:
-            p = tuple(Fraction(float(v)) for v in row)
+        for p in pts[_finite_rows(pts)].tolist():
             try:
-                g = gap(base, map_at(p), L1)
-            except SubgradError:
+                pairs.append((p, gap(base, map_at(tuple(map(Fraction, p))), L1)))
+            except PointOutsideDomain:
                 continue
-            gaps.append(g)
-            used.append([float(v) for v in row])
-        if gaps:
-            lo = min(gaps)
-            hi = max(gaps)
-        else:
-            lo = hi = math.inf
-        shells.append(
-            {
-                "radius": float(r),
-                "inf": to_float(lo),
-                "sup": to_float(hi),
-            }
-        )
-        records.append((k, gaps, used))
-    for k, gaps, used in reversed(records):
-        if not gaps:
+        gaps = [g for _, g in pairs]
+        lo, hi = (min(gaps), max(gaps)) if gaps else (math.inf, math.inf)
+        shells.append({"radius": float(r), "inf": to_float(lo), "sup": to_float(hi)})
+        samples.append(pairs)
+    for k, pairs in reversed(list(enumerate(samples))):
+        if not pairs:
             continue
-        if max(gaps) < e:
-            return ProbeVerdict(
-                "Holds",
-                None,
-                shells,
-                notes=(f"all sampled gaps below eps in shell {k}",),
-            )
-        if min(gaps) >= e:
-            px, pg = min(zip(used, gaps), key=lambda z: z[0])
-            witness = {
-                "x": px,
-                "gap": to_float(pg),
-            }
+        if all(g < e for _, g in pairs):
+            return ProbeVerdict("Holds", None, shells, notes=(f"all sampled gaps below eps in shell {k}",))
+        if all(g >= e for _, g in pairs):
+            px, pg = min(pairs, key=lambda z: z[0])
             return ProbeVerdict(
                 "FailsWithWitness",
-                witness,
+                {"x": px, "gap": to_float(pg)},
                 shells,
                 notes=(f"every sampled gap reaches eps in shell {k}",),
             )

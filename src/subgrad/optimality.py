@@ -220,7 +220,9 @@ def _in_generated_set(gens: Sequence[IntVector], x: IntVector) -> bool:
     """
     if not gens:
         return not any(x)
-    res = solve_lp([0] * len(gens), a_eq=list(zip(*gens)), b_eq=x, nonneg=[True] * len(gens))
+    # one equality row per coordinate i: (gen_1[i], ..., gen_m[i], x_i)
+    rows = [(*column, x_i) for column, x_i in zip(zip(*gens), x)]
+    res = solve_lp([0] * len(gens), eq=rows, nonneg=[True] * len(gens))
     return res.status == OPTIMAL
 
 
@@ -258,7 +260,7 @@ def _descent_direction(target: Polyhedron, vertex: Vector, dim: int) -> Vector:
     rows = [tuple(v[-1] * a - w[-1] * b for a, b in zip(w[:-1], v)) + (w[-1] * v[-1], 0) for w in tc._points]
     rows += [r + (0, 0) for r in tc._rays]
     rows += [w[:-1] + (0, w[-1]) for w in _dual_vertices(LINF, dim)]
-    res = solve_lp([0] * dim + [-1], [z[:-1] for z in rows], [z[-1] for z in rows])
+    res = solve_lp([0] * dim + [-1], rows)
     if res.status != OPTIMAL:
         raise InternalCheckError(f"separator LP ended {res.status}")
     if res.value >= 0:

@@ -980,8 +980,7 @@ def _gap_lp(a: Polyhedron, b: Polyhedron, norm: NormSpec) -> Fraction | float:
     # ||x - y|| <= t as <w, x - y> <= s·t over the dual ball's vertices
     # (w..., s): the unit ball's own rows, with no DD run to canonicalize it
     rows += [w[:-1] + tuple(-x for x in w[:-1]) + (-w[-1], 0) for w in _dual_vertices(norm, dim)]
-    res = solve_lp([0] * (2 * dim) + [1], [z[:-1] for z in rows], [z[-1] for z in rows],
-                   nonneg=[False] * (2 * dim) + [True])
+    res = solve_lp([0] * (2 * dim) + [1], rows, nonneg=[False] * (2 * dim) + [True])
     if res.status != OPTIMAL:
         raise InternalCheckError(f"gap LP should be solvable, got {res.status}")
     return res.value

@@ -1,8 +1,7 @@
 """Exact rational linear programming via the two-phase simplex method.
 
 The tableau holds ints and one positive common denominator ``den``: its
-true entries are ``rows[i][j] / den``.  Each row of the input is scaled to
-ints by the lcm of its denominators, and each pivot is the fraction-free
+true entries are ``rows[i][j] / den``.  Each pivot is the fraction-free
 Edmonds–Bareiss update ``a_ij <- (a_ij * p - a_is * a_rj) / den``, whose
 division is exact, followed by ``den <- |p|``; the tableau is negated when
 the pivot ``p`` is negative.  This is the scheme of Avis's lrs (Bareiss
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import InternalCheckError
@@ -102,21 +100,14 @@ def _bland_loop(tab: _Tableau, ncols: int) -> str:
         _pivot(tab, leave, enter)
 
 
-def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row scaled to ints by the lcm of its denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def solve_lp(
-    objective: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    objective: Sequence[int],
+    ub: Sequence[Sequence[int]] = (),
+    eq: Sequence[Sequence[int]] = (),
     nonneg: Sequence[bool] | None = None,
 ) -> LPResult:
-    """Minimize ``objective . x`` over ``a_ub x <= b_ub``, ``a_eq x = b_eq``.
+    """Minimize ``objective . x`` over the int rows ``(a..., b)`` of ``ub``
+    (``a . x <= b``) and of ``eq`` (``a . x = b``).
 
     Variables are free unless flagged in ``nonneg``.  Returns an LPResult
     whose status is one of optimal / infeasible / unbounded; the reported
@@ -127,17 +118,16 @@ def solve_lp(
         nonneg = [False] * nvars
     # Columns: one per variable, then one slack per <= row; artificials are
     # basic only, so they get a basis index past the columns but no column.
-    nslack = len(a_ub)
+    nslack = len(ub)
     ncols = nvars + nslack
     free = [not flag for flag in nonneg] + [False] * nslack
     rows: list[list[int]] = []
     basis: list[int] = []
-    for i, (row, b) in enumerate([*zip(a_ub, b_ub), *zip(a_eq, b_eq)]):
-        r, _ = _int_row([*row, b])
+    for i, row in enumerate([*ub, *eq]):
         slack = [0] * nslack
         if i < nslack:
             slack[i] = 1
-        r = r[:-1] + slack + r[-1:]
+        r = [*row[:-1], *slack, row[-1]]
         on_slack = i < nslack and r[-1] >= 0
         rows.append(r if r[-1] >= 0 else [-v for v in r])
         basis.append(nvars + i if on_slack else ncols + i)
@@ -169,9 +159,8 @@ def solve_lp(
             del tab.rows[i]
             del tab.basis[i]
 
-    # Phase 2: the reduced costs of the int-scaled objective, times den.
-    cost, scale = _int_row(objective)
-    cost += [0] * (nslack + 1)
+    # Phase 2: the reduced costs of the objective, times den.
+    cost = [*objective] + [0] * (nslack + 1)
     den = tab.den
     obj2 = [c * den for c in cost]
     for r, b in zip(tab.rows, tab.basis):
@@ -187,4 +176,4 @@ def solve_lp(
     for r, b in zip(tab.rows, tab.basis):
         if b < nvars:
             x[b] = Fraction(r[-1], den)
-    return LPResult(OPTIMAL, tuple(x), Fraction(-tab.rows[-1][-1], den * scale))
+    return LPResult(OPTIMAL, tuple(x), Fraction(-tab.rows[-1][-1], den))

@@ -33,7 +33,7 @@ from subgrad.dinioracle import (
     eps_subgradient_membership_probe,
     gap_continuity_probe,
 )
-from subgrad.errors import EvaluationFailure, NegativeEps, ParseError
+from subgrad.errors import EvaluationFailure, InternalCheckError, NegativeEps, ParseError
 from subgrad.funcmodel import (
     AffinePiece,
     BlackBoxFunction,
@@ -700,6 +700,19 @@ def test_gap_probe_detects_empty_map():
 def test_gap_probe_rejects_blackbox():
     with pytest.raises(ParseError):
         gap_continuity_probe(ABS, (F(0),), F(1, 10))
+
+
+def test_gap_probe_raises_internal_errors(monkeypatch):
+    # only a sample outside the domain is skipped; a failed internal check
+    # inside the gap is a crash, not a missing sample
+    from subgrad import dinioracle
+
+    def broken(a, b, norm):
+        raise InternalCheckError("gap LP should be solvable")
+
+    monkeypatch.setattr(dinioracle, "gap", broken)
+    with pytest.raises(InternalCheckError):
+        gap_continuity_probe(abs_function(), (F(0),), F(1, 10))
 
 
 @st.composite

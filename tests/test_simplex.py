@@ -1,6 +1,10 @@
-"""Direct tests of the exact two-phase simplex ``solve_lp``."""
+"""Direct tests of the exact two-phase simplex ``solve_lp``, which takes int
+rows ``(coefficients..., bound)``.  A rational LP is scaled to ints row by
+row with ``primitive_ints``, and its objective by the lcm L of the
+objective's denominators, which multiplies the optimal value by L."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +12,23 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from subgrad import simplex
 from subgrad.errors import InternalCheckError
+from subgrad.rationals import primitive_ints
 from subgrad.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
-def fracs(rows):
-    return [[F(v) for v in row] for row in rows]
+def int_rows(a, b):
+    """The rows ``a x (<= or =) b`` as coprime int rows ``(a..., b)`` on
+    their rays; a positive scale keeps both kinds of row."""
+    return [primitive_ints([*map(F, row), F(rhs)]) for row, rhs in zip(a, b)]
 
 
-def assert_optimal(res, objective, value, a_ub=(), b_ub=(), a_eq=(), b_eq=(), nonneg=None):
+def int_objective(objective):
+    """The objective times the lcm L of its denominators, and L."""
+    scale = lcm(*(F(c).denominator for c in objective))
+    return [int(F(c) * scale) for c in objective], scale
+
+
+def assert_optimal(res, objective, value, ub=(), eq=(), nonneg=None):
     """Status optimal, the stated value, and a point that meets every
     constraint and attains that value."""
     assert res.status == OPTIMAL
@@ -23,9 +36,9 @@ def assert_optimal(res, objective, value, a_ub=(), b_ub=(), a_eq=(), b_eq=(), no
     x = res.x
     assert len(x) == len(objective)
     assert sum(c * v for c, v in zip(objective, x)) == res.value
-    for row, b in zip(a_ub, b_ub):
+    for *row, b in ub:
         assert sum(a * v for a, v in zip(row, x)) <= b
-    for row, b in zip(a_eq, b_eq):
+    for *row, b in eq:
         assert sum(a * v for a, v in zip(row, x)) == b
     for v, flag in zip(x, nonneg or ()):
         assert not flag or v >= 0
@@ -33,45 +46,44 @@ def assert_optimal(res, objective, value, a_ub=(), b_ub=(), a_eq=(), b_eq=(), no
 
 def test_optimal_with_free_variables():
     # min x + y with x >= 1, y >= 2 and x, y free
-    a_ub, b_ub = fracs([[-1, 0], [0, -1]]), [F(-1), F(-2)]
-    res = solve_lp([F(1), F(1)], a_ub, b_ub)
-    assert_optimal(res, [1, 1], 3, a_ub, b_ub)
+    ub = [(-1, 0, -1), (0, -1, -2)]
+    res = solve_lp([1, 1], ub)
+    assert_optimal(res, [1, 1], 3, ub)
     assert res.x == (F(1), F(2))
 
 
 def test_optimal_with_nonnegative_variables():
     # max x + y over x + 2y <= 4, 3x + y <= 6, x, y >= 0: the vertex (8/5, 6/5)
-    a_ub, b_ub = fracs([[1, 2], [3, 1]]), [F(4), F(6)]
-    res = solve_lp([F(-1), F(-1)], a_ub, b_ub, nonneg=[True, True])
-    assert_optimal(res, [-1, -1], F(-14, 5), a_ub, b_ub, nonneg=[True, True])
+    ub = [(1, 2, 4), (3, 1, 6)]
+    res = solve_lp([-1, -1], ub, nonneg=[True, True])
+    assert_optimal(res, [-1, -1], F(-14, 5), ub, nonneg=[True, True])
     assert res.x == (F(8, 5), F(6, 5))
 
 
 @pytest.mark.parametrize(
-    "a_ub, b_ub, nonneg",
+    "ub, nonneg",
     [
-        ([[1], [-1]], [1, -2], None),  # x <= 1 and x >= 2
-        ([[1, 1]], [-1], [True, True]),  # x + y <= -1 with x, y >= 0
+        ([(1, 1), (-1, -2)], None),  # x <= 1 and x >= 2
+        ([(1, 1, -1)], [True, True]),  # x + y <= -1 with x, y >= 0
     ],
     ids=["free", "nonneg"],
 )
-def test_infeasible(a_ub, b_ub, nonneg):
-    n = len(a_ub[0])
-    res = solve_lp([F(0)] * n, fracs(a_ub), [F(b) for b in b_ub], nonneg=nonneg)
+def test_infeasible(ub, nonneg):
+    res = solve_lp([0] * (len(ub[0]) - 1), ub, nonneg=nonneg)
     assert res.status == INFEASIBLE
     assert res.x is None and res.value is None
 
 
 @pytest.mark.parametrize(
-    "objective, a_ub, b_ub, nonneg",
+    "objective, ub, nonneg",
     [
-        ([1], [[1]], [5], None),  # min x with x <= 5, x free
-        ([-1, 0], [[1, -1]], [1], [True, True]),  # min -x with x - y <= 1, x, y >= 0
+        ([1], [(1, 5)], None),  # min x with x <= 5, x free
+        ([-1, 0], [(1, -1, 1)], [True, True]),  # min -x with x - y <= 1, x, y >= 0
     ],
     ids=["free", "nonneg"],
 )
-def test_unbounded(objective, a_ub, b_ub, nonneg):
-    res = solve_lp([F(c) for c in objective], fracs(a_ub), [F(b) for b in b_ub], nonneg=nonneg)
+def test_unbounded(objective, ub, nonneg):
+    res = solve_lp(objective, ub, nonneg=nonneg)
     assert res.status == UNBOUNDED
     assert res.x is None and res.value is None
 
@@ -88,9 +100,9 @@ def test_redundant_equality_drops_its_artificial(monkeypatch):
         return original(tab, ncols)
 
     monkeypatch.setattr(simplex, "_bland_loop", recorded)
-    a_eq, b_eq = fracs([[1, 1], [2, 2], [1, -1]]), [F(2), F(4), F(0)]
-    res = solve_lp([F(1), F(2)], a_eq=a_eq, b_eq=b_eq, nonneg=[True, True])
-    assert_optimal(res, [1, 2], 3, a_eq=a_eq, b_eq=b_eq, nonneg=[True, True])
+    eq = [(1, 1, 2), (2, 2, 4), (1, -1, 0)]
+    res = solve_lp([1, 2], eq=eq, nonneg=[True, True])
+    assert_optimal(res, [1, 2], 3, eq=eq, nonneg=[True, True])
     assert res.x == (F(1), F(1))
     assert rows_seen == [3, 2], "phase 1 on three rows, phase 2 on the two independent ones"
 
@@ -106,40 +118,42 @@ def test_slack_start_skips_phase_one(monkeypatch):
         return original(tab, ncols)
 
     monkeypatch.setattr(simplex, "_bland_loop", recorded)
-    a_ub, b_ub = fracs([[1, 2], [3, 1]]), [F(4), F(6)]
-    res = solve_lp([F(-1), F(-1)], a_ub, b_ub, nonneg=[True, True])
-    assert_optimal(res, [-1, -1], F(-14, 5), a_ub, b_ub, nonneg=[True, True])
+    ub = [(1, 2, 4), (3, 1, 6)]
+    res = solve_lp([-1, -1], ub, nonneg=[True, True])
+    assert_optimal(res, [-1, -1], F(-14, 5), ub, nonneg=[True, True])
     assert loops == [2], "one Bland loop, phase 2 on both rows"
 
 
 def test_free_variable_enters_decreasing():
     # min x with x >= -3 and x free: its reduced cost is positive, so x enters
     # the basis decreasing and stops at the one row where it has a negative entry
-    a_ub, b_ub = fracs([[-1]]), [F(3)]
-    res = solve_lp([F(1)], a_ub, b_ub)
-    assert_optimal(res, [1], -3, a_ub, b_ub)
+    ub = [(-1, 3)]
+    res = solve_lp([1], ub)
+    assert_optimal(res, [1], -3, ub)
     assert res.x == (F(-3),)
 
 
 def test_phase_one_unbounded_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(simplex, "_bland_loop", lambda tab, ncols: UNBOUNDED)
     with pytest.raises(InternalCheckError, match="phase-1"):
-        solve_lp([F(1)], a_eq=fracs([[1]]), b_eq=[F(2)])
+        solve_lp([1], eq=[(1, 2)])
 
 
 def test_beale_cycling_example_terminates_under_bland():
     # Beale (1955): Dantzig's largest-coefficient rule cycles here; Bland's
     # rule must reach the optimum -5/4 at (1, 0, 1, 0).
-    objective = [F(-3, 4), F(20), F(-1, 2), F(6)]
-    a_ub = [
-        [F(1, 4), F(-8), F(-1), F(9)],
-        [F(1, 2), F(-12), F(-1, 2), F(3)],
-        [F(0), F(0), F(1), F(0)],
-    ]
-    b_ub = [F(0), F(0), F(1)]
+    objective, scale = int_objective([F(-3, 4), F(20), F(-1, 2), F(6)])
+    ub = int_rows(
+        [
+            [F(1, 4), F(-8), F(-1), F(9)],
+            [F(1, 2), F(-12), F(-1, 2), F(3)],
+            [F(0), F(0), F(1), F(0)],
+        ],
+        [F(0), F(0), F(1)],
+    )
     nonneg = [True] * 4
-    res = solve_lp(objective, a_ub, b_ub, nonneg=nonneg)
-    assert_optimal(res, objective, F(-5, 4), a_ub, b_ub, nonneg=nonneg)
+    res = solve_lp(objective, ub, nonneg=nonneg)
+    assert_optimal(res, objective, F(-5, 4) * scale, ub, nonneg=nonneg)
     assert res.x == (F(1), F(0), F(1), F(0))
 
 
@@ -157,7 +171,7 @@ def test_beale_cycling_example_terminates_under_bland():
     ],
 )
 def test_unconstrained(objective, nonneg, status):
-    res = solve_lp([F(c) for c in objective], nonneg=nonneg)
+    res = solve_lp(objective, nonneg=nonneg)
     assert res.status == status
     if status == OPTIMAL:
         assert res.x == (F(0),) * len(objective) and res.value == 0
@@ -220,11 +234,14 @@ def lp_problems(draw):
 @given(lp_problems())
 @settings(max_examples=300, deadline=None)
 def test_solve_lp_matches_fraction_reference(lp):
+    # the reference solves the rational LP; its int form's value is L times
     objective, a_ub, b_ub, a_eq, b_eq, nonneg = lp
     want = oracles.solve_lp_reference(objective, a_ub, b_ub, a_eq, b_eq, nonneg)
-    got = solve_lp(objective, a_ub, b_ub, a_eq, b_eq, nonneg)
+    cost, scale = int_objective(objective)
+    ub, eq = int_rows(a_ub, b_ub), int_rows(a_eq, b_eq)
+    got = solve_lp(cost, ub, eq, nonneg)
     assert got.status == want.status
     if want.status == OPTIMAL:
-        assert_optimal(got, objective, want.value, a_ub, b_ub, a_eq, b_eq, nonneg)
+        assert_optimal(got, cost, want.value * scale, ub, eq, nonneg)
     else:
         assert got.x is None and got.value is None
