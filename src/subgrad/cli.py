@@ -53,6 +53,9 @@ _CLAIM_TOKENS = {claim.lower(): claim for claim in CLAIM_IDS} | {"localmin": "Lo
 
 _PROBE_KINDS = ("dini", "calmness", "membership", "regularity", "gap", "blunt")
 
+# What bad input raises: a scenario that raises one of these exits 3.
+_BAD_INPUT = (SubgradError, OSError)
+
 
 @dataclass
 class RunOutcome:
@@ -394,11 +397,8 @@ def run_scenario(path: Path, flags: dict) -> RunOutcome:
     return run_scenario_dict(sc, Path(path).parent, flags, name)
 
 
-def corpus_run(directory: Path, pattern: str, jobs: int, flags: dict) -> RunOutcome:
-    """Run the scenario files matching `pattern` serially, in file-name order.
-
-    `jobs` is accepted and ignored: callers still pass it, and a thread pool
-    lost at every width (the work is pure Python under one interpreter lock)."""
+def corpus_run(directory: Path, pattern: str, flags: dict) -> RunOutcome:
+    """Run the scenario files matching `pattern` serially, in file-name order."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ParseError(f"{directory} is not a directory")
@@ -413,7 +413,7 @@ def corpus_run(directory: Path, pattern: str, jobs: int, flags: dict) -> RunOutc
         start = time.perf_counter()
         try:
             out = run_scenario(path, flags)
-        except (SubgradError, OSError, ValueError) as exc:
+        except _BAD_INPUT as exc:
             out = RunOutcome(3, f"error: {exc}", {"exit": 3, "error": str(exc)})
         wall = time.perf_counter() - start
         verdict = out.payload.get("verdict") or out.payload.get("status") or (
@@ -550,17 +550,14 @@ def main(argv=None) -> int:
         if args.command == "run":
             outcome = run_scenario(Path(args.scenario), flags)
         elif args.command == "corpus":
-            outcome = corpus_run(Path(args.directory), args.filter, args.jobs, flags)
+            outcome = corpus_run(Path(args.directory), args.filter, flags)
         else:
             sc = {"kind": args.command}
             outcome = run_scenario_dict(sc, Path.cwd(), flags, args.command)
-    except SubgradError as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.json:
             _write_report(args.json, {"exit": 3, "error": f"{type(exc).__name__}: {exc}"})
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:
         CAPS.max_dim, CAPS.max_facets = saved

@@ -7,7 +7,11 @@ that applies".  On PA and DC data the shell searches re-check a sampled
 violation in exact arithmetic before they report it, so their witness is a
 proof; a black box's witness replays through ``evaluate_batch``.  Exact
 answers live in funcmodel and calculus; these probes cross-check them and
-extend coverage to functions given only as expression trees.
+extend coverage to functions given only as expression trees.  A base point
+where f is not finite is bad input, never a verdict: a probe that reads f(x)
+in float raises EvaluationFailure there (``_base_value``), and calmness on PA
+and DC data, the gap probe and the blunt probe decide it exactly and raise
+PointOutsideDomain.
 
 Shell design
 ------------
@@ -271,9 +275,12 @@ def _as_float_vec(x: Sequence, dim: int) -> np.ndarray:
     return np.array([to_float(v) for v in exact], dtype=float)
 
 
-def _eval_float(f, x: Sequence) -> float:
-    """f at one point, through the batch evaluator every probe uses."""
-    return float(f.evaluate_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+def _base_value(f, xf: np.ndarray) -> float:
+    """f at the base point by the batch evaluator; EvaluationFailure unless finite."""
+    fx = float(f.evaluate_batch(np.atleast_2d(xf))[0])
+    if not math.isfinite(fx):
+        raise EvaluationFailure("f is not finite at the base point")
+    return fx
 
 
 def _shell_groups(count: int, rows: int, start: int = 0) -> list[range]:
@@ -345,9 +352,7 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     dim = f.dim
     xf = _as_float_vec(x, dim)
     hf = _as_float_vec(h, dim)
-    fx = _eval_float(f, xf)
-    if not math.isfinite(fx):
-        raise EvaluationFailure("f is not finite at the base point")
+    fx = _base_value(f, xf)
     res = _RES_FACTOR * _EPS_MACH * max(1.0, abs(fx))
     shells: list[dict] = []
     witness = None
@@ -410,12 +415,10 @@ def calmness_probe(f, x, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:
     the plan threshold falsifies calmness with a replayable (t, u) pair.
     """
     if isinstance(f, (PAConvexFunction, DCFunction)):
-        return ProbeVerdict(
-            "Holds",
-            None,
-            [],
-            notes=("locally Lipschitz: piecewise-affine data, calmness exact",),
-        )
+        xq = parse_vector(x, f.dim)
+        if f.evaluate(xq) == math.inf:
+            raise PointOutsideDomain(f"{xq} is outside the effective domain")
+        return ProbeVerdict("Holds", None, [], notes=("locally Lipschitz: piecewise-affine data, calmness exact",))
     est = dini_directional_estimate(f, x, [0] * f.dim, plan, tag=_TAG_CALM)
     shells = [{"radius": s["radius"], "inf": s["inf"]} for s in est.shells]
     if est.diverged:
@@ -458,11 +461,7 @@ def eps_subgradient_membership_probe(
     dim = f.dim
     xf = _as_float_vec(x, dim)
     sf = _as_float_vec(xstar, dim)
-    fx = _eval_float(f, xf)
-    if not math.isfinite(fx):
-        return ProbeVerdict(
-            "Inconclusive", None, [], notes=("f is not finite at the base point",)
-        )
+    fx = _base_value(f, xf)
     scale = max(1.0, abs(fx))
     n = plan.samples_per_shell
     exact = isinstance(f, (PAConvexFunction, DCFunction))
@@ -542,11 +541,7 @@ def approx_regularity_probe(
         df = _as_float_vec(direction, f.dim)
     dim = f.dim
     xf = _as_float_vec(x, dim)
-    fx = _eval_float(f, xf)
-    if not math.isfinite(fx):
-        return ProbeVerdict(
-            "Inconclusive", None, [], notes=("f is not finite at the base point",)
-        )
+    fx = _base_value(f, xf)
     scale = max(1.0, abs(fx))
     n = plan.samples_per_shell
     # one row of ts per anchor mix parameter, the same in every shell

@@ -10,6 +10,7 @@ witness that replays by plain evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -23,6 +24,7 @@ from .errors import (
     NotACone,
     ParseError,
     PointNotInteriorDomG,
+    PointOutsideDomain,
     UnboundedC,
 )
 from .funcmodel import DCFunction, _float_rows, _fold, certified, hypothesis
@@ -432,6 +434,8 @@ def blunt_min_probe(
     a_set, xv = _feasible_point(p.constraints, x)
     dc = p.objective
     f0 = dc.evaluate(xv)
+    if f0 == math.inf:
+        raise PointOutsideDomain(f"{xv} is outside the effective domain")
     f0f = to_float(f0)
     ef = to_float(e)
     dim = p.constraints.dim

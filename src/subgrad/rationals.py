@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isfinite, isnan, lcm
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 
 Vector = tuple[Fraction, ...]
 
@@ -46,10 +46,12 @@ def to_float(value) -> float:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render canonically: integers bare, otherwise ``p/q`` in lowest terms."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render canonically: integers bare, otherwise ``p/q`` in lowest terms.
+    A term past the interpreter's int-to-text digit limit is a cap."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise CapExceeded("an exact value has a term past the int-to-text digit limit") from exc
 
 
 def to_json_value(value):

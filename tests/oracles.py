@@ -650,7 +650,7 @@ def dini_reference(f, x, h, plan, tag=0):
     dim = f.dim
     xf = D._as_float_vec(x, dim)
     hf = D._as_float_vec(h, dim)
-    fx = D._eval_float(f, xf)
+    fx = float(f.evaluate_batch(xf[None, :])[0])
     if not math.isfinite(fx):
         raise EvaluationFailure("f is not finite at the base point")
     res = D._RES_FACTOR * D._EPS_MACH * max(1.0, abs(fx))
@@ -761,6 +761,7 @@ def membership_reference(f, x, xstar, eps, alpha, plan):
     from dataclasses import replace
 
     from subgrad import dinioracle as D
+    from subgrad.errors import EvaluationFailure
     from subgrad.funcmodel import DCFunction, PAConvexFunction
     from subgrad.rationals import parse_rational, parse_vector, to_float
 
@@ -769,9 +770,9 @@ def membership_reference(f, x, xstar, eps, alpha, plan):
     dim = f.dim
     xf = D._as_float_vec(x, dim)
     sf = D._as_float_vec(xstar, dim)
-    fx = D._eval_float(f, xf)
+    fx = float(f.evaluate_batch(xf[None, :])[0])
     if not math.isfinite(fx):
-        return D.ProbeVerdict("Inconclusive", None, [], notes=("f is not finite at the base point",))
+        raise EvaluationFailure("f is not finite at the base point")
     scale = max(1.0, abs(fx))
     n = plan.samples_per_shell
 
@@ -872,6 +873,7 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
     import math
 
     from subgrad import dinioracle as D
+    from subgrad.errors import EvaluationFailure
     from subgrad.funcmodel import DCFunction, PAConvexFunction
     from subgrad.rationals import parse_rational, to_float
 
@@ -880,9 +882,9 @@ def regularity_reference(f, x, eps, mode, plan, direction=None):
     if mode == "directional":
         df = D._as_float_vec(direction, dim)
     xf = D._as_float_vec(x, dim)
-    fx = D._eval_float(f, xf)
+    fx = float(f.evaluate_batch(xf[None, :])[0])
     if not math.isfinite(fx):
-        return D.ProbeVerdict("Inconclusive", None, [], notes=("f is not finite at the base point",))
+        raise EvaluationFailure("f is not finite at the base point")
     scale = max(1.0, abs(fx))
     t_anchor = np.array([0.25, 0.5, 0.75])
     n = plan.samples_per_shell

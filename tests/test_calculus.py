@@ -119,6 +119,27 @@ def test_inclusion_holds_at_boundary_points():
     assert not cert.theorem_certified
 
 
+def test_difference_routes_when_subdiff_h_has_a_ray():
+    # g = |x| on [0, 1] and h = x on [0, 2]: at 0, subdiff(h) = {1} + (-inf, 0],
+    # whose ray the definitional route must test against the target
+    dc = DCFunction(
+        PAConvexFunction(abs_function().pieces, domain=interval(0, 1)),
+        PAConvexFunction(linear_function(["1"]).pieces, domain=interval(0, 2)),
+    )
+    x = (F(0),)
+    assert dc.h.subdifferential_at(x).rays == ((F(-1),),)
+    eq22 = check_difference_formula(dc, x)
+    assert (eq22.claim_id, eq22.verdict) == ("Equality22", "Equal")
+    assert eq22.lhs == Polyhedron.from_hrep([((F(1),), F(0))], 1)
+    eq26 = check_difference_formula(dc, x, F(1, 2), F(1, 2))
+    assert (eq26.claim_id, eq26.verdict) == ("Equality26", "Equal")
+    assert eq26.lhs == Polyhedron.from_hrep([((F(1),), F(1, 2))], 1)
+    inc13 = check_inclusion_13(dc, x)
+    assert inc13.verdict == "Equal"
+    # 0 is a boundary point of dom g
+    assert not any(c.theorem_certified for c in (eq22, eq26, inc13))
+
+
 def test_intersection_formula_grid():
     cert = check_intersection_formula(
         abs_minus_x(), (F(0),), F(1, 2), mu_list=(F(0), F(1, 2), F(1))

@@ -382,6 +382,85 @@ def test_blackbox_dini_past_float_range_is_a_probe_verdict(tmp_path, capsys):
         assert cli.main(["run", str(path)]) in (0, 1, 2), capsys.readouterr()
 
 
+UNIT_INTERVAL = {"dim": 1, "hrep": [{"normal": ["1"], "offset": "1"}, {"normal": ["-1"], "offset": "1"}]}
+ABS_ON_UNIT = {**json.loads((DATA / "abs.json").read_text()), "domain": UNIT_INTERVAL}
+# |x| on [-1, 1] less 0, over C = [-3, 3] with the k-map 0: x = 2 is feasible
+BLUNT_OFF_DOMAIN = {
+    "objective": {"type": "dc", "g": ABS_ON_UNIT, "h": {"type": "pa_convex", "pieces": [{"slope": ["0"], "intercept": "0"}]}},
+    "C": {"dim": 1, "hrep": [{"normal": ["1"], "offset": "3"}, {"normal": ["-1"], "offset": "3"}]},
+    "k": {"M": [["0"]], "c": ["0"]},
+}
+PROBE_FIELDS = {
+    "dini": {"direction": "1"},
+    "calmness": {},
+    "membership": {"xstar": "0"},
+    "regularity": {"eps": "1/10"},
+    "gap": {"eps": "1/10"},
+    "blunt": {"eps": "1/10", "problem": BLUNT_OFF_DOMAIN},
+}
+
+
+def _bad_base_point(tmp_path, capsys, sc) -> str:
+    """Runs a probe scenario at x = 2, with RuntimeWarnings as errors, and
+    returns the error line of its exit 3."""
+    from subgrad import cli
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "probe", "point": "2", **sc}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    return err
+
+
+@pytest.mark.parametrize("probe", list(PROBE_FIELDS))
+def test_probe_base_point_outside_the_domain_exits_3(tmp_path, capsys, probe):
+    # a base point outside dom f is bad input for every probe: calmness
+    # answered Holds here, membership, regularity and blunt Inconclusive
+    sc = {"probe": probe, **PROBE_FIELDS[probe]}
+    if probe != "blunt":
+        sc["function"] = ABS_ON_UNIT
+    err = _bad_base_point(tmp_path, capsys, sc)
+    kind = "EvaluationFailure" if probe in ("dini", "membership", "regularity") else "PointOutsideDomain"
+    assert err.startswith(f"error: {kind}: "), err
+
+
+@pytest.mark.parametrize("probe", ["dini", "calmness", "membership", "regularity"])
+def test_probe_base_point_outside_a_black_box_exits_3(tmp_path, capsys, probe):
+    box = {"type": "blackbox", "dim": 1, "expr": ["abs", ["coord", 0]], "box": [[-1, 1]]}
+    err = _bad_base_point(tmp_path, capsys, {"probe": probe, "function": box, **PROBE_FIELDS[probe]})
+    assert err == "error: EvaluationFailure: f is not finite at the base point\n"
+
+
+def test_exact_answer_too_long_to_print_is_a_cap(tmp_path):
+    # A = [-1, 1/d] less B = [0, 1/e] is [-1, 1/d - 1/e], whose denominator
+    # d*e passes the interpreter's 4,300-digit limit on printing an int
+    d, e = "7" + "3" * 2199, "1" + "9" * 2199 + "1"
+    sc = {
+        "kind": "stardiff",
+        "A": {"dim": 1, "vrep": {"vertices": [["-1"], [f"1/{d}"]]}},
+        "B": {"dim": 1, "vrep": {"vertices": [["0"], [f"1/{e}"]]}},
+    }
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    path = scen / "stardiff_long.json"
+    path.write_text(json.dumps(sc))
+    (tmp_path / "A.json").write_text(json.dumps(sc["A"]))
+    (tmp_path / "B.json").write_text(json.dumps(sc["B"]))
+    report = tmp_path / "r.json"
+    for argv in (
+        ["run", str(path)],
+        ["stardiff", "--A", str(tmp_path / "A.json"), "--B", str(tmp_path / "B.json"), "--json", str(report)],
+        ["corpus", str(scen)],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 3, r.stdout + r.stderr
+        assert "Traceback" not in r.stderr
+    assert json.loads(report.read_text())["error"].startswith("CapExceeded: ")
+
+
 def test_usage_errors_exit_3(capsys):
     from subgrad import cli
 
@@ -543,7 +622,7 @@ def test_corpus_json_matches_golden(directory, code):
     # canonical form shows up here
     from subgrad.cli import corpus_run
 
-    out = corpus_run(directory, "*.json", 1, {})
+    out = corpus_run(directory, "*.json", {})
     assert out.exit_code == code
     golden = ROOT / "tests" / "data" / f"golden_{directory.name}.json"
     assert json.dumps(out.payload, sort_keys=True, indent=2) + "\n" == golden.read_text()

@@ -247,6 +247,42 @@ def test_certify_negative_with_replayable_descent():
     assert p.objective.evaluate(y) == d["f_step"]
 
 
+# A d = 4 instance whose descent step halves twice before it lands in the
+# feasible set: C = [-1, 1]^4, Mx + c <= 0, g a max of five slopes and h one
+# slope, all through the origin.
+HALVING_PROBLEM = """{
+  "C": {"dim": 4, "hrep": [
+    {"normal": ["1", "0", "0", "0"], "offset": "1"}, {"normal": ["-1", "0", "0", "0"], "offset": "1"},
+    {"normal": ["0", "1", "0", "0"], "offset": "1"}, {"normal": ["0", "-1", "0", "0"], "offset": "1"},
+    {"normal": ["0", "0", "1", "0"], "offset": "1"}, {"normal": ["0", "0", "-1", "0"], "offset": "1"},
+    {"normal": ["0", "0", "0", "1"], "offset": "1"}, {"normal": ["0", "0", "0", "-1"], "offset": "1"}]},
+  "k": {"M": [["-1", "1", "2", "1"], ["2", "2", "-2", "-1"]], "c": ["0", "-1"]},
+  "objective": {"type": "dc",
+    "g": {"type": "pa_convex", "pieces": [
+      {"slope": ["1", "0", "-1/2", "-1"], "intercept": "0"},
+      {"slope": ["2", "-1", "2", "-1"], "intercept": "0"},
+      {"slope": ["-4", "-3", "-3", "1/2"], "intercept": "0"},
+      {"slope": ["0", "-3/2", "-2", "-2"], "intercept": "0"},
+      {"slope": ["1/2", "-2", "3", "2"], "intercept": "0"}]},
+    "h": {"type": "pa_convex", "pieces": [{"slope": ["1", "-5/2", "-4", "-3"], "intercept": "0"}]}}
+}"""
+
+
+def test_certify_descent_step_halves_until_feasible():
+    p = ProblemInstance.from_json(json.loads(HALVING_PROBLEM))
+    x0 = (F(0),) * 4
+    cert = certify_blunt_minimizer(p, x0)
+    assert cert.verdict == "NotBluntMinimizer"
+    d = cert.descent
+    assert d["direction"] == (F(1), F(-1), F(-1), F(-1))
+    assert d["rate"] == F(-5)
+    # the unit step and the half step leave the feasible set
+    assert d["step"] == F(1, 4)
+    assert d["f_step"] - d["f_base"] == F(-5, 4)
+    y = tuple(a + d["step"] * b for a, b in zip(x0, d["direction"]))
+    assert contains_point(feasible_set(p.constraints), y)
+
+
 def test_certify_canonicalizes_under_one_memo(canonical_memos):
     problem = cone_problem(["3", "0"])
     canonical_memos.clear()
