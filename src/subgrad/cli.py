@@ -92,7 +92,7 @@ def _load_ref(value, base: Path) -> dict:
 
 def _parse_point(value) -> tuple:
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
+        parts = value.split(",") if value.strip() else []
     elif isinstance(value, (list, tuple)):
         parts = list(value)
     else:
@@ -532,21 +532,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error, but 2 means "inconclusive" here
         return 3 if exc.code == 2 else exc.code
-    env_cap = os.environ.get("SUBGRAD_MAX_FACETS")
-    try:
-        max_facets = int(env_cap) if env_cap else CAPS.max_facets
-    except ValueError:
-        print(f"SUBGRAD_MAX_FACETS={env_cap!r} is not an integer", file=sys.stderr)
-        return 3
     flags = {
         k: v for k, v in vars(args).items() if v is not None and k not in _NOT_FIELDS
     }
     # CAPS is process-wide: put it back so that in-process callers keep theirs.
     saved = CAPS.max_dim, CAPS.max_facets
-    CAPS.max_facets = max_facets
-    if args.max_dim is not None:
-        CAPS.max_dim = args.max_dim
     try:
+        env_cap = os.environ.get("SUBGRAD_MAX_FACETS")
+        if env_cap:
+            try:
+                CAPS.max_facets = int(env_cap)
+            except ValueError as exc:
+                raise ParseError(f"SUBGRAD_MAX_FACETS={env_cap!r} is not an integer") from exc
+        if args.max_dim is not None:
+            CAPS.max_dim = args.max_dim
         if args.command == "run":
             outcome = run_scenario(Path(args.scenario), flags)
         elif args.command == "corpus":

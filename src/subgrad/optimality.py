@@ -1,8 +1,8 @@
 """Cone-constrained DC optimality certificates.
 
 Feasible sets are pullbacks of polyhedral cones under affine maps, normal
-cones come from two unrelated routes (active facets of the assembled
-feasible set versus Lagrange generators from the dual cone), and blunt
+cones come from two routes (active canonical facets of the feasible set
+versus its active raw rows, the Lagrange generators), and blunt
 minimality is decided by an exact vertex-inclusion test with a separating
 descent direction extracted when it fails.  Every negative verdict ships a
 witness that replays by plain evaluation.
@@ -34,7 +34,9 @@ from .polykernel import (
     Polyhedron,
     _dual_vertices,
     _homogeneous,
+    _normal_cone,
     _point,
+    _slack,
     affine_image,
     cone_is_linear_subspace,
     conic_hull,
@@ -42,7 +44,6 @@ from .polykernel import (
     contains_polyhedron,
     memo_scope,
     minkowski_sum,
-    normal_cone_at,
     strictly_contains_point,
 )
 from .rationals import (
@@ -57,7 +58,6 @@ from .rationals import (
     vadd,
     vdot,
     vscale,
-    vzero,
 )
 from .simplex import OPTIMAL, solve_lp
 
@@ -109,9 +109,6 @@ class ConstraintSystem:
     @property
     def dim(self) -> int:
         return self.C.dim
-
-    def k_value(self, x: Vector) -> Vector:
-        return tuple(vdot(row, x) + ci for row, ci in zip(self.M, self.c))
 
     def to_json(self) -> dict:
         return {
@@ -196,19 +193,22 @@ def dual_cone_generators(k_cone: Polyhedron) -> list[IntVector]:
 def normal_cone_feasible(
     cs: ConstraintSystem, x: Sequence
 ) -> tuple[Polyhedron, Polyhedron, bool]:
-    """Normal cone of the feasible set by two routes.
+    """Normal cone of the feasible set A by two routes.
 
-    direct: active facets of the assembled feasible set.  lagrange: the cone
-    of M^T z* over dual-cone generators z* annihilating k(x), plus the
-    normal cone of C; exactness of the second route rests on k being affine.
+    direct: the normals of A's canonical facets tight at x.  lagrange:
+    N(C, x) plus the cone of M^T z* over the dual-cone generators z* with
+    <z*, k(x)> = 0, read off A's raw rows tight at x: those are C's facets
+    and, per z*, the row (M^T z*, -z*·c) up to a positive factor, whose slack
+    at (x·t, t) is -t·<z*, k(x)>.  The raw rows run no DD, so the cross-check
+    tests the facet pruning of A's canonical form; exactness of the second
+    route rests on k being affine.
     """
     a_set, xv = _feasible_point(cs, x)
-    direct = normal_cone_at(a_set, xv)
-    kx = cs.k_value(xv)
-    # a zero image is no ray, and the V-rep drops it
-    rays = [_mat_t_vec(cs.M, z) for z in dual_cone_generators(cs.K) if not sum(map(mul, z, kx))]
-    base = Polyhedron.from_vrep([vzero(cs.dim)], rays=rays, dim=cs.dim)
-    lagrange = minkowski_sum(base, normal_cone_at(cs.C, xv))
+    xh = _homogeneous(xv)
+    direct = _normal_cone(a_set, xh)
+    # a zero normal is no ray, and the V-rep drops it
+    tight = [z[:-1] for z in a_set._raw_hrep if not _slack(z, xh)]
+    lagrange = Polyhedron(cs.dim, raw_vrep=([(0,) * cs.dim + (1,)], tight))
     return direct, lagrange, direct == lagrange
 
 

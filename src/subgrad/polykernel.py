@@ -496,13 +496,8 @@ class Polyhedron:
 
     @classmethod
     def from_hrep(cls, halfspaces: Iterable, dim: int) -> "Polyhedron":
-        rows = []
-        for h in halfspaces:
-            normal, offset = parse_vector(h[0]), parse_rational(h[1])
-            if len(normal) != dim:
-                raise DimensionMismatch("halfspace normal has wrong length")
-            rows.append(primitive_ints(normal + (offset,)))
-        return cls(dim, raw_hrep=rows)
+        return cls(dim, raw_hrep=[primitive_ints(parse_vector(h[0], dim) + (parse_rational(h[1]),))
+                                  for h in halfspaces])
 
     @classmethod
     def from_vrep(cls, vertices: Iterable, rays: Iterable = (), *, dim: int) -> "Polyhedron":
@@ -640,11 +635,7 @@ class Polyhedron:
             hrep = obj["hrep"]
             if not isinstance(hrep, list) or not all(isinstance(e, dict) for e in hrep):
                 raise ParseError("'hrep' must be a list of halfspace objects")
-            hs = [
-                Halfspace(parse_vector(e["normal"], dim), parse_rational(e["offset"]))
-                for e in hrep
-            ]
-            from_h = cls.from_hrep(hs, dim)
+            from_h = cls.from_hrep([(e["normal"], e["offset"]) for e in hrep], dim)
         if have_v:
             v = obj["vrep"]
             if not isinstance(v, dict):

@@ -391,6 +391,26 @@ def tangent_cone_reference(dim, p, x) -> dict | None:
     return None if active is None else {"hrep": [(n, ZERO) for n in active]}
 
 
+def _raw(p: Polyhedron) -> dict:
+    """The raw input of a kernel polyhedron, as Fractions, in the form above."""
+    if p._raw_hrep is not None:
+        return {"hrep": [(tuple(map(Fraction, z[:-1])), Fraction(z[-1])) for z in p._raw_hrep]}
+    points, rays = p._raw_vrep
+    return {"vrep": ([tuple(Fraction(x, v[-1]) for x in v[:-1]) for v in points],
+                     [tuple(map(Fraction, r)) for r in rays])}
+
+
+def lagrange_cone_reference(cs, x) -> dict:
+    """N(C, x) + {M^T z : z in K*, <z, k(x)> = 0} for k(x) = Mx + c, by the
+    literal formula: k(x) in Fractions, and M^T z over the generators z of the
+    dual cone K*, the negated canonical facet normals of K."""
+    kx = vadd(tuple(vdot(row, x) for row in cs.M), cs.c)
+    duals = [vneg(n) for n, _ in _canonical(len(cs.M), _raw(cs.K))[0]]
+    images = [tuple(vdot(z, col) for col in zip(*cs.M)) for z in duals if vdot(z, kx) == 0]
+    rays = [r for r in images if not is_zero_vector(r)] + _active_normals(cs.dim, _raw(cs.C), x)
+    return {"vrep": ([(ZERO,) * cs.dim], rays)}
+
+
 def conic_hull_reference(dim, p) -> dict:
     points, rays = _gens(dim, p)
     return {"vrep": ([(ZERO,) * dim], [v for v in points if not is_zero_vector(v)] + list(rays))}
@@ -1193,6 +1213,22 @@ def rand_polytope(rng, dim, max_verts=8, span=6) -> Polyhedron:
     n = int(rng.integers(1, max_verts + 1))
     verts = [rand_vector(rng, dim, span) for _ in range(n)]
     return Polyhedron.from_vrep(verts, dim=dim)
+
+
+def rand_pointed_cone(rng, dim, max_rays=4) -> Polyhedron:
+    """A polyhedral cone with its vertex at the origin and no line: 1 to
+    max_rays small int rays, each turned to the positive side of a random
+    direction w."""
+    w = [int(v) for v in rng.integers(-2, 3, size=dim)]
+    if not any(w):
+        w[0] = 1
+    rays = []
+    for _ in range(int(rng.integers(1, max_rays + 1))):
+        r = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
+        side = sum(a * b for a, b in zip(w, r))
+        if side:
+            rays.append(r if side > 0 else tuple(-v for v in r))
+    return Polyhedron.from_vrep([(0,) * dim], rays or [w], dim=dim)
 
 
 def rand_pa(rng, dim, max_pieces=6, slope_span=4, max_den_pow=1):

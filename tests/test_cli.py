@@ -197,9 +197,9 @@ def test_run_malformed_scenario(tmp_path, capsys):
             "function": pa, "plan": plan,
         }
 
-    def certify_with_k(k):
+    def certify_with_k(k, **problem):
         c_set = {"dim": 1, "vrep": {"vertices": [["-1"], ["1"]]}}
-        return {"kind": "certify", "point": "0", "problem": {"objective": dc, "C": c_set, "k": k}}
+        return {"kind": "certify", "point": "0", "problem": {"objective": dc, "C": c_set, "k": k, **problem}}
 
     def calmness_of(function):
         return {"kind": "probe", "probe": "calmness", "point": "0", "function": function}
@@ -319,11 +319,36 @@ def test_run_malformed_scenario(tmp_path, capsys):
         "subdiff_blackbox": {
             "kind": "subdiff", "point": "0", "function": {"type": "blackbox", "dim": 1, "expr": abs_expr},
         },
+        # a point string splits on every comma, and an empty part is no rational
+        "point_string_empty_part": {**_inlined(CORPUS / "certify_positive.json"), "point": "0,,0"},
+        "point_string_trailing_comma": {**_inlined(CORPUS / "subdiff_abs.json"), "point": "0,"},
+        "normal_wrong_length": {
+            "kind": "stardiff", "A": {"dim": 1, "hrep": [{"normal": ["1", "0"], "offset": "1"}]}, "B": point,
+        },
+        "k_matrix_empty": certify_with_k({"M": [], "c": []}),
+        "k_rows_mixed_widths": certify_with_k({"M": [["1"], ["1", "0"]], "c": ["0", "0"]}),
+        "cone_wrong_dim": certify_with_k(
+            {"M": [["1"]], "c": ["-1"]}, K={"dim": 2, "vrep": {"vertices": [["0", "0"]], "rays": [["1", "0"]]}}
+        ),
+        "objective_and_constraints_dims_differ": certify_with_k(
+            {"M": [["1"]], "c": ["-1"]}, objective=json.loads((DATA / "cone_dc.json").read_text())["objective"]
+        ),
+        "mus_negative": {**_inlined(CORPUS / "check_intersection27.json"), "mus": ["-1"]},
+        "etas_negative": {**_inlined(CORPUS / "check_cor11.json"), "etas": ["0", "-1"]},
+        "regularity_eps_zero": {**_inlined(CORPUS / "probe_regularity_abssq.json"), "eps": "0"},
+        "gap_eps_zero": {**_inlined(CORPUS / "probe_gap_abs.json"), "eps": "0"},
+        "blunt_eps_zero": {**_inlined(CORPUS / "probe_blunt_positive.json"), "eps": "0"},
+        "plan_radii_empty": dini_with_plan({"shell_radii": []}),
+        "plan_tol_zero": dini_with_plan({"stabilization_tol": 0}),
+        "norm_facets_not_int": {**_inlined(CORPUS / "check_cor12a.json"), "norm": "l2approx:x"},
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(sc))
-        assert cli.main(["run", str(path)]) == 3, (name, capsys.readouterr())
+        code = cli.main(["run", str(path)])
+        err = capsys.readouterr().err
+        # the one bad-input path prints the error's type
+        assert code == 3 and err.startswith("error: "), (name, err)
 
 
 def test_gap_probe_skips_samples_past_float_range(tmp_path, capsys):
@@ -725,12 +750,16 @@ def test_seed_override_changes_sampled_report(tmp_path):
     assert b.read_bytes() == first
 
 
-def test_facet_cap_environment_variable():
+def test_facet_cap_environment_variable(tmp_path):
+    report = tmp_path / "r.json"
     r = run_cli(
-        "stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json"),
+        "stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json"), "--json", str(report),
         env_extra={"SUBGRAD_MAX_FACETS": "not-a-number"},
     )
     assert r.returncode == 3
+    error = "ParseError: SUBGRAD_MAX_FACETS='not-a-number' is not an integer"
+    assert r.stderr == f"error: {error}\n"
+    assert json.loads(report.read_text()) == {"exit": 3, "error": error}
     r2 = run_cli(
         "stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json"),
         env_extra={"SUBGRAD_MAX_FACETS": "2"},

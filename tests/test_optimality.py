@@ -415,3 +415,57 @@ def test_random_bounded_problems_routes_agree(seed):
     direct, lagrange, agree = normal_cone_feasible(cs, x)
     assert agree
     assert direct == lagrange
+
+
+def _point_of(a: Polyhedron, where: str, rng) -> tuple:
+    """A vertex of the polytope a, the midpoint of one of its edges, or the
+    mean of its vertices (a relative-interior point); an edge falls back to
+    a vertex when a is a single point."""
+    verts = a.canonical().vertices
+    if where == "interior":
+        return tuple(sum(c) / len(verts) for c in zip(*verts))
+    facets = a.hrep
+    tight = [frozenset(i for i, h in enumerate(facets) if sum(map(F.__mul__, h.normal, v)) == h.offset)
+             for v in verts]
+    # v and w span an edge when no third vertex lies on every facet both lie on
+    edges = [(v, w) for i, v in enumerate(verts) for j, w in enumerate(verts[:i])
+             if not any(tight[i] & tight[j] <= t for k, t in enumerate(tight) if k not in (i, j))]
+    if where == "edge" and edges:
+        v, w = edges[int(rng.integers(len(edges)))]
+        return tuple((p + q) / 2 for p, q in zip(v, w))
+    return verts[int(rng.integers(len(verts)))]
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 3), st.integers(1, 3),
+    st.booleans(), st.booleans(), st.sampled_from(["vertex", "edge", "interior"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lagrange_route_is_the_literal_formula(seed, dim, rows, random_k, zero_row, where):
+    """The Lagrange normal cone equals N(C, x) + {M^T z : z in K*,
+    <z, k(x)> = 0} computed from M, c and K, with K the orthant or a random
+    pointed cone, whether or not the qualification holds; and it agrees with
+    the direct route, as any two H-reps of A must."""
+    rng = np.random.default_rng(seed)
+    c_set = oracles.rand_polytope(rng, dim, max_verts=5, span=3)
+    m = [oracles.rand_vector(rng, dim, span=2, max_den_pow=1) for _ in range(rows)]
+    if zero_row:
+        m[0] = (F(0),) * dim
+    cone = oracles.rand_pointed_cone(rng, rows) if random_k else nonneg_orthant(rows)
+    # k(p) = -s with s in K puts the vertex p of C in A
+    p = c_set.vertices[int(rng.integers(len(c_set.vertices)))]
+    s = [F(0)] * rows
+    for r, t in zip(cone.rays, rng.integers(0, 3, size=len(cone.rays))):
+        s = [a + int(t) * b for a, b in zip(s, r)]
+    if zero_row and not random_k:
+        # k_1 = 0 on all of A: the generator e_1 is tight with M^T e_1 = 0,
+        # and the cone of k(C) + K holds e_1 but not -e_1
+        s[0] = F(0)
+    c = [-sum(map(F.__mul__, row, p)) - si for row, si in zip(m, s)]
+    cs = ConstraintSystem(c_set, m, c, cone if random_k else None)
+    if zero_row and not random_k:
+        assert qualification_check(cs)[0] == "Fails"
+    x = _point_of(feasible_set(cs), where, rng)
+    direct, lagrange, agree = normal_cone_feasible(cs, x)
+    assert lagrange.to_json() == oracles.canonical_reference(dim, **oracles.lagrange_cone_reference(cs, x))
+    assert agree

@@ -422,6 +422,21 @@ def test_json_round_trip_random():
         assert Polyhedron.from_json(p.to_json()) == p
 
 
+def test_equality_is_by_point_set():
+    by_h = Polyhedron.from_hrep([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)], 2)
+    by_v = Polyhedron.from_vrep([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 2))], dim=2)
+    assert by_h == by_v and hash(by_h) == hash(by_v)
+    assert by_h.__eq__(1) is NotImplemented and (by_h == 1) is False
+    assert Polyhedron.from_vrep([(0,)], dim=1) != Polyhedron.from_vrep([(0, 0)], dim=2)
+    assert repr(by_v) == "Polyhedron(dim=2, facets=4, vertices=4, rays=0)"
+    assert repr(Polyhedron.empty(2)) == "Polyhedron(dim=2, empty)"
+
+
+def test_halfspace_normal_of_the_wrong_length_is_a_parse_error():
+    with pytest.raises(ParseError, match="length 2, got 1"):
+        Polyhedron.from_hrep([((1,), 1)], 2)
+
+
 def test_empty_and_caps():
     empty = Polyhedron.from_hrep(
         [((frac(1),), frac(0)), ((frac(-1),), frac(-1))], 1
