@@ -544,7 +544,11 @@ def main(argv=None) -> int:
                 CAPS.max_facets = int(env_cap)
             except ValueError as exc:
                 raise ParseError(f"SUBGRAD_MAX_FACETS={env_cap!r} is not an integer") from exc
+            if CAPS.max_facets < 1:
+                raise ParseError(f"SUBGRAD_MAX_FACETS={env_cap!r} is not a positive integer")
         if args.max_dim is not None:
+            if args.max_dim < 1:
+                raise ParseError(f"--max-dim {args.max_dim} is not a positive integer")
             CAPS.max_dim = args.max_dim
         if args.command == "run":
             outcome = run_scenario(Path(args.scenario), flags)

@@ -67,16 +67,6 @@ if TYPE_CHECKING:
     from .dinioracle import ProbeVerdict, SamplingPlan
 
 
-def _parse_matrix(rows: Sequence[Sequence], width: int | None = None) -> tuple[Vector, ...]:
-    out = tuple(parse_vector(r) for r in rows)
-    if not out:
-        raise ParseError("matrix needs at least one row")
-    w = len(out[0]) if width is None else width
-    if any(len(r) != w for r in out):
-        raise DimensionMismatch("matrix rows have mixed widths")
-    return out
-
-
 def _mat_t_vec(m: tuple[Vector, ...], z: Sequence[int]) -> Vector:
     return tuple(sum(map(mul, z, col)) for col in zip(*m))
 
@@ -98,7 +88,9 @@ class ConstraintSystem:
         cone: Polyhedron | None = None,
     ):
         self.C = c_set
-        self.M = _parse_matrix(k_matrix, c_set.dim)
+        self.M = tuple(parse_vector(row, c_set.dim) for row in k_matrix)
+        if not self.M:
+            raise ParseError("matrix needs at least one row")
         self.c = parse_vector(k_offset, len(self.M))
         self.K = cone if cone is not None else nonneg_orthant(len(self.M))
         if self.K.dim != len(self.M):
@@ -160,14 +152,13 @@ def feasible_set(cs: ConstraintSystem) -> Polyhedron:
     return Polyhedron(cs.dim, raw_hrep=[*cs.C.canonical()._hrep, *pullback])
 
 
-def _feasible_point(cs: ConstraintSystem, x: Sequence) -> tuple[Polyhedron, Vector]:
-    """The feasible set and x parsed as a point of it; raises InfeasiblePoint
+def _feasible_point(a_set: Polyhedron, x: Sequence) -> Vector:
+    """x parsed as a point of the feasible set A; raises InfeasiblePoint
     when x lies outside."""
-    a_set = feasible_set(cs)
-    xv = parse_vector(x, cs.dim)
+    xv = parse_vector(x, a_set.dim)
     if not contains_point(a_set, xv):
         raise InfeasiblePoint(f"{xv} is not feasible")
-    return a_set, xv
+    return xv
 
 
 def qualification_check(cs: ConstraintSystem) -> tuple[str, Polyhedron]:
@@ -190,25 +181,25 @@ def dual_cone_generators(k_cone: Polyhedron) -> list[IntVector]:
     return [tuple(-a for a in z[:-1]) for z in k_cone.canonical()._hrep]
 
 
-def normal_cone_feasible(
-    cs: ConstraintSystem, x: Sequence
-) -> tuple[Polyhedron, Polyhedron, bool]:
-    """Normal cone of the feasible set A by two routes.
+def normal_cone_feasible(a_set: Polyhedron, x: Sequence) -> tuple[Polyhedron, Polyhedron, bool]:
+    """Normal cone at x of the feasible set A (`feasible_set`), by two
+    routes; raises InfeasiblePoint when x lies outside A.
 
-    direct: the normals of A's canonical facets tight at x.  lagrange:
-    N(C, x) plus the cone of M^T z* over the dual-cone generators z* with
-    <z*, k(x)> = 0, read off A's raw rows tight at x: those are C's facets
-    and, per z*, the row (M^T z*, -z*·c) up to a positive factor, whose slack
-    at (x·t, t) is -t·<z*, k(x)>.  The raw rows run no DD, so the cross-check
+    direct: the normals of A's canonical facets tight at x.  lagrange: the
+    normals of A's rows (`_rows`) tight at x: its raw rows, or the canonical
+    facets of an A given by vertices.  The raw rows of the A of
+    `feasible_set` are C's facets and, per dual-cone generator z*, the row
+    (M^T z*, -z*·c) up to a positive factor, whose slack at (x·t, t) is
+    -t·<z*, k(x)>, so the cone is N(C, x) plus the cone of M^T z* over the
+    z* with <z*, k(x)> = 0.  The raw rows run no DD, so the cross-check
     tests the facet pruning of A's canonical form; exactness of the second
     route rests on k being affine.
     """
-    a_set, xv = _feasible_point(cs, x)
-    xh = _homogeneous(xv)
+    xh = _homogeneous(_feasible_point(a_set, x))
     direct = _normal_cone(a_set, xh)
     # a zero normal is no ray, and the V-rep drops it
-    tight = [z[:-1] for z in a_set._raw_hrep if not _slack(z, xh)]
-    lagrange = Polyhedron(cs.dim, raw_vrep=([(0,) * cs.dim + (1,)], tight))
+    tight = [z[:-1] for z in a_set._rows if not _slack(z, xh)]
+    lagrange = Polyhedron(a_set.dim, raw_vrep=([(0,) * a_set.dim + (1,)], tight))
     return direct, lagrange, direct == lagrange
 
 
@@ -310,7 +301,8 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
     """
     dc = p.objective
     cs = p.constraints
-    a_set, xv = _feasible_point(cs, x)
+    a_set = feasible_set(cs)
+    xv = _feasible_point(a_set, x)
     if not strictly_contains_point(dc.g.domain, xv):
         raise PointNotInteriorDomG(f"{xv} is not interior to dom g")
     notes: list[str] = []
@@ -319,7 +311,7 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
     except UnboundedC:
         qualification, qcone = "Fails", None
         notes.append("C unbounded: qualification not evaluated")
-    direct, lagrange, agree = normal_cone_feasible(cs, xv)
+    direct, lagrange, agree = normal_cone_feasible(a_set, xv)
     dg = dc.g.subdifferential_at(xv)
     dh = dc.h.subdifferential_at(xv)
     inclusion28, witness28 = check_inclusion_28(dh, dg, direct)
@@ -431,7 +423,8 @@ def blunt_min_probe(
     e = parse_rational(eps)
     if e <= 0:
         raise NegativeEps(f"eps must be positive, got {eps}")
-    a_set, xv = _feasible_point(p.constraints, x)
+    a_set = feasible_set(p.constraints)
+    xv = _feasible_point(a_set, x)
     dc = p.objective
     f0 = dc.evaluate(xv)
     if f0 == math.inf:

@@ -379,9 +379,11 @@ def _facet_rows(polar: Iterable[IntVector], dim: int) -> tuple[IntVector, ...]:
 
 
 def _hrep_to_vrep(rows: Sequence[IntVector], dim: int) -> tuple:
-    """The canonical facets (None if empty) and the raw (points, rays,
-    lines) of int rows ``(normal..., offset)``, by one DD run on the
-    homogenization; a point is a primitive ``(x..., t)``, t > 0, for x / t.
+    """The canonical facets, points ``(x..., t)``, t > 0, for x / t, and rays
+    of int rows ``(normal..., offset)`` by one DD run on the homogenization,
+    or ``(None, (), ())`` if the rows are infeasible.  The DD rays projected
+    off its lines split by t into points and rays (lines as +/- pairs,
+    duplicates kept); a line has t = 0, so a point's t scales with its x.
     The rays' zero sets over the homogenized rows, ``t >= 0`` among them,
     prune those rows to the facets."""
     ineqs = [row[:dim] + (-row[dim],) for row in rows]
@@ -389,9 +391,11 @@ def _hrep_to_vrep(rows: Sequence[IntVector], dim: int) -> tuple:
     lines, rays, masks = _cone_generators(ineqs, dim + 1)
     if any(l[dim] for l in lines):
         raise InternalCheckError("homogenization line with nonzero last coordinate")
-    points = [r for r in rays if r[dim] > 0]
-    facets = _facet_rows(_extreme(ineqs, masks), dim) if points else None
-    return facets, points, [r[:dim] for r in rays if not r[dim]], [l[:dim] for l in lines]
+    if not any(r[dim] for r in rays):
+        return None, (), ()
+    gens = _mod_lines(rays, lines)[1]
+    facets = _facet_rows(_extreme(ineqs, masks), dim)
+    return facets, [g for g in gens if g[dim]], [g[:dim] for g in gens if not g[dim]]
 
 
 def _vrep_to_hrep(points: Iterable[IntVector], rays: Iterable[IntVector], dim: int) -> tuple:
@@ -409,22 +413,15 @@ def _vrep_to_hrep(points: Iterable[IntVector], rays: Iterable[IntVector], dim: i
 
 def _canonical_form(dim: int, raw_hrep: tuple | None, raw_vrep: tuple | None) -> tuple:
     """The canonical (facets, points, rays) of a raw input, by one int pass
-    with one DD run.
+    with one DD run, in the order of the public vertices and rays.
 
-    An H-rep input runs H->V: its rays modulo the lines give the vertices
-    and rays, and their zero sets prune the input rows to the facets.  A
-    V-rep input runs V->H: the polar rays give the facets, and their zero
-    sets prune the input points and rays to the vertices and rays.
+    An H-rep input runs H->V (`_hrep_to_vrep`) and a nonempty V-rep input
+    runs V->H (`_vrep_to_hrep`); each returns the facets, points and rays.
+    Infeasible rows (facets None) and an empty V-rep get the one empty form.
     """
     facets = None
     if raw_hrep is not None:
-        facets, points, rays, lines = _hrep_to_vrep(raw_hrep, dim)
-        if facets is not None:
-            ortho, rays = _mod_lines(rays, lines)
-            if ortho:
-                # a zero last entry scales each point's t by u.u with its x
-                ortho = [(u + (0,), uu) for u, uu in ortho]
-                points = [_project(p, ortho) for p in points]
+        facets, points, rays = _hrep_to_vrep(raw_hrep, dim)
     elif raw_vrep[0]:
         facets, points, rays = _vrep_to_hrep(*raw_vrep, dim)
         if not points:

@@ -838,11 +838,12 @@ def blunt_reference(p, x, eps, plan):
     candidate re-checked in exact arithmetic."""
     from subgrad import dinioracle as D
     from subgrad.funcmodel import _float_rows
-    from subgrad.optimality import _feasible_point
+    from subgrad.optimality import _feasible_point, feasible_set
     from subgrad.rationals import parse_rational, to_float
 
     e = parse_rational(eps)
-    a_set, xv = _feasible_point(p.constraints, x)
+    a_set = feasible_set(p.constraints)
+    xv = _feasible_point(a_set, x)
     dc = p.objective
     f0 = dc.evaluate(xv)
     dim = p.constraints.dim

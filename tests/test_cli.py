@@ -74,6 +74,40 @@ def test_check_claim_eps_consistency():
     assert "selects" in r.stderr
 
 
+def test_check_with_both_sides_empty(tmp_path, capsys):
+    # g = |x|, h = 2|x|: subdiff g(0) = [-1, 1] erodes by [-2, 2] to nothing,
+    # and equality (22) holds between two empty sets
+    from subgrad import cli
+
+    dc = tmp_path / "abs_minus_2abs.json"
+    dc.write_text(json.dumps({
+        "type": "dc",
+        "g": {"type": "pa_convex", "pieces": [{"slope": ["1"], "intercept": "0"}, {"slope": ["-1"], "intercept": "0"}]},
+        "h": {"type": "pa_convex", "pieces": [{"slope": ["2"], "intercept": "0"}, {"slope": ["-2"], "intercept": "0"}]},
+    }))
+    assert cli.main(["check", "--claim", "equality22", "--dc", str(dc), "--point", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: Equal" in out and "sets: empty = empty" in out
+
+
+def test_probe_on_a_dc_function_reports_its_hypotheses(capsys):
+    from subgrad import cli
+
+    code = cli.main(["probe", "--probe", "calmness", "--function", str(DATA / "abs_minus_x.json"), "--point", "0"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("hypotheses:") + 1
+    assert lines[start:start + 7] == [
+        "  [holds] g piecewise-affine convex (exact-by-construction)",
+        "  [holds] h piecewise-affine convex (exact-by-construction)",
+        "  [holds] f = g - h calm at the point (exact-by-convexity)",
+        "  [holds] g and h directionally approximately starshaped at the point (exact-by-convexity)",
+        "  [holds] eps-subdifferential map of h spongiously gap-continuous (exact-by-convexity)",
+        "  [holds] point interior to dom g (exact)",
+        "note: locally Lipschitz: piecewise-affine data, calmness exact",
+    ]
+
+
 def test_certify_positive_problem():
     r = run_cli("certify", "--problem", str(DATA / "cone_dc.json"), "--point", "0,0")
     assert r.returncode == 0, r.stderr
@@ -327,6 +361,7 @@ def test_run_malformed_scenario(tmp_path, capsys):
         },
         "k_matrix_empty": certify_with_k({"M": [], "c": []}),
         "k_rows_mixed_widths": certify_with_k({"M": [["1"], ["1", "0"]], "c": ["0", "0"]}),
+        "k_row_wrong_width": certify_with_k({"M": [["1", "0"]], "c": ["0"]}),
         "cone_wrong_dim": certify_with_k(
             {"M": [["1"]], "c": ["-1"]}, K={"dim": 2, "vrep": {"vertices": [["0", "0"]], "rays": [["1", "0"]]}}
         ),
@@ -341,6 +376,14 @@ def test_run_malformed_scenario(tmp_path, capsys):
         "plan_radii_empty": dini_with_plan({"shell_radii": []}),
         "plan_tol_zero": dini_with_plan({"stabilization_tol": 0}),
         "norm_facets_not_int": {**_inlined(CORPUS / "check_cor12a.json"), "norm": "l2approx:x"},
+        "point_blank": {**_inlined(CORPUS / "subdiff_abs.json"), "point": " "},
+        "point_missing": {k: v for k, v in _inlined(CORPUS / "subdiff_abs.json").items() if k != "point"},
+    }
+    # the full error line, where a shape's message is checked too
+    messages = {
+        "k_row_wrong_width": "error: ParseError: expected a vector of length 1, got 2\n",
+        "point_blank": "error: ParseError: empty point\n",
+        "point_missing": "error: ParseError: scenario is missing field 'point'\n",
     }
     for name, sc in shapes.items():
         path = tmp_path / f"{name}.json"
@@ -349,6 +392,9 @@ def test_run_malformed_scenario(tmp_path, capsys):
         err = capsys.readouterr().err
         # the one bad-input path prints the error's type
         assert code == 3 and err.startswith("error: "), (name, err)
+        assert name not in messages or err == messages[name], (name, err)
+    assert cli.main(["corpus", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: ParseError: {path} is not a directory\n"
 
 
 def test_gap_probe_skips_samples_past_float_range(tmp_path, capsys):
@@ -760,6 +806,15 @@ def test_facet_cap_environment_variable(tmp_path):
     error = "ParseError: SUBGRAD_MAX_FACETS='not-a-number' is not an integer"
     assert r.stderr == f"error: {error}\n"
     assert json.loads(report.read_text()) == {"exit": 3, "error": error}
+    for cap in ("0", "-1"):
+        r = run_cli(
+            "stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json"), "--json", str(report),
+            env_extra={"SUBGRAD_MAX_FACETS": cap},
+        )
+        assert r.returncode == 3
+        error = f"ParseError: SUBGRAD_MAX_FACETS={cap!r} is not a positive integer"
+        assert r.stderr == f"error: {error}\n"
+        assert json.loads(report.read_text()) == {"exit": 3, "error": error}
     r2 = run_cli(
         "stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json"),
         env_extra={"SUBGRAD_MAX_FACETS": "2"},
@@ -808,12 +863,25 @@ def test_sum_rule_stops_at_the_product_cap(tmp_path, capsys):
     assert "exceeds the generator cap" in capsys.readouterr().err
 
 
-def test_max_dim_flag():
+def test_max_dim_flag(tmp_path, capsys):
+    from subgrad import cli
+
     r = run_cli(
         "subdiff", "--function", str(DATA / "abs.json"), "--point", "0",
         "--max-dim", "0",
     )
     assert r.returncode == 3
+    assert r.stderr == "error: ParseError: --max-dim 0 is not a positive integer\n"
+    # a cap below 1 is bad input and gets the --json error report
+    report = tmp_path / "r.json"
+    subdiff = ["subdiff", "--function", str(DATA / "abs.json"), "--point", "0", "--json", str(report)]
+    assert cli.main([*subdiff, "--max-dim", "-1"]) == 3
+    error = "ParseError: --max-dim -1 is not a positive integer"
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert json.loads(report.read_text()) == {"exit": 3, "error": error}
+    # a 2-d input over a cap of 1 is a cap hit
+    assert cli.main(["stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json"), "--max-dim", "1"]) == 3
+    assert capsys.readouterr().err == "error: CapExceeded: dimension 2 exceeds cap 1\n"
 
 
 _EXACT_SIDE = """

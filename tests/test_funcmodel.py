@@ -639,6 +639,11 @@ def test_json_round_trips():
     bb = BlackBoxFunction(["abs", ["coord", 0]], 1)
     bb2 = function_from_json(bb.to_json())
     assert isinstance(bb2, BlackBoxFunction)
+    boxed = BlackBoxFunction(["abs", ["coord", 0]], 1, [(-1, 2)])
+    boxed2 = function_from_json(boxed.to_json())
+    assert boxed2.box == [(-1.0, 2.0)] and boxed2.to_json() == boxed.to_json()
+    xs = np.array([[-2.0], [-0.5], [2.0], [3.0]])
+    assert boxed2.evaluate_batch(xs).tolist() == boxed.evaluate_batch(xs).tolist() == [np.inf, 0.5, 2.0, np.inf]
 
     with pytest.raises(ParseError):
         function_from_json({"type": "mystery"})

@@ -96,15 +96,18 @@ def test_dual_cone_generators_of_orthant():
 
 def test_normal_cone_routes_agree_at_wall():
     cs = halfplane_system()
-    direct, lagrange, agree = normal_cone_feasible(cs, (F(0), F(0)))
+    direct, lagrange, agree = normal_cone_feasible(feasible_set(cs), (F(0), F(0)))
     assert agree
     assert direct.rays == ((F(-1), F(0)),)
     assert lagrange == direct
+    # an A given by vertices has no raw rows: both routes read its facets
+    a_by_vertices = Polyhedron.from_vrep(feasible_set(cs).vertices, dim=2)
+    assert normal_cone_feasible(a_by_vertices, (F(0), F(0))) == (direct, direct, True)
 
 
 def test_normal_cone_trivial_in_interior():
     cs = halfplane_system()
-    direct, _, agree = normal_cone_feasible(cs, (F(1, 2), F(0)))
+    direct, _, agree = normal_cone_feasible(feasible_set(cs), (F(1, 2), F(0)))
     assert agree
     assert direct.rays == () and direct.vertices == ((F(0), F(0)),)
 
@@ -135,7 +138,7 @@ def test_qualification_trio():
 def inclusion28_sets(p, x):
     """The three sets of inclusion (28) at x: dh, dg and N(A, x)."""
     dc = p.objective
-    na, _, _ = normal_cone_feasible(p.constraints, x)
+    na, _, _ = normal_cone_feasible(feasible_set(p.constraints), x)
     return dc.h.subdifferential_at(x), dc.g.subdifferential_at(x), na
 
 
@@ -362,6 +365,27 @@ def test_probe_agrees_with_certificate():
     assert rep.status == "Holds"
 
 
+@pytest.mark.parametrize("verdict", ["BluntMinimizerAllEps", "NotBluntMinimizer"])
+def test_feasible_set_is_built_once_per_call(monkeypatch, verdict):
+    # the certificate and the blunt probe each hand their one A to every
+    # step that reads it: the point check, both normal-cone routes, the
+    # restricted subdifferential, the descent step, the exact re-checks
+    from subgrad import optimality
+
+    built = []
+
+    def counted(cs):
+        built.append(cs)
+        return feasible_set(cs)
+
+    monkeypatch.setattr(optimality, "feasible_set", counted)
+    p = cone_problem(["1", "0"] if verdict == "BluntMinimizerAllEps" else ["3", "0"])
+    assert certify_blunt_minimizer(p, (F(0), F(0))).verdict == verdict
+    assert built == [p.constraints]
+    blunt_min_probe(p, (F(0), F(0)), F(1, 2))
+    assert built == [p.constraints] * 2
+
+
 @pytest.mark.parametrize("h,status", [(linear_function(["0"]), "FailsWithWitness"), (abs_function(), "Holds")],
                          ids=["zero", "abs"])
 def test_blunt_probe_past_float_range_does_not_warn(h, status):
@@ -412,7 +436,7 @@ def test_random_bounded_problems_routes_agree(seed):
         return
     verts = a.canonical().vertices
     x = verts[int(rng.integers(len(verts)))]
-    direct, lagrange, agree = normal_cone_feasible(cs, x)
+    direct, lagrange, agree = normal_cone_feasible(a, x)
     assert agree
     assert direct == lagrange
 
@@ -466,6 +490,6 @@ def test_lagrange_route_is_the_literal_formula(seed, dim, rows, random_k, zero_r
     if zero_row and not random_k:
         assert qualification_check(cs)[0] == "Fails"
     x = _point_of(feasible_set(cs), where, rng)
-    direct, lagrange, agree = normal_cone_feasible(cs, x)
+    direct, lagrange, agree = normal_cone_feasible(feasible_set(cs), x)
     assert lagrange.to_json() == oracles.canonical_reference(dim, **oracles.lagrange_cone_reference(cs, x))
     assert agree
