@@ -516,14 +516,27 @@ def build_parser() -> argparse.ArgumentParser:
 _NOT_FIELDS = ("command", "json", "max_dim", "scenario", "directory", "filter", "jobs")
 
 
-def _write_report(path: str, report: dict) -> bool:
-    """Writes the --json report; says on stderr why it could not."""
+def _write(text: str, path: str | None = None) -> bool:
+    """Writes text to the file at path, or to stdout; says on stderr why it
+    could not.  A failed stdout is then pointed at the null device, so that
+    the interpreter's flush at exit cannot fail again."""
     try:
-        Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        if path is None:
+            print(text, end="", flush=True)
+        else:
+            Path(path).write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {path or 'stdout'}: {exc}", file=sys.stderr)
+        if path is None:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return False
     return True
+
+
+def _write_report(path: str, report: dict) -> bool:
+    """Writes the --json report."""
+    return _write(json.dumps(report, indent=2, sort_keys=True) + "\n", path)
 
 
 def main(argv=None) -> int:
@@ -564,10 +577,10 @@ def main(argv=None) -> int:
         return 3
     finally:
         CAPS.max_dim, CAPS.max_facets = saved
-    print(outcome.text)
-    if args.json and not _write_report(args.json, outcome.payload):
-        return 3
-    return outcome.exit_code
+    wrote = _write(outcome.text + "\n")
+    if args.json:
+        wrote = _write_report(args.json, outcome.payload) and wrote
+    return outcome.exit_code if wrote else 3
 
 
 if __name__ == "__main__":

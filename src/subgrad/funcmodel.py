@@ -17,8 +17,9 @@ set of g at xb (and likewise for h), a functional u satisfies
 if and only if  u + subdiff(h, xb)  is contained in  subdiff(g, xb) + eps*D,
 with D the dual-norm unit ball.  That containment is what
 ``dc_dini_subdifferential_definitional`` computes, by intersecting translates
-over the vertices of subdiff(h, xb) and guarding recession rays.  The erosion
-route in ``dc_dini_subdifferential`` never shares code with it.
+over the vertices of subdiff(h, xb), whose rays recede in the target as dom g
+is inside dom h.  The erosion route in ``dc_dini_subdifferential`` never
+shares code with it.
 
 A PA function holds int rows ``(slope..., intercept)`` over one positive
 denominator, and its exact calculus runs on these and on the kernel's int
@@ -32,10 +33,9 @@ and import NumPy when first called, so exact calculus never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     CapExceeded,
@@ -57,8 +57,8 @@ from .polykernel import (
     _check_product,
     _dual_vertices,
     _homogeneous,
+    _member,
     _normal_cone,
-    _point,
     _satisfies,
     _strictly_inside,
     _translate,
@@ -84,8 +84,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(NamedTuple):
     """One affine minorant x -> <slope, x> + intercept."""
 
     slope: Vector
@@ -164,9 +163,7 @@ class PAConvexFunction:
     __slots__ = ("_rows", "_den", "domain", "_float_cache")
 
     def __init__(self, pieces: Iterable, domain: Polyhedron | None = None):
-        parsed = [AffinePiece.make(p.slope, p.intercept) if isinstance(p, AffinePiece) else AffinePiece.make(p[0], p[1])
-                  for p in pieces]
-        self._adopt(*_piece_rows(parsed), domain)
+        self._adopt(*_piece_rows([AffinePiece.make(p[0], p[1]) for p in pieces]), domain)
 
     @classmethod
     def _of_rows(cls, rows: Sequence[IntVector], den: int, domain: Polyhedron | None = None) -> "PAConvexFunction":
@@ -246,9 +243,7 @@ class PAConvexFunction:
 
     def subdifferential_at(self, x: Sequence) -> Polyhedron:
         """conv{active slopes} + normal cone of the domain at x."""
-        p = _homogeneous(parse_vector(x, self.dim))
-        if not _satisfies(self.domain._rows, p):
-            raise PointOutsideDomain(f"{_point(p)} is outside the effective domain")
+        _, p = _member(self.domain, x, PointOutsideDomain, "is outside the effective domain")
         hull = Polyhedron(self.dim, raw_vrep=([z[:-1] + (self._den,) for z in self._active_rows(p)], ()))
         return minkowski_sum(hull, _normal_cone(self.domain, p))
 
@@ -429,25 +424,21 @@ def dc_dini_subdifferential_definitional(
     """Independent route from the derivative definition.
 
     Membership of u reduces to u + subdiff(h) inside subdiff(g) + eps*D (see
-    the module docstring), evaluated here by translate-and-intersect: every
-    recession ray of subdiff(h) must recede in the target, and then the set
-    is the intersection of target translates over the vertices of subdiff(h).
+    the module docstring), evaluated as the intersection of the target's
+    translates over the vertices of subdiff(h).
     """
     e = parse_rational(eps)
     if e < 0:
         raise NegativeEps(f"eps must be nonnegative, got {e}")
-    dim = dc.dim
     target = dc.g.subdifferential_at(x)
     if e != 0:
-        target = minkowski_sum(target, dual_norm_ball(norm, e, dim))
-    b = dc.h.subdifferential_at(x).canonical()
-    facets = target.canonical()._hrep
-    for r in b._rays:
-        if any(sum(map(mul, z, r)) > 0 for z in facets):
-            return Polyhedron.empty(dim)
+        target = minkowski_sum(target, dual_norm_ball(norm, e, dc.dim))
+    # only the vertices of subdiff(h) count: its rays span N(dom h, x), which
+    # dom g inside dom h puts inside N(dom g, x), the target's recession cone
+    points = dc.h.subdifferential_at(x).canonical()._points
+    _check_product(len(target.canonical()._hrep), len(points), "rows of the definitional route")
     # the translate by -v of each point v = (y..., s) of subdiff(h)
-    _check_product(len(facets), len(b._points), "rows of the definitional route")
-    return intersect_many([_translate(target, tuple(-y for y in v[:-1]) + v[-1:]) for v in b._points])
+    return intersect_many([_translate(target, tuple(-y for y in v[:-1]) + v[-1:]) for v in points])
 
 
 def hypothesis(text: str, holds: bool, provenance: str) -> dict:

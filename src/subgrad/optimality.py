@@ -34,6 +34,7 @@ from .polykernel import (
     Polyhedron,
     _dual_vertices,
     _homogeneous,
+    _member,
     _normal_cone,
     _point,
     _slack,
@@ -152,15 +153,6 @@ def feasible_set(cs: ConstraintSystem) -> Polyhedron:
     return Polyhedron(cs.dim, raw_hrep=[*cs.C.canonical()._hrep, *pullback])
 
 
-def _feasible_point(a_set: Polyhedron, x: Sequence) -> Vector:
-    """x parsed as a point of the feasible set A; raises InfeasiblePoint
-    when x lies outside."""
-    xv = parse_vector(x, a_set.dim)
-    if not contains_point(a_set, xv):
-        raise InfeasiblePoint(f"{xv} is not feasible")
-    return xv
-
-
 def qualification_check(cs: ConstraintSystem) -> tuple[str, Polyhedron]:
     """Tests whether the cone spanned by k(C) + K is a linear subspace.
 
@@ -195,7 +187,7 @@ def normal_cone_feasible(a_set: Polyhedron, x: Sequence) -> tuple[Polyhedron, Po
     tests the facet pruning of A's canonical form; exactness of the second
     route rests on k being affine.
     """
-    xh = _homogeneous(_feasible_point(a_set, x))
+    _, xh = _member(a_set, x, InfeasiblePoint, "is not feasible")
     direct = _normal_cone(a_set, xh)
     # a zero normal is no ray, and the V-rep drops it
     tight = [z[:-1] for z in a_set._rows if not _slack(z, xh)]
@@ -302,7 +294,9 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
     dc = p.objective
     cs = p.constraints
     a_set = feasible_set(cs)
-    xv = _feasible_point(a_set, x)
+    # x's one test against A, made before its test against dom g
+    direct, lagrange, agree = normal_cone_feasible(a_set, x)
+    xv = parse_vector(x, cs.dim)
     if not strictly_contains_point(dc.g.domain, xv):
         raise PointNotInteriorDomG(f"{xv} is not interior to dom g")
     notes: list[str] = []
@@ -311,7 +305,6 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
     except UnboundedC:
         qualification, qcone = "Fails", None
         notes.append("C unbounded: qualification not evaluated")
-    direct, lagrange, agree = normal_cone_feasible(a_set, xv)
     dg = dc.g.subdifferential_at(xv)
     dh = dc.h.subdifferential_at(xv)
     inclusion28, witness28 = check_inclusion_28(dh, dg, direct)
@@ -424,7 +417,7 @@ def blunt_min_probe(
     if e <= 0:
         raise NegativeEps(f"eps must be positive, got {eps}")
     a_set = feasible_set(p.constraints)
-    xv = _feasible_point(a_set, x)
+    xv, _ = _member(a_set, x, InfeasiblePoint, "is not feasible")
     dc = p.objective
     f0 = dc.evaluate(xv)
     if f0 == math.inf:

@@ -820,13 +820,14 @@ def affine_image(p: Polyhedron, matrix: Sequence[Sequence], offset: Sequence | N
     return Polyhedron(out_dim, raw_vrep=(images, [[sum(map(mul, r, y)) for r in m] for y in p_rays]))
 
 
-def _member(p: Polyhedron, point: Sequence) -> IntVector:
-    """A point of p as a homogeneous int point; PointNotInSet off p."""
+def _member(p: Polyhedron, point: Sequence, error: type[Exception], fails: str) -> tuple[Vector, IntVector]:
+    """A point of p as its Fractions and its homogeneous int point, parsed and
+    tested against p's rows once; off p, raises ``error``: "<point> <fails>"."""
     xv = parse_vector(point, p.dim)
     x = _homogeneous(xv)
     if not _satisfies(p._rows, x):
-        raise PointNotInSet(f"{xv} is not in the polyhedron")
-    return x
+        raise error(f"{xv} {fails}")
+    return xv, x
 
 
 def _active_normals(p: Polyhedron, x: IntVector) -> list[IntVector]:
@@ -842,12 +843,13 @@ def _normal_cone(p: Polyhedron, x: IntVector) -> Polyhedron:
 
 def normal_cone_at(p: Polyhedron, point: Sequence) -> Polyhedron:
     """Outer normal cone of p at a point of p (cone of active facet normals)."""
-    return _normal_cone(p, _member(p, point))
+    return _normal_cone(p, _member(p, point, PointNotInSet, "is not in the polyhedron")[1])
 
 
 def tangent_cone_at(p: Polyhedron, point: Sequence) -> Polyhedron:
     """Cone of feasible directions at a point of p (polar of the normal cone)."""
-    return Polyhedron(p.dim, raw_hrep=[n + (0,) for n in _active_normals(p, _member(p, point))])
+    _, x = _member(p, point, PointNotInSet, "is not in the polyhedron")
+    return Polyhedron(p.dim, raw_hrep=[n + (0,) for n in _active_normals(p, x)])
 
 
 def cone_is_linear_subspace(c: Polyhedron) -> bool:

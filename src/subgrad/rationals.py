@@ -8,6 +8,7 @@ every operation on them, and use these helpers only at their boundary.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd, isfinite, isnan, lcm
@@ -20,6 +21,9 @@ Vector = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the interpreter's int-to-text digit limit, or 0 (none) before Python 3.10.7
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 def parse_rational(text) -> Fraction:
     """Parse ``"p/q"`` / ``"p"`` strings (ints accepted verbatim)."""
@@ -30,8 +34,13 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
+        s = text.strip()
+        exp = s.lower().partition("e")[2]
         try:
-            return Fraction(text.strip())
+            # Fraction builds 10**exp before anything could cap it
+            if exp and 0 < _max_str_digits() < abs(int(exp)):
+                raise ValueError("exponent past the int-to-text digit limit")
+            return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
     raise ParseError(f"not a rational: {text!r}")

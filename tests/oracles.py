@@ -838,12 +838,14 @@ def blunt_reference(p, x, eps, plan):
     candidate re-checked in exact arithmetic."""
     from subgrad import dinioracle as D
     from subgrad.funcmodel import _float_rows
-    from subgrad.optimality import _feasible_point, feasible_set
+    from subgrad.errors import InfeasiblePoint
+    from subgrad.optimality import feasible_set
+    from subgrad.polykernel import _member
     from subgrad.rationals import parse_rational, to_float
 
     e = parse_rational(eps)
     a_set = feasible_set(p.constraints)
-    xv = _feasible_point(a_set, x)
+    xv, _ = _member(a_set, x, InfeasiblePoint, "is not feasible")
     dc = p.objective
     f0 = dc.evaluate(xv)
     dim = p.constraints.dim

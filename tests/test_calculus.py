@@ -121,7 +121,7 @@ def test_inclusion_holds_at_boundary_points():
 
 def test_difference_routes_when_subdiff_h_has_a_ray():
     # g = |x| on [0, 1] and h = x on [0, 2]: at 0, subdiff(h) = {1} + (-inf, 0],
-    # whose ray the definitional route must test against the target
+    # whose ray recedes in the target, as dom g is inside dom h
     dc = DCFunction(
         PAConvexFunction(abs_function().pieces, domain=interval(0, 1)),
         PAConvexFunction(linear_function(["1"]).pieces, domain=interval(0, 2)),

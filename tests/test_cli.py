@@ -587,7 +587,7 @@ json_scalars = st.one_of(
     st.sampled_from([10**400, -(10**400), 2**63, 10**20, 0.0, -0.5, 1e-300]),
     st.floats(),
     st.integers(min_value=-1000, max_value=1000).map(str),
-    st.sampled_from(["1/0", "0", "-1", "1/3", "-7/2", "1" + "0" * 400, "1e400", "x", "", "l1", "l2approx:8"]),
+    st.sampled_from(["1/0", "0", "-1", "1/3", "-7/2", "1" + "0" * 400, "1e400", "1e100000000", "x", "", "l1", "l2approx:8"]),
     st.text(max_size=4),
 )
 json_values = st.one_of(
@@ -861,6 +861,32 @@ def test_sum_rule_stops_at_the_product_cap(tmp_path, capsys):
     assert cli.main(["run", str(scenario)]) == 3
     assert time.perf_counter() - start < 1.0
     assert "exceeds the generator cap" in capsys.readouterr().err
+
+
+def test_huge_exponent_is_refused_at_once(capsys):
+    # Fraction would build 10**100000000 before any cap could act
+    from subgrad import cli
+
+    start = time.perf_counter()
+    assert cli.main(["subdiff", "--function", str(DATA / "abs.json"), "--point", "1e100000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: ParseError: bad rational literal '1e100000000'\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ("check", "--claim", "equality22", "--dc", str(DATA / "abs_minus_x.json"), "--point", "0"),
+    ("corpus", str(CORPUS)),
+], ids=["check", "corpus"])
+def test_unwritable_stdout_exits_3(args):
+    # a report that cannot be written is an error, not a verdict: exit 1 would
+    # read as "fails with witness"
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-m", "subgrad.cli", *args],
+                           stdout=full, stderr=subprocess.PIPE, text=True, cwd=ROOT, timeout=300)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: cannot write stdout: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr
 
 
 def test_max_dim_flag(tmp_path, capsys):

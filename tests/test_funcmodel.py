@@ -303,6 +303,38 @@ def test_dc_difference_routes_agree_at_interior_points(dim, seed):
             assert erosion == definitional
 
 
+def box(lo, hi):
+    dim = len(lo)
+    units = [tuple(F(int(j == i)) for j in range(dim)) for i in range(dim)]
+    return Polyhedron.from_hrep(
+        [(e, b) for e, b in zip(units, hi)] + [(tuple(-c for c in e), -a) for e, a in zip(units, lo)], dim
+    )
+
+
+@given(small_dims, seeds)
+@settings(max_examples=25, deadline=None)
+def test_dc_routes_agree_where_subdiff_h_has_rays(dim, seed):
+    # dom h a box, dom g a box inside it that shares some of its lower faces,
+    # and x on a shared face: subdiff(h, x) has rays there, which the
+    # definitional route takes with no test of its own
+    rng = np.random.default_rng(seed)
+    lo = oracles.rand_vector(rng, dim, 4, 1)
+    hi = tuple(a + 1 + abs(oracles.rand_fraction(rng, 4, 1)) for a in lo)
+    shared = [bool(rng.integers(2)) for _ in range(dim)]
+    shared[int(rng.integers(dim))] = True
+    g_lo = tuple(a if s else a + (b - a) / 4 for a, b, s in zip(lo, hi, shared))
+    g_hi = tuple(b - (b - a) / 4 if rng.integers(2) else b for a, b in zip(lo, hi))
+    x = tuple(a if s else (a, (a + b) / 2, b)[int(rng.integers(3))] for a, b, s in zip(g_lo, g_hi, shared))
+    g = PAConvexFunction(oracles.rand_pa(rng, dim, 4).pieces, domain=box(g_lo, g_hi))
+    h = PAConvexFunction(oracles.rand_pa(rng, dim, 4).pieces, domain=box(lo, hi))
+    dc = DCFunction(g, h)
+    assert dc.h.subdifferential_at(x).rays
+    for eps in (F(0), F(1, 2)):
+        for norm in (L1, LINF):
+            definitional = dc_dini_subdifferential_definitional(dc, x, eps, norm)
+            assert definitional == dc_dini_subdifferential(dc, x, eps, 0, norm)
+
+
 def test_dc_worked_example_abs_minus_x():
     dc = DCFunction(abs_function(), linear_function(["1"]))
     sub = dc_dini_subdifferential(dc, (F(0),), 0, 0)

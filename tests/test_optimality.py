@@ -5,6 +5,7 @@ replay by rational arithmetic."""
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,11 +40,12 @@ from subgrad.optimality import (
     normal_cone_feasible,
     qualification_check,
 )
-from subgrad import polykernel
+from subgrad import funcmodel, polykernel
 from subgrad.polykernel import Polyhedron, contains_point, contains_polyhedron, minkowski_sum
 from subgrad.rationals import parse_rational, parse_vector
 
 F = Fraction
+DATA = Path(__file__).resolve().parent.parent / "scenarios" / "data"
 
 
 def box2():
@@ -384,6 +386,35 @@ def test_feasible_set_is_built_once_per_call(monkeypatch, verdict):
     assert built == [p.constraints]
     blunt_min_probe(p, (F(0), F(0)), F(1, 2))
     assert built == [p.constraints] * 2
+
+
+@pytest.mark.parametrize("name", ["cone_dc", "cone_dc_negative"])
+@pytest.mark.parametrize("bounded_dom_g,tests", [(True, 1), (False, 2)], ids=["dom_g_box", "dom_g_whole"])
+def test_point_is_tested_against_a_once_per_certificate(monkeypatch, name, bounded_dom_g, tests):
+    # every row test of x against A's rows, from either module.  With dom g
+    # a box the restricted route tests x against rows of its own, so the one
+    # test left is the certificate's; with dom g the whole space, dom g ∩ A
+    # has A's rows and the restricted route's own test counts too
+    p = ProblemInstance.from_json(json.loads((DATA / f"{name}.json").read_text()))
+    dom = Polyhedron.from_hrep([(n, F(5)) for n in ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)))], 2)
+    g = PAConvexFunction(p.objective.g.pieces, domain=dom if bounded_dom_g else None)
+    p = ProblemInstance(DCFunction(g, p.objective.h), p.constraints)
+    a_rows = feasible_set(p.constraints)._rows
+    seen = []
+
+    def counted(satisfies):
+        def wrapped(rows, x):
+            rows = tuple(rows)
+            if rows == a_rows and x == (0, 0, 1):
+                seen.append(x)
+            return satisfies(rows, x)
+        return wrapped
+
+    for module in (polykernel, funcmodel):
+        monkeypatch.setattr(module, "_satisfies", counted(module._satisfies))
+    cert = certify_blunt_minimizer(p, (F(0), F(0)))
+    assert cert.verdict == ("BluntMinimizerAllEps" if name == "cone_dc" else "NotBluntMinimizer")
+    assert len(seen) == tests
 
 
 @pytest.mark.parametrize("h,status", [(linear_function(["0"]), "FailsWithWitness"), (abs_function(), "Holds")],

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +45,23 @@ def test_parse_rational_rejects_garbage():
     for bad in ("", "one", "1/0", "1/2/3", None, 0.5, True):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+
+def test_parse_rational_exponents():
+    # an exponent up to the int-to-text digit limit parses; past it the literal
+    # is refused before Fraction builds 10**exp
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("1e308") == 10**308
+    assert parse_rational(" 1e400 ") == 10**400
+    assert parse_rational("-1.5e-2") == Fraction(-3, 200)
+    assert parse_rational("1E2") == 100
+    assert parse_rational(f"1e{limit}") == 10**limit
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+    for bad in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e100000000", "1e-100000000", "1e" + "9" * 5000, "1e", "1e+"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="bad rational literal"):
+            parse_rational(bad)
+        assert time.perf_counter() - start < 0.5
 
 
 @given(fractions)
