@@ -37,7 +37,7 @@ from .polykernel import (
     minkowski_sum,
     star_difference,
 )
-from .rationals import Vector, parse_rational, record_json, vzero
+from .rationals import Vector, parse_radius, parse_rational, record_json, vzero
 
 CLAIM_IDS = (
     "SumRule12",
@@ -165,11 +165,9 @@ def check_intersection_formula(
     over a finite mu grid.  The full claim intersects over all mu >= 0; the
     finite grid is a partial verification, noted on the certificate."""
     e = parse_rational(eps)
-    mus = sorted({parse_rational(m) for m in mu_list})
+    mus = sorted({parse_radius(m, "mu") for m in mu_list})
     if not mus:
         raise ParseError("mu_list must be nonempty")
-    if any(m < 0 for m in mus):
-        raise ParseError("mu values must be nonnegative")
     lhs = dc_dini_subdifferential_definitional(dc, x, e, norm)
     factors = [dc_dini_subdifferential(dc, x, e, m, norm) for m in mus]
     rhs = intersect_many(factors).canonical()
@@ -196,9 +194,7 @@ def check_corollary11(
     subgradient of g - h, and all eta-inclusions.  The grid statements are
     evaluated independently and must agree; the zero-membership statement is
     computed on both the definitional and erosion routes."""
-    etas = sorted({parse_rational(v) for v in eta_list})
-    if any(v < 0 for v in etas):
-        raise ParseError("eta values must be nonnegative")
+    etas = sorted({parse_radius(v, "eta") for v in eta_list})
     if Fraction(0) not in etas:
         raise ParseError("eta_list must include 0")
     sides = {n: (dc.h.eps_subdifferential_at(x, n), dc.g.eps_subdifferential_at(x, n)) for n in etas}

@@ -543,8 +543,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on a usage error, but 2 means "inconclusive" here
-        return 3 if exc.code == 2 else exc.code
+        # argparse exits 2 on a usage error, but 2 means "inconclusive" here;
+        # a --help text that cannot be written must not exit 0, so flush it
+        return 3 if exc.code == 2 or not _write("") else exc.code
     flags = {
         k: v for k, v in vars(args).items() if v is not None and k not in _NOT_FIELDS
     }

@@ -87,10 +87,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EvaluationFailure, NegativeEps, ParseError, PointOutsideDomain
+from .errors import EvaluationFailure, ParseError, PointOutsideDomain
 from .funcmodel import DCFunction, PAConvexFunction, _finite_rows, dc_dini_subdifferential
 from .polykernel import L1, gap
-from .rationals import parse_rational, parse_vector, record_json, to_float
+from .rationals import parse_radius, parse_vector, record_json, to_float
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _RES_FACTOR = 8.0
@@ -452,12 +452,8 @@ def eps_subgradient_membership_probe(
     Holds needs both an empty search and a Holds from calmness_probe, since
     the inequality family defines membership only for calm functions.
     """
-    e = to_float(parse_rational(eps))
-    a = to_float(parse_rational(alpha))
-    if e < 0:
-        raise NegativeEps(f"eps must be nonnegative, got {eps}")
-    if a <= 0:
-        raise NegativeEps(f"alpha must be positive, got {alpha}")
+    eq, aq = parse_radius(eps, "eps"), parse_radius(alpha, "alpha", positive=True)
+    e, a = to_float(eq), to_float(aq)
     dim = f.dim
     xf = _as_float_vec(x, dim)
     sf = _as_float_vec(xstar, dim)
@@ -467,7 +463,7 @@ def eps_subgradient_membership_probe(
     exact = isinstance(f, (PAConvexFunction, DCFunction))
     if exact:
         xq, sq = parse_vector(x, dim), parse_vector(xstar, dim)
-        fxq, slack = f.evaluate(xq), parse_rational(alpha) + parse_rational(eps)
+        fxq, slack = f.evaluate(xq), aq + eq
 
     def evaluate(rng, radii):
         w = _ball_shells(rng, radii, n, dim)
@@ -529,10 +525,8 @@ def approx_regularity_probe(
     the re-check of the module docstring, exact on PA and DC data, Holds
     otherwise.
     """
-    eq = parse_rational(eps)
+    eq = parse_radius(eps, "eps", positive=True)
     e = to_float(eq)
-    if e <= 0:
-        raise NegativeEps(f"eps must be positive, got {eps}")
     if mode not in ("convex", "starshaped", "directional"):
         raise ParseError(f"unknown mode {mode!r}")
     if mode == "directional":
@@ -624,9 +618,7 @@ def gap_continuity_probe(f, x, eps, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeV
     candidate delta), a shell whose gaps all reach eps certifies
     FailsWithWitness, anything else is Inconclusive.
     """
-    e = parse_rational(eps)
-    if e <= 0:
-        raise NegativeEps(f"eps must be positive, got {eps}")
+    e = parse_radius(eps, "eps", positive=True)
     if isinstance(f, PAConvexFunction):
         map_at = f.subdifferential_at
     elif isinstance(f, DCFunction):

@@ -36,7 +36,9 @@ class PointOutsideDomain(SubgradError):
 
 
 class NegativeEps(SubgradError):
-    """An epsilon/eta parameter must be nonnegative."""
+    """A radius breaks its sign rule: eps, eta and mu must be nonnegative,
+    alpha positive, and the eps of the regularity, gap and blunt probes
+    positive (see ``rationals.parse_radius``)."""
 
 
 class UnsupportedNorm(SubgradError):

@@ -42,7 +42,6 @@ from .errors import (
     DimensionMismatch,
     EmptyDomain,
     EvaluationFailure,
-    NegativeEps,
     ParseError,
     PointOutsideDomain,
     PointOutsideDomainInterior,
@@ -74,6 +73,7 @@ from .rationals import (
     Vector,
     format_rational,
     format_vector,
+    parse_radius,
     parse_rational,
     parse_vector,
     to_float,
@@ -250,9 +250,7 @@ class PAConvexFunction:
     def eps_subdifferential_at(self, x: Sequence, eps, norm: NormSpec = L1) -> Polyhedron:
         """Dini-Hadamard eps-subdifferential: for a convex function this is
         the subdifferential fattened by the dual-norm ball of radius eps."""
-        e = parse_rational(eps)
-        if e < 0:
-            raise NegativeEps(f"eps must be nonnegative, got {e}")
+        e = parse_radius(eps, "eps")
         sub = self.subdifferential_at(x)
         if e == 0:
             return sub
@@ -330,9 +328,7 @@ def f_eps_expand(f: PAConvexFunction, x: Sequence, eps, norm: NormSpec = L1) -> 
     ||y|| is the max of <w, y> over the vertices w of the dual unit ball, so
     each piece splits into one shifted piece per vertex.
     """
-    e = parse_rational(eps)
-    if e < 0:
-        raise NegativeEps(f"eps must be nonnegative, got {e}")
+    e = parse_radius(eps, "eps")
     xb = _homogeneous(parse_vector(x, f.dim))
     if e == 0:
         return f
@@ -409,10 +405,7 @@ def dc_dini_subdifferential(
 ) -> Polyhedron:
     """Erosion route: (eps+eta)-subdifferential of g eroded by the
     eta-subdifferential of h."""
-    e = parse_rational(eps)
-    n = parse_rational(eta)
-    if e < 0 or n < 0:
-        raise NegativeEps("eps and eta must be nonnegative")
+    e, n = parse_radius(eps, "eps"), parse_radius(eta, "eta")
     a = dc.g.eps_subdifferential_at(x, e + n, norm)
     b = dc.h.eps_subdifferential_at(x, n, norm)
     return star_difference(a, b)
@@ -427,9 +420,7 @@ def dc_dini_subdifferential_definitional(
     the module docstring), evaluated as the intersection of the target's
     translates over the vertices of subdiff(h).
     """
-    e = parse_rational(eps)
-    if e < 0:
-        raise NegativeEps(f"eps must be nonnegative, got {e}")
+    e = parse_radius(eps, "eps")
     target = dc.g.subdifferential_at(x)
     if e != 0:
         target = minkowski_sum(target, dual_norm_ball(norm, e, dc.dim))

@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     InfeasiblePoint,
     InternalCheckError,
-    NegativeEps,
     NotACone,
     ParseError,
     PointNotInteriorDomG,
@@ -51,7 +50,7 @@ from .rationals import (
     Vector,
     format_rational,
     format_vector,
-    parse_rational,
+    parse_radius,
     parse_vector,
     primitive_ints,
     record_json,
@@ -413,9 +412,7 @@ def blunt_min_probe(
 
     if plan is None:
         plan = DEFAULT_PLAN
-    e = parse_rational(eps)
-    if e <= 0:
-        raise NegativeEps(f"eps must be positive, got {eps}")
+    e = parse_radius(eps, "eps", positive=True)
     a_set = feasible_set(p.constraints)
     xv, _ = _member(a_set, x, InfeasiblePoint, "is not feasible")
     dc = p.objective

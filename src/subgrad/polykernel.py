@@ -65,7 +65,6 @@ from .errors import (
     DimensionMismatch,
     EmptySetError,
     InternalCheckError,
-    NegativeEps,
     NotACone,
     ParseError,
     PointNotInSet,
@@ -77,6 +76,7 @@ from .rationals import (
     Vector,
     format_rational,
     format_vector,
+    parse_radius,
     parse_rational,
     parse_vector,
     primitive_ints,
@@ -934,9 +934,7 @@ def dual_norm_ball(norm: NormSpec, eps, dim: int) -> Polyhedron:
     """Ball ``conv(eps W)`` of radius eps in the dual norm (l1 <-> linf;
     l2approx's dual ball circumscribes the Euclidean eps-ball with k facets).
     It stays a raw V-rep, so a Minkowski sum with it runs no DD on the ball."""
-    e = parse_rational(eps)
-    if e < 0:
-        raise NegativeEps(f"radius must be nonnegative, got {e}")
+    e = parse_radius(eps, "radius")
     points = [tuple(e.numerator * x for x in w[:-1]) + (e.denominator * w[-1],) for w in _dual_vertices(norm, dim)]
     return Polyhedron(dim, raw_vrep=(points, ()))
 

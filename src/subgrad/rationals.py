@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isfinite, isnan, lcm
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, NegativeEps, ParseError
 
 Vector = tuple[Fraction, ...]
 
@@ -44,6 +44,16 @@ def parse_rational(text) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
     raise ParseError(f"not a rational: {text!r}")
+
+
+def parse_radius(value, name: str, positive: bool = False) -> Fraction:
+    """Parse a radius (eps, eta, mu, alpha) and decide its sign on the exact
+    value: it must be nonnegative, or positive when ``positive`` is set."""
+    r = parse_rational(value)
+    if r < 0 or (positive and r == 0):
+        rule = "positive" if positive else "nonnegative"
+        raise NegativeEps(f"{name} must be {rule}, got {format_rational(r)}")
+    return r
 
 
 def to_float(value) -> float:

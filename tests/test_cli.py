@@ -877,7 +877,8 @@ def test_huge_exponent_is_refused_at_once(capsys):
 @pytest.mark.parametrize("args", [
     ("check", "--claim", "equality22", "--dc", str(DATA / "abs_minus_x.json"), "--point", "0"),
     ("corpus", str(CORPUS)),
-], ids=["check", "corpus"])
+    ("--help",),
+], ids=["check", "corpus", "help"])
 def test_unwritable_stdout_exits_3(args):
     # a report that cannot be written is an error, not a verdict: exit 1 would
     # read as "fails with witness"

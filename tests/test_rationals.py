@@ -11,11 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import vsub
-from subgrad.errors import ParseError
+from subgrad.calculus import check_corollary11, check_intersection_formula
+from subgrad.dinioracle import approx_regularity_probe, eps_subgradient_membership_probe, gap_continuity_probe
+from subgrad.errors import NegativeEps, ParseError
+from subgrad.funcmodel import (
+    DCFunction,
+    abs_function,
+    dc_dini_subdifferential,
+    dc_dini_subdifferential_definitional,
+    f_eps_expand,
+    linear_function,
+)
+from subgrad.optimality import ConstraintSystem, ProblemInstance, blunt_min_probe
+from subgrad.polykernel import L1, Polyhedron, dual_norm_ball
 from subgrad.rationals import (
     format_rational,
     format_vector,
     is_zero_vector,
+    parse_radius,
     parse_rational,
     parse_vector,
     primitive,
@@ -62,6 +75,81 @@ def test_parse_rational_exponents():
         with pytest.raises(ParseError, match="bad rational literal"):
             parse_rational(bad)
         assert time.perf_counter() - start < 0.5
+
+
+radius_inputs = st.one_of(
+    st.integers(-10**30, 10**30),
+    fractions,
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+    # exponent literals reach values no float can hold
+    st.builds(lambda m, k: f"{m}e-{k}", st.integers(-10**6, 10**6), st.integers(0, 4000)),
+)
+
+
+@given(radius_inputs, st.booleans())
+@settings(max_examples=300)
+def test_parse_radius_decides_the_sign_on_the_exact_value(value, positive):
+    want = parse_rational(value)
+    if want > 0 or (want == 0 and not positive):
+        got = parse_radius(value, "eps", positive)
+        assert type(got) is Fraction and got == want
+    else:
+        rule = "positive" if positive else "nonnegative"
+        with pytest.raises(NegativeEps) as info:
+            parse_radius(value, "eps", positive)
+        assert str(info.value) == f"eps must be {rule}, got {format_rational(want)}"
+
+
+def _abs_dc():
+    return DCFunction(abs_function(), linear_function(["0"]))
+
+
+def _blunt_problem():
+    # min |x| over C = [-1, 1], with k(x) = 0 x + 0 in -K
+    c_set = Polyhedron.from_hrep([((Fraction(1),), Fraction(1)), ((Fraction(-1),), Fraction(1))], 1)
+    return ProblemInstance(_abs_dc(), ConstraintSystem(c_set, [[0]], [0]))
+
+
+# every entry point that takes a radius: (call with radius r, name, positive)
+RADIUS_SITES = {
+    "dual_norm_ball": (lambda r: dual_norm_ball(L1, r, 1), "radius", False),
+    "eps_subdifferential_at": (lambda r: abs_function().eps_subdifferential_at([0], r), "eps", False),
+    "f_eps_expand": (lambda r: f_eps_expand(abs_function(), [0], r), "eps", False),
+    "dc_dini_subdifferential-eps": (lambda r: dc_dini_subdifferential(_abs_dc(), [0], r, 0), "eps", False),
+    "dc_dini_subdifferential-eta": (lambda r: dc_dini_subdifferential(_abs_dc(), [0], 0, r), "eta", False),
+    "dc_dini_subdifferential_definitional": (
+        lambda r: dc_dini_subdifferential_definitional(_abs_dc(), [0], r), "eps", False),
+    "check_intersection_formula-mu": (
+        lambda r: check_intersection_formula(_abs_dc(), [0], 0, [0, r]), "mu", False),
+    "check_corollary11-eta": (lambda r: check_corollary11(_abs_dc(), [0], [0, r]), "eta", False),
+    "membership-eps": (lambda r: eps_subgradient_membership_probe(abs_function(), [0], [0], r, 1), "eps", False),
+    "membership-alpha": (
+        lambda r: eps_subgradient_membership_probe(abs_function(), [0], [0], 0, r), "alpha", True),
+    "regularity": (lambda r: approx_regularity_probe(abs_function(), [0], r, "convex"), "eps", True),
+    "gap": (lambda r: gap_continuity_probe(abs_function(), [0], r), "eps", True),
+    "blunt": (lambda r: blunt_min_probe(_blunt_problem(), [0], r), "eps", True),
+}
+
+
+@pytest.mark.parametrize("site", list(RADIUS_SITES))
+def test_every_radius_follows_one_rule(site):
+    call, name, positive = RADIUS_SITES[site]
+    # a negative mu or eta is a NegativeEps like any other radius
+    for bad, shown in (("-1/3", "-1/3"), (-2, "-2"), ("-1e-400", f"-1/{10**400}")):
+        with pytest.raises(NegativeEps) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be {'positive' if positive else 'nonnegative'}, got {shown}"
+    if positive:
+        with pytest.raises(NegativeEps, match=f"^{name} must be positive, got 0$"):
+            call(0)
+    else:
+        call(0)
+
+
+@pytest.mark.parametrize("site", ["membership-alpha", "regularity"])
+def test_a_radius_below_float_range_is_positive(site):
+    # 1e-400 rounds to the float 0.0, but the rule reads the exact value
+    assert RADIUS_SITES[site][0]("1e-400").status == "Holds"
 
 
 @given(fractions)
