@@ -37,7 +37,7 @@ from .polykernel import (
     minkowski_sum,
     star_difference,
 )
-from .rationals import Vector, parse_radius, parse_rational, record_json, vzero
+from .rationals import Vector, format_point, format_vector, parse_radius, parse_rational, record_json, vzero
 
 CLAIM_IDS = (
     "SumRule12",
@@ -108,7 +108,7 @@ def check_sum_rule(
     verdict, witness = _two_way_verdict(lhs, rhs)
     if verdict == "Fails":
         raise InternalCheckError(
-            f"sum-rule inclusion violated at witness {witness}; "
+            f"sum-rule inclusion violated at witness {format_point(witness, elide=True)}; "
             "this cannot happen for convex polyhedral data"
         )
     report = [
@@ -180,7 +180,7 @@ def check_intersection_formula(
         witness,
         dc_hypothesis_report(dc, x),
         notes=(
-            "finite mu grid: " + ", ".join(str(m) for m in mus),
+            "finite mu grid: " + ", ".join(format_vector(mus)),
             "partial verification of an intersection over all mu >= 0",
         ),
     )
@@ -220,7 +220,7 @@ def check_corollary11(
     lhs, rhs = sides[0]
     verdict, witness = _two_way_verdict(lhs, rhs)
     notes = (
-        "eta grid: " + ", ".join(str(v) for v in etas),
+        "eta grid: " + ", ".join(format_vector(etas)),
         f"statements agree: {'true' if stmt_ii else 'false'} on all three",
     )
     return Certificate(

@@ -44,7 +44,7 @@ from .funcmodel import (
 )
 from .optimality import OptimalityCertificate, ProblemInstance, blunt_min_probe, certify_blunt_minimizer
 from .polykernel import CAPS, NormSpec, Polyhedron, star_difference
-from .rationals import format_rational, parse_rational
+from .rationals import format_point, format_rational, parse_rational
 
 if TYPE_CHECKING:
     from .dinioracle import SamplingPlan
@@ -130,14 +130,10 @@ def _poly_text(p: Polyhedron) -> str:
     iv = _interval_text(c)
     if iv is not None:
         return iv
-    out = "conv{" + "; ".join(map(_vector_text, c.vertices)) + "}"
+    out = "conv{" + "; ".join(map(format_point, c.vertices)) + "}"
     if c.rays:
-        out += " + cone{" + "; ".join(map(_vector_text, c.rays)) + "}"
+        out += " + cone{" + "; ".join(map(format_point, c.rays)) + "}"
     return out
-
-
-def _vector_text(v) -> str:
-    return "(" + ", ".join(format_rational(x) for x in v) + ")"
 
 
 def _hypothesis_lines(report) -> list[str]:
@@ -175,7 +171,7 @@ def _certificate_outcome(scenario_name: str, cert: Certificate) -> RunOutcome:
         f"sets: {_poly_text(cert.lhs)} {relation} {_poly_text(cert.rhs)}",
     ]
     if cert.witness is not None:
-        lines.append(f"witness: {_vector_text(cert.witness)}")
+        lines.append(f"witness: {format_point(cert.witness)}")
     code = 0 if cert.passed else 1
     return _outcome(code, lines + _theorem_lines(cert), "check", cert.to_json())
 
@@ -260,7 +256,8 @@ def _run_check(name: str, sc: dict, base: Path) -> RunOutcome:
         cert = check_difference_formula(dc, point, eps, eta, norm)
         if cert.claim_id != claim:
             raise ParseError(
-                f"eps={eps} eta={eta} selects {cert.claim_id}, not {claim}"
+                f"eps={format_rational(eps, elide=True)} eta={format_rational(eta, elide=True)} "
+                f"selects {cert.claim_id}, not {claim}"
             )
     elif claim == "Inclusion13":
         cert = check_inclusion_13(dc, point, eps, eta, norm)
@@ -294,7 +291,7 @@ def _run_certify(name: str, sc: dict, base: Path) -> RunOutcome:
     if cert.descent is not None:
         d = cert.descent
         lines.append(
-            f"descent witness: direction {_vector_text(d['direction'])}"
+            f"descent witness: direction {format_point(d['direction'])}"
             + f", rate {format_rational(d['rate'])}"
             + f", step {format_rational(d['step'])}"
             + f", violation margin {format_rational(d['violation_margin'])}"

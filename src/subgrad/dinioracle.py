@@ -79,7 +79,6 @@ float models hold twice so that the product is never matrix-vector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from operator import mul
@@ -90,7 +89,7 @@ import numpy as np
 from .errors import EvaluationFailure, ParseError, PointOutsideDomain
 from .funcmodel import DCFunction, PAConvexFunction, _finite_rows, dc_dini_subdifferential
 from .polykernel import L1, gap
-from .rationals import parse_radius, parse_vector, record_json, to_float
+from .rationals import format_point, parse_radius, parse_vector, read_field, record_json, to_float
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _RES_FACTOR = 8.0
@@ -126,14 +125,6 @@ def _default_radii() -> tuple[float, ...]:
     return tuple(2.0 ** -k for k in range(1, 21))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     """Deterministic sampling schedule shared by all probes.
@@ -152,14 +143,13 @@ class SamplingPlan:
     divergence_threshold: float = -1e6
 
     def __post_init__(self):
+        values = vars(self)
         for key in ("samples_per_shell", "seed", "stabilization_window"):
-            if not _is_int(getattr(self, key)):
-                raise ParseError(f"{key} must be an integer")
+            read_field(values, "sampling plan", key, int)
         for key in ("stabilization_tol", "divergence_threshold"):
-            value = getattr(self, key)
-            if not _is_real(value) or not math.isfinite(to_float(value)):
+            if not math.isfinite(to_float(read_field(values, "sampling plan", key, float))):
                 raise ParseError(f"{key} must be a finite number")
-        radii = tuple(to_float(r) for r in self.shell_radii)
+        radii = tuple(map(to_float, read_field(values, "sampling plan", "shell_radii", list)))
         if not radii:
             raise ParseError("shell_radii must be nonempty")
         if not all(math.isfinite(r) for r in radii):
@@ -185,16 +175,12 @@ class SamplingPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingPlan":
-        if not isinstance(obj, dict):
-            raise ParseError("a sampling plan must be a JSON object")
-        names = {f.name for f in fields(cls)}
+        names = [f.name for f in fields(cls)]
+        values = {k: read_field(obj, "sampling plan", k, default=getattr(DEFAULT_PLAN, k)) for k in names}
         unknown = [str(k) for k in obj if k not in names]
         if unknown:
             raise ParseError(f"unknown sampling plan fields: {', '.join(unknown)}")
-        radii = obj.get("shell_radii", [])
-        if not isinstance(radii, list) or not all(_is_real(r) for r in radii):
-            raise ParseError("shell_radii must be a list of numbers")
-        return cls(**obj)
+        return cls(**values)
 
 
 DEFAULT_PLAN = SamplingPlan()
@@ -417,7 +403,7 @@ def calmness_probe(f, x, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:
     if isinstance(f, (PAConvexFunction, DCFunction)):
         xq = parse_vector(x, f.dim)
         if f.evaluate(xq) == math.inf:
-            raise PointOutsideDomain(f"{xq} is outside the effective domain")
+            raise PointOutsideDomain(f"{format_point(xq, elide=True)} is outside the effective domain")
         return ProbeVerdict("Holds", None, [], notes=("locally Lipschitz: piecewise-affine data, calmness exact",))
     est = dini_directional_estimate(f, x, [0] * f.dim, plan, tag=_TAG_CALM)
     shells = [{"radius": s["radius"], "inf": s["inf"]} for s in est.shells]

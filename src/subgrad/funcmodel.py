@@ -71,12 +71,14 @@ from .polykernel import (
 )
 from .rationals import (
     Vector,
-    format_rational,
-    format_vector,
+    format_point,
+    has_kind,
     parse_radius,
     parse_rational,
     parse_vector,
+    read_field,
     to_float,
+    to_json_value,
     vdot,
 )
 
@@ -262,7 +264,8 @@ class PAConvexFunction:
         p = _homogeneous(xv)
         # an interior point is in the domain, so that is the one test
         if not _strictly_inside(self.domain, p):
-            raise PointOutsideDomainInterior(f"{xv} is not interior to the effective domain")
+            raise PointOutsideDomainInterior(
+                f"{format_point(xv, elide=True)} is not interior to the effective domain")
         # a direction h = (d..., s) for d / s, read like a point
         d = _homogeneous(parse_vector(h, self.dim))
         best = max(sum(map(mul, z, d[:-1])) for z in self._active_rows(p))
@@ -279,25 +282,19 @@ class PAConvexFunction:
 
     def to_json(self) -> dict:
         dom = self.domain
-        is_whole = dom == Polyhedron.whole_space(self.dim)
-        return {
+        return to_json_value({
             "type": "pa_convex",
-            "pieces": [
-                {"slope": format_vector(p.slope), "intercept": format_rational(p.intercept)}
-                for p in self.pieces
-            ],
-            "domain": None if is_whole else dom.to_json(),
-        }
+            "pieces": [p._asdict() for p in self.pieces],
+            "domain": None if dom == Polyhedron.whole_space(self.dim) else dom,
+        })
 
     @classmethod
     def from_json(cls, obj: dict) -> "PAConvexFunction":
-        if not isinstance(obj, dict) or obj.get("type") != "pa_convex":
+        if read_field(obj, "function", "type", default=None) != "pa_convex":
             raise ParseError("expected a pa_convex function object")
-        raw = obj["pieces"]
-        if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
-            raise ParseError("'pieces' must be a list of piece objects")
-        pieces = [AffinePiece.make(p["slope"], p["intercept"]) for p in raw]
-        dom = obj.get("domain")
+        pieces = [AffinePiece.make(read_field(p, "piece", "slope", list), read_field(p, "piece", "intercept"))
+                  for p in read_field(obj, "pa_convex function", "pieces", list)]
+        dom = read_field(obj, "pa_convex function", "domain", dict, None)
         domain = Polyhedron.from_json(dom) if dom is not None else None
         return cls._of_rows(*_piece_rows(pieces), domain)
 
@@ -361,7 +358,7 @@ class DCFunction:
             raise DimensionMismatch("g and h have different dimensions")
         ok, witness = contains_polyhedron(h.domain, g.domain)
         if not ok:
-            raise ParseError(f"dom g must be contained in dom h; {witness} escapes")
+            raise ParseError(f"dom g must be contained in dom h; {format_point(witness, elide=True)} escapes")
         self.g = g
         self.h = h
 
@@ -390,11 +387,10 @@ class DCFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DCFunction":
-        if not isinstance(obj, dict) or obj.get("type") != "dc":
+        if read_field(obj, "function", "type", default=None) != "dc":
             raise ParseError("expected a dc function object")
-        return cls(
-            PAConvexFunction.from_json(obj["g"]), PAConvexFunction.from_json(obj["h"])
-        )
+        g = PAConvexFunction.from_json(read_field(obj, "dc function", "g", dict))
+        return cls(g, PAConvexFunction.from_json(read_field(obj, "dc function", "h", dict)))
 
     def __repr__(self) -> str:
         return f"DCFunction(dim={self.dim})"
@@ -513,7 +509,7 @@ def _compile(node, dim: int, program: list) -> None:
     op = node[0]
     if op == "const":
         c = node[1] if len(node) == 2 else None
-        if isinstance(c, bool) or not isinstance(c, (str, int, float)):
+        if not (isinstance(c, str) or has_kind(c, float)):
             raise ParseError(f"const takes one number or rational string, got {node!r}")
         value = to_float(parse_rational(c) if isinstance(c, str) else c)
         if not math.isfinite(value):
@@ -521,7 +517,7 @@ def _compile(node, dim: int, program: list) -> None:
         program.append((lambda np, xs: np.full(xs.shape[0], value), 0))
     elif op == "coord":
         i = node[1] if len(node) == 2 else None
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
+        if not has_kind(i, int) or not 0 <= i < dim:
             raise ParseError(f"coord takes one integer index in [0, {dim}), got {node!r}")
         program.append((lambda np, xs: xs[:, i], 0))
     else:
@@ -557,7 +553,10 @@ class BlackBoxFunction:
         self.expr = expr
         self.dim = dim
         if box is not None:
-            box = [(to_float(lo), to_float(hi)) for lo, hi in box]
+            try:
+                box = [(to_float(lo), to_float(hi)) for lo, hi in box]
+            except (TypeError, ValueError) as exc:
+                raise ParseError("box must be a list of (lo, hi) number pairs") from exc
             if len(box) != dim:
                 raise DimensionMismatch("box must have one (lo, hi) pair per coordinate")
             if any(math.isnan(v) for pair in box for v in pair):
@@ -602,20 +601,10 @@ class BlackBoxFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BlackBoxFunction":
-        if not isinstance(obj, dict) or obj.get("type") != "blackbox":
+        if read_field(obj, "function", "type", default=None) != "blackbox":
             raise ParseError("expected a blackbox function object")
-        dim, box = obj["dim"], obj.get("box")
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ParseError("'dim' must be an integer")
-        pairs = isinstance(box, list) and all(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-            for pair in box
-        )
-        if box is not None and not pairs:
-            raise ParseError("'box' must be a list of (lo, hi) number pairs")
-        return cls(obj["expr"], dim, box)
+        expr, dim = read_field(obj, "blackbox function", "expr"), read_field(obj, "blackbox function", "dim", int)
+        return cls(expr, dim, read_field(obj, "blackbox function", "box", list, None))
 
     def __repr__(self) -> str:
         return f"BlackBoxFunction(dim={self.dim})"
@@ -623,9 +612,7 @@ class BlackBoxFunction:
 
 def function_from_json(obj: dict):
     """Dispatch a function file object to its concrete type."""
-    if not isinstance(obj, dict):
-        raise ParseError("a function must be a JSON object")
-    kind = obj.get("type")
+    kind = read_field(obj, "function", "type", default=None)
     if kind == "pa_convex":
         return PAConvexFunction.from_json(obj)
     if kind == "dc":

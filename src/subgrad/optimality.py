@@ -33,6 +33,7 @@ from .polykernel import (
     Polyhedron,
     _dual_vertices,
     _homogeneous,
+    _is_cone,
     _member,
     _normal_cone,
     _point,
@@ -48,13 +49,16 @@ from .polykernel import (
 )
 from .rationals import (
     Vector,
+    format_point,
     format_rational,
     format_vector,
     parse_radius,
     parse_vector,
     primitive_ints,
+    read_field,
     record_json,
     to_float,
+    to_json_value,
     vadd,
     vdot,
     vscale,
@@ -95,7 +99,7 @@ class ConstraintSystem:
         self.K = cone if cone is not None else nonneg_orthant(len(self.M))
         if self.K.dim != len(self.M):
             raise DimensionMismatch("K lives in the wrong dimension")
-        if self.K.canonical()._points != ((0,) * self.K.dim + (1,),):
+        if not _is_cone(self.K):
             raise NotACone("K must be a polyhedral cone with vertex at the origin")
 
     @property
@@ -103,23 +107,15 @@ class ConstraintSystem:
         return self.C.dim
 
     def to_json(self) -> dict:
-        return {
-            "C": self.C.to_json(),
-            "k": {
-                "M": [format_vector(row) for row in self.M],
-                "c": format_vector(self.c),
-            },
-            "K": self.K.to_json(),
-        }
+        return to_json_value({"C": self.C, "k": {"M": self.M, "c": self.c}, "K": self.K})
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstraintSystem":
-        c_set = Polyhedron.from_json(obj["C"])
-        k = obj["k"]
-        if not isinstance(k, dict) or not isinstance(k["M"], list):
-            raise ParseError("'k' must be an object whose 'M' is a list of vectors")
-        cone = Polyhedron.from_json(obj["K"]) if "K" in obj and obj["K"] is not None else None
-        return cls(c_set, k["M"], k["c"], cone)
+        c_set = Polyhedron.from_json(read_field(obj, "problem", "C", dict))
+        k = read_field(obj, "problem", "k", dict)
+        cone = read_field(obj, "problem", "K", dict, None)
+        return cls(c_set, read_field(k, "k", "M", list), read_field(k, "k", "c", list),
+                   None if cone is None else Polyhedron.from_json(cone))
 
 
 class ProblemInstance:
@@ -140,9 +136,8 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProblemInstance":
-        if not isinstance(obj, dict):
-            raise ParseError("a problem must be a JSON object")
-        return cls(DCFunction.from_json(obj["objective"]), ConstraintSystem.from_json(obj))
+        objective = DCFunction.from_json(read_field(obj, "problem", "objective", dict))
+        return cls(objective, ConstraintSystem.from_json(obj))
 
 
 def feasible_set(cs: ConstraintSystem) -> Polyhedron:
@@ -297,7 +292,7 @@ def certify_blunt_minimizer(p: ProblemInstance, x: Sequence) -> OptimalityCertif
     direct, lagrange, agree = normal_cone_feasible(a_set, x)
     xv = parse_vector(x, cs.dim)
     if not strictly_contains_point(dc.g.domain, xv):
-        raise PointNotInteriorDomG(f"{xv} is not interior to dom g")
+        raise PointNotInteriorDomG(f"{format_point(xv, elide=True)} is not interior to dom g")
     notes: list[str] = []
     try:
         qualification, qcone = qualification_check(cs)
@@ -418,7 +413,7 @@ def blunt_min_probe(
     dc = p.objective
     f0 = dc.evaluate(xv)
     if f0 == math.inf:
-        raise PointOutsideDomain(f"{xv} is outside the effective domain")
+        raise PointOutsideDomain(f"{format_point(xv, elide=True)} is outside the effective domain")
     f0f = to_float(f0)
     ef = to_float(e)
     dim = p.constraints.dim

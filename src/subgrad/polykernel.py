@@ -74,12 +74,13 @@ from .rationals import (
     ONE,
     ZERO,
     Vector,
-    format_rational,
-    format_vector,
+    format_point,
     parse_radius,
     parse_rational,
     parse_vector,
     primitive_ints,
+    read_field,
+    to_json_value,
     vneg,
     vzero,
 )
@@ -604,47 +605,24 @@ class Polyhedron:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "hrep": [
-                {"normal": format_vector(h.normal), "offset": format_rational(h.offset)}
-                for h in self.hrep
-            ],
-            "vrep": {
-                "vertices": [format_vector(v) for v in self.vertices],
-                "rays": [format_vector(r) for r in self.rays],
-            },
-        }
+        hrep = [h._asdict() for h in self.hrep]
+        return to_json_value({"dim": self.dim, "hrep": hrep, "vrep": {"vertices": self.vertices, "rays": self.rays}})
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polyhedron":
-        if not isinstance(obj, dict) or "dim" not in obj:
-            raise ParseError("polyhedron object needs a 'dim' field")
-        dim = obj["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ParseError("'dim' must be an integer")
-        have_h = obj.get("hrep") is not None
-        have_v = obj.get("vrep") is not None
-        if not have_h and not have_v:
+        dim = read_field(obj, "polyhedron", "dim", int)
+        hrep = read_field(obj, "polyhedron", "hrep", list, None)
+        vrep = read_field(obj, "polyhedron", "vrep", dict, None)
+        if hrep is None and vrep is None:
             raise ParseError("polyhedron needs an 'hrep' or a 'vrep'")
         from_h = from_v = None
-        if have_h:
-            hrep = obj["hrep"]
-            if not isinstance(hrep, list) or not all(isinstance(e, dict) for e in hrep):
-                raise ParseError("'hrep' must be a list of halfspace objects")
-            from_h = cls.from_hrep([(e["normal"], e["offset"]) for e in hrep], dim)
-        if have_v:
-            v = obj["vrep"]
-            if not isinstance(v, dict):
-                raise ParseError("'vrep' must be an object")
-            verts, rays = v.get("vertices", []), v.get("rays", [])
-            if not isinstance(verts, list) or not isinstance(rays, list):
-                raise ParseError("'vertices' and 'rays' must be lists of vectors")
-            from_v = cls.from_vrep(verts, rays, dim=dim)
-        if from_h is not None and from_v is not None:
-            if from_h != from_v:
-                raise ParseError("hrep and vrep describe different sets")
-            return from_h
+        if hrep is not None:
+            from_h = cls.from_hrep([(read_field(h, "halfspace", "normal", list), read_field(h, "halfspace", "offset"))
+                                    for h in hrep], dim)
+        if vrep is not None:
+            from_v = cls.from_vrep(*(read_field(vrep, "vrep", key, list, ()) for key in ("vertices", "rays")), dim=dim)
+        if from_h is not None and from_v is not None and from_h != from_v:
+            raise ParseError("hrep and vrep describe different sets")
         return from_h if from_h is not None else from_v
 
 
@@ -826,7 +804,7 @@ def _member(p: Polyhedron, point: Sequence, error: type[Exception], fails: str) 
     xv = parse_vector(point, p.dim)
     x = _homogeneous(xv)
     if not _satisfies(p._rows, x):
-        raise error(f"{xv} {fails}")
+        raise error(f"{format_point(xv, elide=True)} {fails}")
     return xv, x
 
 
@@ -852,12 +830,17 @@ def tangent_cone_at(p: Polyhedron, point: Sequence) -> Polyhedron:
     return Polyhedron(p.dim, raw_hrep=[n + (0,) for n in _active_normals(p, x)])
 
 
+def _is_cone(p: Polyhedron) -> bool:
+    """Whether p is a cone with vertex at the origin (its canonical points are exactly the origin)."""
+    return p.canonical()._points == ((0,) * p.dim + (1,),)
+
+
 def cone_is_linear_subspace(c: Polyhedron) -> bool:
     """True iff the polyhedral cone c equals -c.
 
     Raises NotACone unless c is a cone (canonically: single vertex at 0).
     """
-    if c.canonical()._points != ((0,) * c.dim + (1,),):
+    if not _is_cone(c):
         raise NotACone("expected a cone generated by rays from the origin")
     rays = set(c._rays)
     return all(tuple(-x for x in r) in rays for r in rays)

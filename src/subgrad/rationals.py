@@ -1,9 +1,12 @@
-"""Exact rational scalars and small dense vectors.
+"""Exact rational scalars and small dense vectors, and the JSON boundary.
 
 Scalars are ``fractions.Fraction`` throughout; vectors are plain tuples of
 Fractions.  Everything here is pure.  The exact layers (polyhedra, PA
 functions, norm lists and LP rows) hold ints (see ``primitive_ints``), run
 every operation on them, and use these helpers only at their boundary.
+This module is also the one place where outside text becomes exact values
+(every input object is read through ``read_field``) and exact values become
+text.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd, isfinite, isnan, lcm
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, NegativeEps, ParseError
@@ -25,14 +29,41 @@ ONE = Fraction(1)
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
+# each JSON kind a field may be asked for: the types it admits (a builtin
+# first, which isinstance tests fastest), and its name in a message
+_KINDS = {list: ((list, tuple), "a list"), dict: (dict, "an object"), int: ((int, Integral), "an integer"),
+          float: ((float, int, Real), "a number")}
+_REQUIRED = object()
+
+
+def has_kind(value, kind: type) -> bool:
+    """Whether `value` is of a JSON kind: list (or tuple), dict, int or float
+    (any real); a bool is neither an int nor a float."""
+    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
+
+
+def read_field(obj, what: str, name: str, kind: type | None = None, default=_REQUIRED):
+    """Field `name` of the JSON object `obj`, called `what` in messages: an
+    absent or null field takes `default` or is missing, a present one must be
+    of `kind`, when given, and each failure is a ParseError naming both."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be a JSON object with field {name!r}, got {type(obj).__name__}")
+    value = obj.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ParseError(f"{what} is missing field {name!r}")
+        return default
+    if kind is not None and not has_kind(value, kind):
+        raise ParseError(f"{what} field {name!r} must be {_KINDS[kind][1]}, got {type(value).__name__}")
+    return value
+
+
 def parse_rational(text) -> Fraction:
     """Parse ``"p/q"`` / ``"p"`` strings (ints accepted verbatim)."""
-    if isinstance(text, bool):
-        raise ParseError(f"not a rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
     if isinstance(text, Fraction):
         return text
+    if has_kind(text, int):
+        return Fraction(text)
     if isinstance(text, str):
         s = text.strip()
         exp = s.lower().partition("e")[2]
@@ -52,25 +83,38 @@ def parse_radius(value, name: str, positive: bool = False) -> Fraction:
     r = parse_rational(value)
     if r < 0 or (positive and r == 0):
         rule = "positive" if positive else "nonnegative"
-        raise NegativeEps(f"{name} must be {rule}, got {format_rational(r)}")
+        raise NegativeEps(f"{name} must be {rule}, got {format_rational(r, elide=True)}")
     return r
 
 
 def to_float(value) -> float:
-    """A real input as a float; an exact value beyond float range is bad input."""
+    """A real number as a float; anything else, or one beyond float range, is bad input."""
+    if not has_kind(value, float):
+        raise ParseError(f"expected a real number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError as exc:
         raise ParseError("number out of float range") from exc
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction, elide: bool = False) -> str:
     """Render canonically: integers bare, otherwise ``p/q`` in lowest terms.
-    A term past the interpreter's int-to-text digit limit is a cap."""
+    A term past the interpreter's int-to-text digit limit is a cap, or with
+    `elide`, for an error message that must keep its own type, ``...``."""
     try:
         return str(value)
     except ValueError as exc:
-        raise CapExceeded("an exact value has a term past the int-to-text digit limit") from exc
+        if not elide:
+            raise CapExceeded("an exact value has a term past the int-to-text digit limit") from exc
+    terms = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    return "/".join(_elided(t) for t in terms)
+
+
+def _elided(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        return "-..." if n < 0 else "..."
 
 
 def to_json_value(value):
@@ -111,6 +155,11 @@ def parse_vector(items: Sequence, dim: int | None = None) -> Vector:
 
 def format_vector(vec: Sequence[Fraction]) -> list[str]:
     return [format_rational(x) for x in vec]
+
+
+def format_point(vec: Sequence[Fraction], elide: bool = False) -> str:
+    """A vector as text, ``(1/2, 0)``; `elide` as in ``format_rational``."""
+    return "(" + ", ".join(format_rational(x, elide) for x in vec) + ")"
 
 
 def vzero(dim: int) -> Vector:

@@ -22,7 +22,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subgrad.dinioracle import SamplingPlan
+from subgrad.dinioracle import DEFAULT_PLAN, SamplingPlan
+from subgrad.errors import ParseError, SubgradError
+from subgrad.funcmodel import BlackBoxFunction, DCFunction, PAConvexFunction, function_from_json
+from subgrad.optimality import ConstraintSystem, ProblemInstance
+from subgrad.polykernel import Polyhedron
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "scenarios" / "data"
@@ -587,7 +591,8 @@ json_scalars = st.one_of(
     st.sampled_from([10**400, -(10**400), 2**63, 10**20, 0.0, -0.5, 1e-300]),
     st.floats(),
     st.integers(min_value=-1000, max_value=1000).map(str),
-    st.sampled_from(["1/0", "0", "-1", "1/3", "-7/2", "1" + "0" * 400, "1e400", "1e100000000", "x", "", "l1", "l2approx:8"]),
+    st.sampled_from(["1/0", "0", "-1", "1/3", "-7/2", "1" + "0" * 400, "1e400", "1e100000000", "x", "", "l1", "l2approx:8",
+                     "1e4300", "-1e-4300", "1e4300,0"]),
     st.text(max_size=4),
 )
 json_values = st.one_of(
@@ -607,26 +612,40 @@ PROBES = [sc for sc, _ in SHIPPED if sc["kind"] == "probe"]
 PLAN_FIELDS = [f.name for f in dataclasses.fields(SamplingPlan)]
 
 
-@st.composite
-def mutated_scenarios(draw):
-    """A shipped scenario, data files inlined, with one subtree (possibly
-    the whole scenario) replaced by random JSON or, in a probe scenario,
-    one sampling-plan field set to a random scalar."""
-    if draw(st.booleans()):
-        sc = copy.deepcopy(draw(st.sampled_from(PROBES)))
-        sc.setdefault("plan", {})[draw(st.sampled_from(PLAN_FIELDS))] = draw(json_scalars)
-        return sc
-    sc, paths = draw(st.sampled_from(SHIPPED))
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _mutated(draw, obj, paths):
+    """`obj` with one subtree (possibly all of it) replaced by random JSON,
+    or with one key of one of its objects deleted; and the deleted key."""
+    keyed = [path for path in paths if path and isinstance(_at(obj, path[:-1]), dict)]
+    if keyed and draw(st.booleans()):
+        path = draw(st.sampled_from(keyed))
+        obj = copy.deepcopy(obj)
+        del _at(obj, path[:-1])[path[-1]]
+        return obj, path[-1]
     path = draw(st.sampled_from(paths))
     new = draw(json_values)
     if not path:
-        return new
-    sc = copy.deepcopy(sc)
-    node = sc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = new
-    return sc
+        return new, None
+    obj = copy.deepcopy(obj)
+    _at(obj, path[:-1])[path[-1]] = new
+    return obj, None
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario, data files inlined, with one subtree (possibly
+    the whole scenario) replaced by random JSON, with one key deleted or, in
+    a probe scenario, with one sampling-plan field set to a random scalar."""
+    if draw(st.integers(0, 2)) == 0:
+        sc = copy.deepcopy(draw(st.sampled_from(PROBES)))
+        sc.setdefault("plan", {})[draw(st.sampled_from(PLAN_FIELDS))] = draw(json_scalars)
+        return sc
+    return _mutated(draw, *draw(st.sampled_from(SHIPPED)))[0]
 
 
 @given(mutated_scenarios())
@@ -640,6 +659,114 @@ def test_fuzzed_scenarios_keep_the_exit_contract(sc):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["run", str(path)])
     assert code in (0, 1, 2, 3)
+
+
+def _plan_fields(obj):
+    """The plan constructor's own checks on an object's fields, where they
+    are keyword arguments it takes; ``SamplingPlan.from_json`` elsewhere."""
+    if isinstance(obj, dict) and set(obj) <= set(PLAN_FIELDS):
+        return SamplingPlan(**obj)
+    return SamplingPlan.from_json(obj)
+
+
+_CLASSES = {"pa_convex": PAConvexFunction, "dc": DCFunction, "blackbox": BlackBoxFunction}
+
+
+def _parsers(obj):
+    """The parsers that read an input object of this shape."""
+    if "objective" in obj:
+        return [ProblemInstance.from_json, ConstraintSystem.from_json]
+    if "type" in obj:
+        return [function_from_json, _CLASSES[obj["type"]].from_json]
+    if "dim" in obj:
+        return [Polyhedron.from_json]
+    return [SamplingPlan.from_json, _plan_fields]
+
+
+# each input shape of scenarios/data, a black box with a box, and a full plan
+SHAPES = [json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))]
+SHAPES += [{**json.loads((DATA / "abs_sq.json").read_text()), "box": [[-1, 1]]}, DEFAULT_PLAN.to_json()]
+PARSER_INPUTS = [(parser, obj, list(_paths(obj))) for obj in SHAPES for parser in _parsers(obj)]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A parser and one of its input shapes, mutated or wrapped in a list,
+    and the key the mutation deleted, if any."""
+    parser, obj, paths = draw(st.sampled_from(PARSER_INPUTS))
+    if draw(st.integers(0, 4)) == 0:
+        return parser, [obj], None
+    return (parser, *_mutated(draw, obj, paths))
+
+
+@given(mutated_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parsers_raise_only_subgrad_errors(case):
+    parser, obj, deleted = case
+    try:
+        parser(obj)
+    except SubgradError as exc:
+        if deleted is not None and "missing field" in str(exc):
+            assert str(exc).endswith(f"is missing field {deleted!r}"), (deleted, str(exc))
+
+
+CONE_DC = json.loads((DATA / "cone_dc.json").read_text())
+ABS_PA = json.loads((DATA / "abs.json").read_text())
+ABS_EXPR = ["abs", ["coord", 0]]
+
+# Inputs on which each parser raised KeyError, TypeError or ValueError, with
+# the field the message names (None: the input is not of the right kind)
+PARSER_LEAKS = {
+    "halfspace_without_offset": (Polyhedron.from_json, {"dim": 1, "hrep": [{"normal": ["1"]}]}, "offset"),
+    "pa_without_pieces": (PAConvexFunction.from_json, {"type": "pa_convex"}, "pieces"),
+    "piece_without_slope": (PAConvexFunction.from_json, {"type": "pa_convex", "pieces": [{"intercept": "0"}]}, "slope"),
+    "dc_without_h": (DCFunction.from_json, {"type": "dc", "g": ABS_PA}, "h"),
+    "blackbox_without_expr": (BlackBoxFunction.from_json, {"type": "blackbox", "dim": 1}, "expr"),
+    "blackbox_without_dim": (BlackBoxFunction.from_json, {"type": "blackbox", "expr": ABS_EXPR}, "dim"),
+    "problem_without_k": (ProblemInstance.from_json, {k: v for k, v in CONE_DC.items() if k != "k"}, "k"),
+    "k_without_c": (ProblemInstance.from_json, {**CONE_DC, "k": {"M": CONE_DC["k"]["M"]}}, "c"),
+    "problem_without_objective": (
+        ProblemInstance.from_json, {k: v for k, v in CONE_DC.items() if k != "objective"}, "objective"),
+    "constraints_not_an_object": (ConstraintSystem.from_json, [1], None),
+    "radius_not_a_number": (lambda radii: SamplingPlan(shell_radii=radii), ("x",), None),
+    "radius_null": (lambda radii: SamplingPlan(shell_radii=radii), (None,), None),
+    "box_bound_not_a_number": (lambda box: BlackBoxFunction(ABS_EXPR, 1, box), [("x", 1)], None),
+    "box_bound_null": (lambda box: BlackBoxFunction(ABS_EXPR, 1, box), [(None, 1)], None),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSER_LEAKS))
+def test_each_parser_leak_is_a_parse_error(case):
+    parser, obj, field = PARSER_LEAKS[case]
+    with pytest.raises(ParseError) as info:
+        parser(obj)
+    if field is not None:
+        assert str(info.value).endswith(f"is missing field {field!r}")
+
+
+ABS_MINUS_X = ["check", "--dc", str(DATA / "abs_minus_x.json"), "--point", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["certify", "--problem", str(DATA / "cone_dc.json"), "--point", "1e4300,0"], "InfeasiblePoint: (..., 0) "),
+        (["check", "--claim", "equality22", "--dc", str(DATA / "abs_restricted_dc.json"), "--point", "1e4300"],
+         "PointOutsideDomain: (...) "),
+        (ABS_MINUS_X + ["--claim", "intersection27", "--mus", "0,1e4300"], "CapExceeded: "),
+        (ABS_MINUS_X + ["--claim", "cor11", "--etas", "0,1e4300"], "CapExceeded: "),
+        (ABS_MINUS_X + ["--claim", "equality22", "--eps", "1e4300"],
+         "ParseError: eps=... eta=0 selects Equality26, not Equality22"),
+    ],
+    ids=["certify-point", "check-point", "mu-grid", "eta-grid", "eps"],
+)
+def test_a_value_too_long_to_print_exits_3(capsys, argv, error):
+    # 10**4300 has one digit more than the interpreter prints: an error
+    # message elides it, a report note is a cap, and neither is exit 1
+    from subgrad import cli
+
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 def test_deeply_nested_json_is_bad_input(tmp_path, capsys):

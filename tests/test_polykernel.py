@@ -714,8 +714,11 @@ def test_normal_and_tangent_cone_at_box_corner():
 
 
 def test_normal_cone_requires_membership():
-    with pytest.raises(PointNotInSet):
-        normal_cone_at(box2(), (frac(2), frac(0)))
+    # the message shows the point exactly, and a term too long to print as "..."
+    for point, shown in (((frac(3, 2), frac(0)), "(3/2, 0)"), ((frac(10**4300), frac(0)), "(..., 0)")):
+        with pytest.raises(PointNotInSet) as info:
+            normal_cone_at(box2(), point)
+        assert str(info.value) == f"{shown} is not in the polyhedron"
 
 
 def test_conic_hull_and_subspace_test():
