@@ -9,6 +9,9 @@ Only the sampling probes use floats: the probe module (`dinioracle`, and
 NumPy with it) is imported when a probe scenario runs, so an exact command
 never loads it.  A corpus imports it once before its first scenario, so the
 one-time import is not charged to whichever probe happens to run first.
+When NumPy is not loaded yet and neither OPENBLAS_NUM_THREADS nor
+OMP_NUM_THREADS is set, `main` runs its command with OpenBLAS on one thread:
+the probes' products are too small for a pool, and starting one costs more.
 """
 
 from __future__ import annotations
@@ -548,6 +551,12 @@ def main(argv=None) -> int:
     }
     # CAPS is process-wide: put it back so that in-process callers keep theirs.
     saved = CAPS.max_dim, CAPS.max_facets
+    # OpenBLAS sizes its pool when NumPy loads, so this counts only before then
+    pin_blas = "numpy" not in sys.modules and not (
+        {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+    )
+    if pin_blas:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         env_cap = os.environ.get("SUBGRAD_MAX_FACETS")
         if env_cap:
@@ -575,6 +584,9 @@ def main(argv=None) -> int:
         return 3
     finally:
         CAPS.max_dim, CAPS.max_facets = saved
+        # a loaded OpenBLAS keeps its one thread; the environment is the caller's again
+        if pin_blas:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     wrote = _write(outcome.text + "\n")
     if args.json:
         wrote = _write_report(args.json, outcome.payload) and wrote

@@ -74,7 +74,7 @@ def parse_rational(text) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
-    raise ParseError(f"not a rational: {text!r}")
+    raise ParseError(f"not a rational: got {type(text).__name__}")
 
 
 def parse_radius(value, name: str, positive: bool = False) -> Fraction:
@@ -146,7 +146,7 @@ def record_json(record, *properties: str) -> dict:
 def parse_vector(items: Sequence, dim: int | None = None) -> Vector:
     """Parse a list or tuple of rationals; strings and scalars are rejected."""
     if not isinstance(items, (list, tuple)):
-        raise ParseError(f"not a vector: {items!r}")
+        raise ParseError(f"not a vector: got {type(items).__name__}")
     vec = tuple(parse_rational(x) for x in items)
     if dim is not None and len(vec) != dim:
         raise ParseError(f"expected a vector of length {dim}, got {len(vec)}")

@@ -1071,5 +1071,69 @@ def test_exact_commands_never_import_numpy(tmp_path):
     assert lazy_ok and probe_numpy, "the probe side still loads on demand"
 
 
+_BLAS_SIDE = """
+import contextlib, io, json, os, sys
+from subgrad import cli
+before = dict(os.environ)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", sys.argv[1]])
+print(json.dumps([code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")), dict(os.environ) == before]))
+"""
+
+
+def _blas_child(script, env_extra):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(env_extra)
+    r = subprocess.run([sys.executable, "-c", script, str(CORPUS / "probe_dini_abs.json")],
+                       capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
+def test_cli_runs_blas_on_one_thread():
+    # with no thread setting and NumPy not yet loaded, a probe runs OpenBLAS on
+    # one thread (with its pool, the process has one thread per CPU), and the
+    # caller's environment is left as it was
+    code, numpy_loaded, threads, same_env = _blas_child(_BLAS_SIDE, {})
+    assert code == 0 and numpy_loaded
+    assert threads == 1
+    assert same_env
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
+def test_cli_keeps_a_preset_blas_thread_count():
+    # a caller's own OPENBLAS_NUM_THREADS is kept: the process has the threads
+    # that NumPy alone starts under it
+    alone = "import os, numpy; print(len(os.listdir('/proc/self/task')))"
+    preset = {"OPENBLAS_NUM_THREADS": "2"}
+    code, _, threads, same_env = _blas_child(_BLAS_SIDE, preset)
+    assert code == 0 and same_env
+    assert threads == _blas_child(alone, preset)
+
+
+def test_main_leaves_blas_alone_once_numpy_is_loaded(monkeypatch, capsys):
+    # NumPy is already loaded here, so its pool is sized: main sets nothing
+    from subgrad import cli
+
+    assert "numpy" in sys.modules
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    seen = []
+    run_scenario = cli.run_scenario
+
+    def watched(*args, **kwargs):
+        seen.append(dict(os.environ))
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", watched)
+    assert cli.main(["run", str(CORPUS / "probe_dini_abs.json")]) == 0
+    capsys.readouterr()
+    assert seen == [before]
+    assert dict(os.environ) == before
+
+
 if __name__ == "__main__":
     GOLDEN_TEXT.write_text(_dump_text_reports(_text_reports()))

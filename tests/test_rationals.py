@@ -170,6 +170,19 @@ def test_parse_vector_dim_check():
         parse_vector(["1", "2"], 3)
 
 
+def test_a_value_too_long_to_print_is_named_by_type():
+    # the message names the type, so an int past the int-to-text digit limit
+    # inside a malformed value cannot turn the ParseError into a ValueError
+    huge = 10**4300
+    for call, shown in (
+        (lambda: parse_vector([[huge]]), "not a rational: got list"),
+        (lambda: parse_vector(huge), "not a vector: got int"),
+        (lambda: Polyhedron.from_vrep([[[huge]]], dim=1), "not a rational: got list"),
+    ):
+        with pytest.raises(ParseError, match=f"^{shown}$"):
+            call()
+
+
 @given(st.lists(fractions, min_size=1, max_size=4), st.data())
 def test_vector_algebra(vals, data):
     v = tuple(vals)
