@@ -99,8 +99,7 @@ def check_sum_rule(
     """Sum of eps- and eta-subdifferentials against the (eps+eta)-subdifferential
     of the sum.  For piecewise-affine convex data the polyhedral sum rule is
     exact, so anything weaker than inclusion is an internal error."""
-    e = parse_rational(eps)
-    n = parse_rational(eta)
+    e, n = parse_radius(eps, "eps"), parse_radius(eta, "eta")
     lhs = minkowski_sum(
         f.eps_subdifferential_at(x, e), g.eps_subdifferential_at(x, n)
     )

@@ -47,7 +47,7 @@ from .funcmodel import (
 )
 from .optimality import OptimalityCertificate, ProblemInstance, blunt_min_probe, certify_blunt_minimizer
 from .polykernel import CAPS, NormSpec, Polyhedron, star_difference
-from .rationals import format_point, format_rational, parse_rational
+from .rationals import format_point, format_rational, parse_radius, parse_rational
 
 if TYPE_CHECKING:
     from .dinioracle import SamplingPlan
@@ -207,9 +207,9 @@ def _run_subdiff(name: str, sc: dict, base: Path) -> RunOutcome:
     fn = function_from_json(_load_ref(sc["function"], base))
     point = _parse_point(sc["point"])
     eps = parse_rational(sc.get("eps", 0))
+    eta = parse_radius(sc.get("eta", 0), "eta")
     norm = NormSpec.parse(sc.get("norm", "l1"))
     if isinstance(fn, DCFunction):
-        eta = parse_rational(sc.get("eta", 0))
         poly = dc_dini_subdifferential(fn, point, eps, eta, norm)
     elif isinstance(fn, PAConvexFunction):
         poly = fn.eps_subdifferential_at(point, eps, norm)
@@ -447,14 +447,16 @@ def corpus_run(directory: Path, pattern: str, flags: dict) -> RunOutcome:
     return RunOutcome(code, "\n".join(lines), payload)
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None, help="override plan seed")
+# The scenario fields a flag can set, with their help; a command takes those it reads.
+_FIELD_FLAGS = {"seed": "override plan seed", "norm": "l1 | linf | l2approx:<k>", "eps": "rational p/q",
+                "eta": "rational p/q", "point": "comma-separated rationals"}
+
+
+def _common_flags(parser: argparse.ArgumentParser, *fields: str):
     parser.add_argument("--json", default=None, help="write JSON report to this path")
-    parser.add_argument("--norm", default=None, help="l1 | linf | l2approx:<k>")
-    parser.add_argument("--eps", default=None, help="rational p/q")
-    parser.add_argument("--eta", default=None, help="rational p/q")
-    parser.add_argument("--point", default=None, help="comma-separated rationals")
     parser.add_argument("--max-dim", type=int, default=None, help="dimension cap")
+    for name in fields:
+        parser.add_argument(f"--{name}", type=int if name == "seed" else str, help=_FIELD_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subdiff", help="eps-subdifferential of a function at a point")
     p.add_argument("--function", required=True)
-    _common_flags(p)
+    _common_flags(p, "point", "eps", "eta", "norm")
 
     p = sub.add_parser("stardiff", help="star-difference of two polyhedra")
     p.add_argument("--A", required=True)
@@ -480,11 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default=None)
     p.add_argument("--mus", default=None)
     p.add_argument("--etas", default=None)
-    _common_flags(p)
+    _common_flags(p, "point", "eps", "eta", "norm")
 
     p = sub.add_parser("certify", help="blunt-minimality certificate for a problem")
     p.add_argument("--problem", required=True)
-    _common_flags(p)
+    _common_flags(p, "point")
 
     p = sub.add_parser("probe", help="sampling probe on a function or problem")
     p.add_argument("--probe", required=True, choices=_PROBE_KINDS)
@@ -495,18 +497,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--mode", default=None)
     p.add_argument("--plan", default=None)
-    _common_flags(p)
+    _common_flags(p, "point", "eps", "seed")
 
     p = sub.add_parser("run", help="run one scenario file")
     p.add_argument("scenario")
-    _common_flags(p)
+    _common_flags(p, *_FIELD_FLAGS)
 
     p = sub.add_parser("corpus", help="run every scenario in a directory")
     p.add_argument("directory")
     p.add_argument("--filter", default="*.json")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: the corpus runs serially, which is faster")
-    _common_flags(p)
+    _common_flags(p, *_FIELD_FLAGS)
 
     return parser
 

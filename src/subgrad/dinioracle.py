@@ -8,10 +8,10 @@ violation in exact arithmetic before they report it, so their witness is a
 proof; a black box's witness replays through ``evaluate_batch``.  Exact
 answers live in funcmodel and calculus; these probes cross-check them and
 extend coverage to functions given only as expression trees.  A base point
-where f is not finite is bad input, never a verdict: a probe that reads f(x)
-in float raises EvaluationFailure there (``_base_value``), and calmness on PA
-and DC data, the gap probe and the blunt probe decide it exactly and raise
-PointOutsideDomain.
+x outside dom f is bad input, never a verdict: on PA and DC data every probe
+decides x in dom f exactly (``_base_point``; the gap probe by its exact
+subdifferential) and raises PointOutsideDomain, and on a black box the batch
+value at x decides it (``_base_value``), which raises EvaluationFailure.
 
 Shell design
 ------------
@@ -261,6 +261,19 @@ def _as_float_vec(x: Sequence, dim: int) -> np.ndarray:
     return np.array([to_float(v) for v in exact], dtype=float)
 
 
+def _base_point(f, x: Sequence) -> tuple[tuple[Fraction, ...], np.ndarray, Fraction | None]:
+    """x as Fractions and floats, and the exact f(x) on PA and DC data, where
+    x outside dom f raises PointOutsideDomain; None on a black box."""
+    xq = parse_vector(x, f.dim)
+    xf = _as_float_vec(xq, f.dim)
+    if not isinstance(f, (PAConvexFunction, DCFunction)):
+        return xq, xf, None
+    fq = f.evaluate(xq)
+    if fq == math.inf:
+        raise PointOutsideDomain(f"{format_point(xq, elide=True)} is outside the effective domain")
+    return xq, xf, fq
+
+
 def _base_value(f, xf: np.ndarray) -> float:
     """f at the base point by the batch evaluator; EvaluationFailure unless finite."""
     fx = float(f.evaluate_batch(np.atleast_2d(xf))[0])
@@ -336,7 +349,7 @@ def dini_directional_estimate(f, x, h, plan: SamplingPlan = DEFAULT_PLAN, *, tag
     threshold, so a single rounding artifact cannot trigger it.
     """
     dim = f.dim
-    xf = _as_float_vec(x, dim)
+    _, xf, _ = _base_point(f, x)
     hf = _as_float_vec(h, dim)
     fx = _base_value(f, xf)
     res = _RES_FACTOR * _EPS_MACH * max(1.0, abs(fx))
@@ -397,13 +410,11 @@ def calmness_probe(f, x, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:
     """Tests d-f(x; 0) = 0, the calmness criterion.
 
     Piecewise-affine data is locally Lipschitz on its domain, so PA and DC
-    inputs skip sampling.  For black boxes the h = 0 estimate diverging past
+    inputs skip sampling once x in dom f is decided exactly.  On a black box
+    the batch value at x decides it, and the h = 0 estimate diverging past
     the plan threshold falsifies calmness with a replayable (t, u) pair.
     """
-    if isinstance(f, (PAConvexFunction, DCFunction)):
-        xq = parse_vector(x, f.dim)
-        if f.evaluate(xq) == math.inf:
-            raise PointOutsideDomain(f"{format_point(xq, elide=True)} is outside the effective domain")
+    if _base_point(f, x)[2] is not None:
         return ProbeVerdict("Holds", None, [], notes=("locally Lipschitz: piecewise-affine data, calmness exact",))
     est = dini_directional_estimate(f, x, [0] * f.dim, plan, tag=_TAG_CALM)
     shells = [{"radius": s["radius"], "inf": s["inf"]} for s in est.shells]
@@ -441,15 +452,12 @@ def eps_subgradient_membership_probe(
     eq, aq = parse_radius(eps, "eps"), parse_radius(alpha, "alpha", positive=True)
     e, a = to_float(eq), to_float(aq)
     dim = f.dim
-    xf = _as_float_vec(x, dim)
-    sf = _as_float_vec(xstar, dim)
+    xq, xf, fxq = _base_point(f, x)
+    sq = parse_vector(xstar, dim)
+    sf = _as_float_vec(sq, dim)
     fx = _base_value(f, xf)
     scale = max(1.0, abs(fx))
     n = plan.samples_per_shell
-    exact = isinstance(f, (PAConvexFunction, DCFunction))
-    if exact:
-        xq, sq = parse_vector(x, dim), parse_vector(xstar, dim)
-        fxq, slack = f.evaluate(xq), aq + eq
 
     def evaluate(rng, radii):
         w = _ball_shells(rng, radii, n, dim)
@@ -462,10 +470,10 @@ def eps_subgradient_membership_probe(
 
         def recheck(j, bad):
             best = bad[_lex_order(pts[j, bad], margin[j, bad])[0]]
-            if exact:
+            if fxq is not None:
                 yq = [Fraction(z) for z in pts[j, best].tolist()]
                 step = [y - b for y, b in zip(yq, xq)]
-                if not f.evaluate(yq) - fxq < sum(map(mul, sq, step)) - slack * sum(map(abs, step)):
+                if not f.evaluate(yq) - fxq < sum(map(mul, sq, step)) - (aq + eq) * sum(map(abs, step)):
                     return None
             witness = {
                 "x": [float(z) for z in pts[j, best]],
@@ -520,13 +528,12 @@ def approx_regularity_probe(
             raise ParseError("directional mode needs a direction")
         df = _as_float_vec(direction, f.dim)
     dim = f.dim
-    xf = _as_float_vec(x, dim)
+    _, xf, fq = _base_point(f, x)
     fx = _base_value(f, xf)
     scale = max(1.0, abs(fx))
     n = plan.samples_per_shell
     # one row of ts per anchor mix parameter, the same in every shell
     anchor_rows = np.repeat([0.25, 0.5, 0.75], n)
-    exact = isinstance(f, (PAConvexFunction, DCFunction))
 
     def evaluate(rng, radii):
         g = len(radii)
@@ -569,7 +576,7 @@ def approx_regularity_probe(
             # sample i of a shell mixes pair i mod n by ts[j].flat[i]
             best = bad[_lex_order(xs0[j, bad % n], ys0[j, bad % n], ts[j].flat[bad])[0]]
             xw, yw, tw = xs0[j, best % n].tolist(), ys0[j, best % n].tolist(), float(ts[j].flat[best])
-            if exact:
+            if fq is not None:
                 xq, yq, tq = [Fraction(z) for z in xw], [Fraction(z) for z in yw], Fraction(tw)
                 mid = [tq * p + (1 - tq) * q for p, q in zip(xq, yq)]
                 dq = sum(abs(p - q) for p, q in zip(xq, yq))

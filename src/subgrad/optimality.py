@@ -10,7 +10,6 @@ witness that replays by plain evaluation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -23,7 +22,6 @@ from .errors import (
     NotACone,
     ParseError,
     PointNotInteriorDomG,
-    PointOutsideDomain,
     UnboundedC,
 )
 from .funcmodel import DCFunction, _float_rows, _fold, certified, hypothesis
@@ -399,8 +397,8 @@ def blunt_min_probe(
     from .dinioracle import (
         _TAG_BLUNT,
         DEFAULT_PLAN,
-        _as_float_vec,
         _ball_shells,
+        _base_point,
         _lex_order,
         _shell_search,
     )
@@ -409,15 +407,9 @@ def blunt_min_probe(
         plan = DEFAULT_PLAN
     e = parse_radius(eps, "eps", positive=True)
     a_set = feasible_set(p.constraints)
-    xv, _ = _member(a_set, x, InfeasiblePoint, "is not feasible")
     dc = p.objective
-    f0 = dc.evaluate(xv)
-    if f0 == math.inf:
-        raise PointOutsideDomain(f"{format_point(xv, elide=True)} is outside the effective domain")
-    f0f = to_float(f0)
-    ef = to_float(e)
-    dim = p.constraints.dim
-    xf = _as_float_vec(xv, dim)
+    xv, xf, f0 = _base_point(dc, _member(a_set, x, InfeasiblePoint, "is not feasible")[0])
+    f0f, ef, dim = to_float(f0), to_float(e), dc.dim
     normals, offsets = _float_rows(a_set.canonical()._hrep, dim)
 
     n = plan.samples_per_shell

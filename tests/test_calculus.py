@@ -23,7 +23,7 @@ from subgrad.calculus import (
     check_sum_rule,
     local_min_necessary,
 )
-from subgrad.errors import ParseError
+from subgrad.errors import NegativeEps, ParseError
 from subgrad.funcmodel import (
     AffinePiece,
     DCFunction,
@@ -78,6 +78,13 @@ def test_sum_rule_exact():
     assert cert.claim_id == "SumRule12"
     assert cert.verdict == "Equal"
     assert cert.theorem_certified
+
+
+@pytest.mark.parametrize("eps, eta, name", [(-1, 0, "eps"), (0, -1, "eta")])
+def test_sum_rule_names_the_negative_radius(eps, eta, name):
+    with pytest.raises(NegativeEps) as info:
+        check_sum_rule(abs_function(), abs_function(), [0], eps, eta)
+    assert str(info.value) == f"{name} must be nonnegative, got -1"
 
 
 def test_difference_formula_worked_example():

@@ -17,6 +17,7 @@ import tempfile
 import time
 import warnings
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -476,8 +477,8 @@ PROBE_FIELDS = {
 
 
 def _bad_base_point(tmp_path, capsys, sc) -> str:
-    """Runs a probe scenario at x = 2, with RuntimeWarnings as errors, and
-    returns the error line of its exit 3."""
+    """Runs a probe scenario at x = 2 unless it names its point, with
+    RuntimeWarnings as errors, and returns the error line of its exit 3."""
     from subgrad import cli
 
     path = tmp_path / "scenario.json"
@@ -498,8 +499,49 @@ def test_probe_base_point_outside_the_domain_exits_3(tmp_path, capsys, probe):
     if probe != "blunt":
         sc["function"] = ABS_ON_UNIT
     err = _bad_base_point(tmp_path, capsys, sc)
-    kind = "EvaluationFailure" if probe in ("dini", "membership", "regularity") else "PointOutsideDomain"
-    assert err.startswith(f"error: {kind}: "), err
+    assert err.startswith("error: PointOutsideDomain: "), err
+
+
+# |x| on 3x <= 1, alone and less x/2: the float of the point lies in the
+# domain, the point itself does not
+ABS_ON_A_THIRD = {**ABS_ON_UNIT, "domain": {"dim": 1, "hrep": [{"normal": ["3"], "offset": "1"}]}}
+ROUNDS_INTO_DOMAIN = {
+    "pa": ABS_ON_A_THIRD,
+    "dc": {"type": "dc", "g": ABS_ON_A_THIRD, "h": {"type": "pa_convex", "pieces": [{"slope": ["1/2"], "intercept": "0"}]}},
+}
+
+
+@pytest.mark.parametrize("model", list(ROUNDS_INTO_DOMAIN))
+@pytest.mark.parametrize("probe", list(PROBE_FIELDS))
+def test_a_point_whose_float_rounds_into_the_domain_is_outside_it(tmp_path, capsys, probe, model):
+    # every probe decides x in dom f exactly on PA and DC data; a float test
+    # let this point through, to Holds under regularity, an unstable Dini
+    # estimate and a membership violation read against f(x) = +inf
+    from subgrad import dinioracle as D
+    from subgrad.errors import PointOutsideDomain
+    from subgrad.optimality import blunt_min_probe
+
+    fn = ROUNDS_INTO_DOMAIN[model]
+    x = ("33333333333333333334/100000000000000000000",)
+    # x* = -1 makes membership find samples below the subgradient inequality
+    sc = {"probe": probe, **PROBE_FIELDS[probe], "point": x[0], **({"xstar": "-1"} if probe == "membership" else {})}
+    if probe == "blunt":
+        sc["problem"] = {**BLUNT_OFF_DOMAIN, "objective": fn if model == "dc" else {**BLUNT_OFF_DOMAIN["objective"], "g": fn}}
+        call = partial(blunt_min_probe, ProblemInstance.from_json(sc["problem"]), x, sc["eps"])
+    else:
+        sc["function"] = fn
+        f = function_from_json(fn)
+        call = {
+            "dini": partial(D.dini_directional_estimate, f, x, [sc.get("direction")]),
+            "calmness": partial(D.calmness_probe, f, x),
+            "membership": partial(D.eps_subgradient_membership_probe, f, x, [sc.get("xstar")], 0, 1),
+            "regularity": partial(D.approx_regularity_probe, f, x, sc.get("eps"), "convex"),
+            "gap": partial(D.gap_continuity_probe, f, x, sc.get("eps")),
+        }[probe]
+    with pytest.raises(PointOutsideDomain, match="is outside the effective domain"):
+        call()
+    err = _bad_base_point(tmp_path, capsys, sc)
+    assert err.startswith("error: PointOutsideDomain: "), err
 
 
 @pytest.mark.parametrize("probe", ["dini", "calmness", "membership", "regularity"])
@@ -545,6 +587,41 @@ def test_usage_errors_exit_3(capsys):
         assert cli.main(argv) == 3, argv
     assert cli.main(["--help"]) == 0
     assert "usage: subgrad" in capsys.readouterr().out
+
+
+# Each command with arguments that run it to exit 0, and the scenario-field
+# flags it does not read
+UNREAD_FLAGS = {
+    "stardiff": (["--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json")],
+                 ["seed", "norm", "eps", "eta", "point"]),
+    "certify": (["--problem", str(DATA / "cone_dc.json"), "--point", "0,0"], ["seed", "norm", "eps", "eta"]),
+    "subdiff": (["--function", str(DATA / "abs.json"), "--point", "0"], ["seed"]),
+    "check": (["--claim", "equality22", "--dc", str(DATA / "abs_minus_x.json"), "--point", "0"], ["seed"]),
+    "probe": (["--probe", "calmness", "--function", str(DATA / "abs.json"), "--point", "0"], ["norm", "eta"]),
+}
+FLAG_VALUES = {"seed": "5", "norm": "l1", "eps": "1/2", "eta": "1/2", "point": "0"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in UNREAD_FLAGS.items() for f in flags])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, command, flag):
+    # a command used to ignore these, so `stardiff --eps abc` exited 0
+    from subgrad import cli
+
+    argv = [command, *UNREAD_FLAGS[command][0]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, f"--{flag}", FLAG_VALUES[flag]]) == 3
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta, error", [("abc", "ParseError: bad rational literal 'abc'"),
+                                        ("-1", "NegativeEps: eta must be nonnegative, got -1")])
+@pytest.mark.parametrize("data", ["abs.json", "abs_minus_x.json"])
+def test_subdiff_reads_eta_for_every_model(capsys, data, eta, error):
+    from subgrad import cli
+
+    assert cli.main(["subdiff", "--function", str(DATA / data), "--point", "0", "--eta", eta]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
