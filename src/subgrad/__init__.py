@@ -2,199 +2,57 @@
 functions: rational polyhedra, epsilon-subdifferentials, star-difference
 formulas, optimality certificates, and sampling-based directional probes."""
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .calculus import (
-    CLAIM_IDS,
-    Certificate,
-    check_corollary11,
-    check_corollary12,
-    check_difference_formula,
-    check_inclusion_13,
-    check_intersection_formula,
-    check_sum_rule,
-    local_min_necessary,
-)
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    EmptyDomain,
-    EmptySetError,
-    EvaluationFailure,
-    InfeasiblePoint,
-    InternalCheckError,
-    NegativeEps,
-    NotACone,
-    ParseError,
-    PointNotInSet,
-    PointNotInteriorDomG,
-    PointOutsideDomain,
-    PointOutsideDomainInterior,
-    SubgradError,
-    UnboundedC,
-    UnsupportedNorm,
-)
-from .funcmodel import (
-    AffinePiece,
-    BlackBoxFunction,
-    DCFunction,
-    PAConvexFunction,
-    abs_function,
-    dc_dini_subdifferential,
-    dc_dini_subdifferential_definitional,
-    dc_hypothesis_report,
-    f_eps_expand,
-    function_from_json,
-    l1_norm_function,
-    linear_function,
-    linf_norm_function,
-    pa_sum,
-)
-from .optimality import (
-    ConstraintSystem,
-    OptimalityCertificate,
-    ProblemInstance,
-    blunt_min_probe,
-    certify_blunt_minimizer,
-    check_inclusion_28,
-    feasible_set,
-    nonneg_orthant,
-    normal_cone_feasible,
-    qualification_check,
-)
-from .polykernel import (
-    CAPS,
-    L1,
-    LINF,
-    Caps,
-    Halfspace,
-    NormSpec,
-    Polyhedron,
-    affine_image,
-    cone_is_linear_subspace,
-    conic_hull,
-    contains_point,
-    contains_polyhedron,
-    dual_norm_ball,
-    gap,
-    intersect,
-    intersect_many,
-    minkowski_sum,
-    norm_unit_ball,
-    normal_cone_at,
-    star_difference,
-    strictly_contains_point,
-    support_function,
-    tangent_cone_at,
-    translate,
-)
+# Where each public name is defined.  A name is imported on first access
+# (PEP 562) and then kept in this module's globals, so `import subgrad` loads
+# no submodule and a caller loads only the modules whose names it uses: the
+# sampling probes of `dinioracle`, and NumPy with them, stay unloaded until a
+# probe name is asked for.
+_HOME = {
+    **dict.fromkeys((
+        "CapExceeded", "DimensionMismatch", "EmptyDomain", "EmptySetError", "EvaluationFailure",
+        "InfeasiblePoint", "InternalCheckError", "NegativeEps", "NotACone", "ParseError",
+        "PointNotInSet", "PointNotInteriorDomG", "PointOutsideDomain", "PointOutsideDomainInterior",
+        "SubgradError", "UnboundedC", "UnsupportedNorm",
+    ), "errors"),
+    **dict.fromkeys((
+        "CAPS", "L1", "LINF", "Caps", "Halfspace", "NormSpec", "Polyhedron", "affine_image",
+        "cone_is_linear_subspace", "conic_hull", "contains_point", "contains_polyhedron",
+        "dual_norm_ball", "gap", "intersect", "intersect_many", "minkowski_sum", "norm_unit_ball",
+        "normal_cone_at", "star_difference", "strictly_contains_point", "support_function",
+        "tangent_cone_at", "translate",
+    ), "polykernel"),
+    **dict.fromkeys((
+        "AffinePiece", "BlackBoxFunction", "DCFunction", "PAConvexFunction", "abs_function",
+        "dc_dini_subdifferential", "dc_dini_subdifferential_definitional", "dc_hypothesis_report",
+        "f_eps_expand", "function_from_json", "l1_norm_function", "linear_function",
+        "linf_norm_function", "pa_sum",
+    ), "funcmodel"),
+    **dict.fromkeys((
+        "CLAIM_IDS", "Certificate", "check_corollary11", "check_corollary12",
+        "check_difference_formula", "check_inclusion_13", "check_intersection_formula",
+        "check_sum_rule", "local_min_necessary",
+    ), "calculus"),
+    **dict.fromkeys((
+        "ConstraintSystem", "OptimalityCertificate", "ProblemInstance", "blunt_min_probe",
+        "certify_blunt_minimizer", "check_inclusion_28", "feasible_set", "nonneg_orthant",
+        "normal_cone_feasible", "qualification_check",
+    ), "optimality"),
+    **dict.fromkeys((
+        "DEFAULT_PLAN", "DiniEstimate", "ProbeVerdict", "SamplingPlan", "approx_regularity_probe",
+        "calmness_probe", "dini_directional_estimate", "eps_subgradient_membership_probe",
+        "gap_continuity_probe",
+    ), "dinioracle"),
+}
 
-# The sampling probes live in `dinioracle`, the one module that needs NumPy at
-# import; its names resolve on first access (PEP 562), so exact callers never
-# load it.
-_PROBE_NAMES = frozenset({
-    "DEFAULT_PLAN",
-    "DiniEstimate",
-    "ProbeVerdict",
-    "SamplingPlan",
-    "approx_regularity_probe",
-    "calmness_probe",
-    "dini_directional_estimate",
-    "eps_subgradient_membership_probe",
-    "gap_continuity_probe",
-})
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _PROBE_NAMES:
-        from . import dinioracle
-
-        return getattr(dinioracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CAPS",
-    "CLAIM_IDS",
-    "Caps",
-    "Halfspace",
-    "L1",
-    "LINF",
-    "NormSpec",
-    "Polyhedron",
-    "SubgradError",
-    "AffinePiece",
-    "BlackBoxFunction",
-    "CapExceeded",
-    "Certificate",
-    "ConstraintSystem",
-    "DCFunction",
-    "DEFAULT_PLAN",
-    "DimensionMismatch",
-    "DiniEstimate",
-    "EmptyDomain",
-    "EmptySetError",
-    "EvaluationFailure",
-    "InfeasiblePoint",
-    "InternalCheckError",
-    "NegativeEps",
-    "NotACone",
-    "OptimalityCertificate",
-    "PAConvexFunction",
-    "ParseError",
-    "PointNotInSet",
-    "PointNotInteriorDomG",
-    "PointOutsideDomain",
-    "PointOutsideDomainInterior",
-    "ProbeVerdict",
-    "ProblemInstance",
-    "SamplingPlan",
-    "UnboundedC",
-    "UnsupportedNorm",
-    "abs_function",
-    "affine_image",
-    "approx_regularity_probe",
-    "blunt_min_probe",
-    "calmness_probe",
-    "certify_blunt_minimizer",
-    "check_corollary11",
-    "check_corollary12",
-    "check_difference_formula",
-    "check_inclusion_13",
-    "check_inclusion_28",
-    "check_intersection_formula",
-    "check_sum_rule",
-    "cone_is_linear_subspace",
-    "conic_hull",
-    "contains_point",
-    "contains_polyhedron",
-    "dc_dini_subdifferential",
-    "dc_dini_subdifferential_definitional",
-    "dc_hypothesis_report",
-    "dini_directional_estimate",
-    "dual_norm_ball",
-    "eps_subgradient_membership_probe",
-    "f_eps_expand",
-    "feasible_set",
-    "function_from_json",
-    "gap",
-    "gap_continuity_probe",
-    "intersect",
-    "intersect_many",
-    "l1_norm_function",
-    "linear_function",
-    "linf_norm_function",
-    "local_min_necessary",
-    "minkowski_sum",
-    "nonneg_orthant",
-    "norm_unit_ball",
-    "normal_cone_at",
-    "normal_cone_feasible",
-    "pa_sum",
-    "qualification_check",
-    "star_difference",
-    "strictly_contains_point",
-    "support_function",
-    "tangent_cone_at",
-    "translate",
-]
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value

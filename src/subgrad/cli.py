@@ -5,10 +5,16 @@ witness, 2 inconclusive, 3 input or validation error.  Text goes to stdout;
 --json writes a machine report whose bytes depend only on inputs and seed,
 never on wall time.
 
-Only the sampling probes use floats: the probe module (`dinioracle`, and
-NumPy with it) is imported when a probe scenario runs, so an exact command
-never loads it.  A corpus imports it once before its first scenario, so the
-one-time import is not charged to whichever probe happens to run first.
+Each command loads only the modules it runs.  At import this module loads
+`errors`, `rationals` and `polykernel`: all that `stardiff` needs, and all
+that a scenario of unknown kind or with a missing field needs.  A scenario
+of each kind imports the rest when it runs: `subdiff` loads `funcmodel`,
+`check` `calculus` (and `funcmodel` with it), `certify` `optimality` (and
+`funcmodel` and `simplex`), and `probe` `dinioracle` (and `funcmodel` and
+NumPy), plus `optimality` for the blunt probe.  Only the probes use floats,
+so no exact command loads NumPy.  A corpus loads all of them before its
+first scenario, `dinioracle` and NumPy last, so that no scenario's time
+includes a one-time import.
 When NumPy is not loaded yet and neither OPENBLAS_NUM_THREADS nor
 OMP_NUM_THREADS is set, `main` runs its command with OpenBLAS on one thread:
 the probes' products are too small for a pool, and starting one costs more.
@@ -21,38 +27,19 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .calculus import (
-    CLAIM_IDS,
-    Certificate,
-    check_corollary11,
-    check_corollary12,
-    check_difference_formula,
-    check_inclusion_13,
-    check_intersection_formula,
-    check_sum_rule,
-    local_min_necessary,
-)
 from .errors import ParseError, SubgradError
-from .funcmodel import (
-    DCFunction,
-    PAConvexFunction,
-    dc_dini_subdifferential,
-    dc_hypothesis_report,
-    function_from_json,
-    hypothesis,
-)
-from .optimality import OptimalityCertificate, ProblemInstance, blunt_min_probe, certify_blunt_minimizer
 from .polykernel import CAPS, NormSpec, Polyhedron, star_difference
 from .rationals import format_point, format_rational, parse_radius, parse_rational
 
 if TYPE_CHECKING:
+    from .calculus import Certificate
     from .dinioracle import SamplingPlan
-
-_CLAIM_TOKENS = {claim.lower(): claim for claim in CLAIM_IDS} | {"localmin": "LocalMinNecessary"}
+    from .funcmodel import DCFunction
+    from .optimality import OptimalityCertificate
 
 _PROBE_KINDS = ("dini", "calmness", "membership", "regularity", "gap", "blunt")
 
@@ -60,8 +47,7 @@ _PROBE_KINDS = ("dini", "calmness", "membership", "regularity", "gap", "blunt")
 _BAD_INPUT = (SubgradError, OSError)
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """One scenario's verdict: exit code, text report, JSON payload."""
 
     exit_code: int
@@ -106,6 +92,8 @@ def _parse_point(value) -> tuple:
 
 
 def _plan_from(sc: dict, base: Path) -> SamplingPlan:
+    from dataclasses import replace
+
     from .dinioracle import DEFAULT_PLAN, SamplingPlan
 
     plan = DEFAULT_PLAN
@@ -195,6 +183,8 @@ def _probe_outcome(scenario_name: str, kind: str, verdict, extra_lines=()) -> Ru
 
 
 def _function_hypothesis_lines(fn, point) -> list[str]:
+    from .funcmodel import DCFunction, PAConvexFunction, dc_hypothesis_report, hypothesis
+
     if isinstance(fn, DCFunction):
         return _hypothesis_lines(dc_hypothesis_report(fn, point))
     if isinstance(fn, PAConvexFunction):
@@ -204,6 +194,8 @@ def _function_hypothesis_lines(fn, point) -> list[str]:
 
 
 def _run_subdiff(name: str, sc: dict, base: Path) -> RunOutcome:
+    from .funcmodel import DCFunction, PAConvexFunction, dc_dini_subdifferential, function_from_json
+
     fn = function_from_json(_load_ref(sc["function"], base))
     point = _parse_point(sc["point"])
     eps = parse_rational(sc.get("eps", 0))
@@ -230,6 +222,8 @@ def _polyhedron_outcome(kind: str, poly: Polyhedron) -> RunOutcome:
 
 
 def _as_dc(obj) -> DCFunction:
+    from .funcmodel import DCFunction, function_from_json
+
     fn = function_from_json(obj)
     if not isinstance(fn, DCFunction):
         raise ParseError("this claim needs a DC function (type 'dc')")
@@ -237,13 +231,25 @@ def _as_dc(obj) -> DCFunction:
 
 
 def _run_check(name: str, sc: dict, base: Path) -> RunOutcome:
-    token = str(sc["claim"]).lower().replace("_", "").replace("-", "")
-    claim = _CLAIM_TOKENS.get(token)
+    from .calculus import (
+        CLAIM_IDS,
+        check_corollary11,
+        check_corollary12,
+        check_difference_formula,
+        check_inclusion_13,
+        check_intersection_formula,
+        check_sum_rule,
+        local_min_necessary,
+    )
+    from .funcmodel import PAConvexFunction, function_from_json
+
+    tokens = {claim.lower(): claim for claim in CLAIM_IDS} | {"localmin": "LocalMinNecessary"}
+    claim = tokens.get(str(sc["claim"]).lower().replace("_", "").replace("-", ""))
     if claim is None:
         raise ParseError(f"unknown claim {sc['claim']!r}")
     point = _parse_point(sc["point"])
-    eps = parse_rational(sc.get("eps", 0))
-    eta = parse_rational(sc.get("eta", 0))
+    eps = parse_radius(sc.get("eps", 0), "eps")
+    eta = parse_radius(sc.get("eta", 0), "eta")
     norm = NormSpec.parse(sc.get("norm", "l1"))
     if claim == "SumRule12":
         f_obj = function_from_json(_load_ref(sc["f"], base))
@@ -278,6 +284,8 @@ def _run_check(name: str, sc: dict, base: Path) -> RunOutcome:
 
 
 def _run_certify(name: str, sc: dict, base: Path) -> RunOutcome:
+    from .optimality import ProblemInstance, certify_blunt_minimizer
+
     problem = ProblemInstance.from_json(_load_ref(sc["problem"], base))
     point = _parse_point(sc["point"])
     cert = certify_blunt_minimizer(problem, point)
@@ -303,6 +311,9 @@ def _run_certify(name: str, sc: dict, base: Path) -> RunOutcome:
 
 
 def _run_probe(name: str, sc: dict, base: Path) -> RunOutcome:
+    kind = sc.get("probe")
+    if kind not in _PROBE_KINDS:
+        raise ParseError(f"unknown probe {kind!r}; expected one of {_PROBE_KINDS}")
     from .dinioracle import (
         approx_regularity_probe,
         calmness_probe,
@@ -311,16 +322,17 @@ def _run_probe(name: str, sc: dict, base: Path) -> RunOutcome:
         gap_continuity_probe,
     )
 
-    kind = sc.get("probe")
-    if kind not in _PROBE_KINDS:
-        raise ParseError(f"unknown probe {kind!r}; expected one of {_PROBE_KINDS}")
     plan = _plan_from(sc, base)
     point = _parse_point(sc["point"])
     if kind == "blunt":
+        from .optimality import ProblemInstance, blunt_min_probe
+
         problem = ProblemInstance.from_json(_load_ref(sc["problem"], base))
         eps = sc["eps"]
         verdict = blunt_min_probe(problem, point, eps, plan)
         return _probe_outcome(name, kind, verdict)
+    from .funcmodel import function_from_json
+
     fn = function_from_json(_load_ref(sc["function"], base))
     if kind == "dini":
         h = _parse_point(sc["direction"])
@@ -385,8 +397,7 @@ def run_scenario_dict(sc: dict, base: Path, flags: dict, name: str) -> RunOutcom
         outcome = _DISPATCH[kind](name, sc, base)
     except KeyError as exc:
         raise ParseError(f"scenario is missing field {exc.args[0]!r}") from exc
-    outcome.label = str(sc.get("claim") or sc.get("probe") or kind)
-    return outcome
+    return outcome._replace(label=str(sc.get("claim") or sc.get("probe") or kind))
 
 
 def run_scenario(path: Path, flags: dict) -> RunOutcome:
@@ -405,8 +416,9 @@ def corpus_run(directory: Path, pattern: str, flags: dict) -> RunOutcome:
     files = sorted(directory.glob(pattern), key=lambda p: p.name)
     if not files:
         raise ParseError(f"no scenario files matching {pattern!r} in {directory}")
-    # load the probe side here, outside the per-scenario times
-    from . import dinioracle  # noqa: F401
+    # every command's modules, outside the per-scenario times, in this order:
+    # NumPy loads with dinioracle, and loading it last keeps the peak RSS lowest
+    from . import calculus, optimality, dinioracle  # noqa: F401
 
     rows = []
     for path in files:
@@ -450,6 +462,11 @@ def corpus_run(directory: Path, pattern: str, flags: dict) -> RunOutcome:
 # The scenario fields a flag can set, with their help; a command takes those it reads.
 _FIELD_FLAGS = {"seed": "override plan seed", "norm": "l1 | linf | l2approx:<k>", "eps": "rational p/q",
                 "eta": "rational p/q", "point": "comma-separated rationals"}
+
+# How `main` reads a field flag that is set, once, whether or not a scenario
+# reads the field; --seed is an integer already.
+_FIELD_PARSERS = {"point": _parse_point, "eps": partial(parse_radius, name="eps"),
+                  "eta": partial(parse_radius, name="eta"), "norm": NormSpec.parse}
 
 
 def _common_flags(parser: argparse.ArgumentParser, *fields: str):
@@ -560,6 +577,9 @@ def main(argv=None) -> int:
     if pin_blas:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
+        for name, parse in _FIELD_PARSERS.items():
+            if name in flags:
+                parse(flags[name])
         env_cap = os.environ.get("SUBGRAD_MAX_FACETS")
         if env_cap:
             try:

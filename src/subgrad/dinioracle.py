@@ -414,7 +414,13 @@ def calmness_probe(f, x, plan: SamplingPlan = DEFAULT_PLAN) -> ProbeVerdict:
     the batch value at x decides it, and the h = 0 estimate diverging past
     the plan threshold falsifies calmness with a replayable (t, u) pair.
     """
-    if _base_point(f, x)[2] is not None:
+    return _calmness(f, x, _base_point(f, x)[2], plan)
+
+
+def _calmness(f, x, fq: Fraction | None, plan: SamplingPlan) -> ProbeVerdict:
+    """``calmness_probe`` at a base point already decided: ``fq`` is the
+    exact f(x) of ``_base_point``, None on a black box."""
+    if fq is not None:
         return ProbeVerdict("Holds", None, [], notes=("locally Lipschitz: piecewise-affine data, calmness exact",))
     est = dini_directional_estimate(f, x, [0] * f.dim, plan, tag=_TAG_CALM)
     shells = [{"radius": s["radius"], "inf": s["inf"]} for s in est.shells]
@@ -487,7 +493,7 @@ def eps_subgradient_membership_probe(
     verdict = _shell_search(plan, _TAG_MEMBER, n, evaluate, -_VERIFY_RTOL * scale, "no evaluable samples")
     if not verdict.holds:
         return verdict
-    calm = calmness_probe(f, x, plan)
+    calm = _calmness(f, x, fxq, plan)
     if calm.holds:
         return replace(verdict, notes=verdict.notes + calm.notes)
     return ProbeVerdict(

@@ -55,9 +55,9 @@ import contextvars
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_, mul
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -86,14 +86,12 @@ from .rationals import (
 )
 
 
-@dataclass
-class Caps:
+class Caps(SimpleNamespace):
     """Size limits enforced by representation conversion, and on the
     pairwise products that build a representation."""
 
-    max_dim: int = 8
-    max_facets: int = 100_000
-    max_generators: int = 100_000
+    def __init__(self, max_dim: int = 8, max_facets: int = 100_000, max_generators: int = 100_000):
+        super().__init__(max_dim=max_dim, max_facets=max_facets, max_generators=max_generators)
 
 
 CAPS = Caps()
@@ -135,26 +133,38 @@ class Halfspace(NamedTuple):
     offset: Fraction
 
 
-@dataclass(frozen=True)
 class NormSpec:
     """Which norm scales epsilon terms: l1, linf, or a polyhedral l2 stand-in.
 
     ``l2approx`` carries a facet count (>= 4, even); its unit ball is inscribed
     in the Euclidean ball and its dual ball circumscribes it, so exact results
-    computed with it bracket the Euclidean ones.
+    computed with it bracket the Euclidean ones.  A value, equal and hashed by
+    its kind and facet count.
     """
 
-    kind: str
-    facets: int | None = None
+    __slots__ = ("kind", "facets")
 
-    def __post_init__(self):
-        if self.kind not in ("l1", "linf", "l2approx"):
-            raise ParseError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "l2approx":
-            if self.facets is None or self.facets < 4 or self.facets % 2 != 0 or self.facets > 512:
+    def __init__(self, kind: str, facets: int | None = None):
+        if kind not in ("l1", "linf", "l2approx"):
+            raise ParseError(f"unknown norm kind {kind!r}")
+        if kind == "l2approx":
+            if facets is None or facets < 4 or facets % 2 != 0 or facets > 512:
                 raise ParseError("l2approx needs an even facet count in [4, 512]")
-        elif self.facets is not None:
-            raise ParseError(f"{self.kind} takes no facet count")
+        elif facets is not None:
+            raise ParseError(f"{kind} takes no facet count")
+        self.kind = kind
+        self.facets = facets
+
+    def __eq__(self, other):
+        if type(other) is not NormSpec:
+            return NotImplemented
+        return (self.kind, self.facets) == (other.kind, other.facets)
+
+    def __hash__(self):
+        return hash((self.kind, self.facets))
+
+    def __repr__(self):
+        return f"NormSpec(kind={self.kind!r}, facets={self.facets!r})"
 
     @staticmethod
     def parse(text: str) -> "NormSpec":

@@ -12,7 +12,6 @@ text.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from math import gcd, isfinite, isnan, lcm
 from numbers import Integral, Real
@@ -139,7 +138,7 @@ def to_json_value(value):
 
 def record_json(record, *properties: str) -> dict:
     """A dataclass record as JSON: each field, then each named property."""
-    names = [f.name for f in fields(record)] + list(properties)
+    names = [*record.__dataclass_fields__, *properties]
     return {name: to_json_value(getattr(record, name)) for name in names}
 
 

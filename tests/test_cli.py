@@ -624,6 +624,41 @@ def test_subdiff_reads_eta_for_every_model(capsys, data, eta, error):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("radius", ["eps", "eta"])
+@pytest.mark.parametrize("scenario", sorted(p.name for p in CORPUS.glob("check_*.json")))
+def test_check_rejects_a_negative_radius_for_every_claim(tmp_path, capsys, scenario, radius):
+    # cor11, cor12a/b, intersection27 and localmin used to accept some of these
+    from subgrad import cli
+
+    path = tmp_path / scenario
+    path.write_text(json.dumps({**_inlined(CORPUS / scenario), radius: "-1"}))
+    assert cli.main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: NegativeEps: {radius} must be nonnegative, got -1\n"
+
+
+STARDIFF = CORPUS / "stardiff_box_seg.json"
+CALMNESS = ["probe", "--probe", "calmness", "--function", str(DATA / "abs.json"), "--point", "0"]
+
+
+@pytest.mark.parametrize("argv, flags, error", [
+    (["run", str(STARDIFF)], ["--eps", "abc", "--norm", "bogus"], "ParseError: bad rational literal 'abc'"),
+    (["run", str(STARDIFF)], ["--norm", "bogus"], "ParseError: bad norm spec 'bogus'"),
+    (["run", str(STARDIFF)], ["--eta", "-1"], "NegativeEps: eta must be nonnegative, got -1"),
+    (["run", str(STARDIFF)], ["--point", "1/0"], "ParseError: bad rational literal '1/0'"),
+    (["corpus", str(CORPUS), "--filter", STARDIFF.name], ["--point", ""], "ParseError: empty point"),
+    (CALMNESS, ["--eps", "abc"], "ParseError: bad rational literal 'abc'"),
+    (CALMNESS, ["--eps", "-1"], "NegativeEps: eps must be nonnegative, got -1"),
+], ids=["run-eps-norm", "run-norm", "run-eta", "run-point", "corpus-point", "probe-eps", "probe-negative-eps"])
+def test_a_malformed_flag_is_an_error_where_no_scenario_reads_it(capsys, argv, flags, error):
+    # the flag used to be parsed only by the scenarios that read its field
+    from subgrad import cli
+
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, *flags]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 @pytest.mark.parametrize("scenario", [CORPUS / "subdiff_abs.json", CORPUS / "no_such_scenario.json"],
                          ids=["good_scenario", "missing_scenario"])
@@ -1033,20 +1068,21 @@ def test_facet_cap_environment_variable(tmp_path):
 
 def test_main_restores_caps(monkeypatch):
     # main() sets the process-wide caps for its own run only
-    from dataclasses import replace
-
     from subgrad import cli
     from subgrad.polykernel import CAPS
 
-    before = replace(CAPS)
+    def caps():
+        return CAPS.max_dim, CAPS.max_facets, CAPS.max_generators
+
+    before = caps()
     subdiff = ["subdiff", "--function", str(DATA / "abs.json"), "--point", "0"]
     assert cli.main([*subdiff, "--max-dim", "1"]) == 0
-    assert CAPS == before
+    assert caps() == before
     monkeypatch.setenv("SUBGRAD_MAX_FACETS", "2")
     assert cli.main(subdiff) == 0
-    assert CAPS == before
+    assert caps() == before
     assert cli.main(["stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json")]) == 3
-    assert CAPS == before
+    assert caps() == before
 
 
 def test_sum_rule_stops_at_the_product_cap(tmp_path, capsys):
@@ -1146,6 +1182,47 @@ def test_exact_commands_never_import_numpy(tmp_path):
     assert codes == [0, 3, 3]
     assert not exact_numpy, "an exact or malformed run imported numpy"
     assert lazy_ok and probe_numpy, "the probe side still loads on demand"
+
+
+_LOADED_SIDE = """
+import contextlib, io, json, sys
+from subgrad import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+# what `stardiff`, `subdiff` and a `run` of a malformed scenario leave unloaded
+_HEAVY = {"subgrad.calculus", "subgrad.optimality", "subgrad.simplex", "subgrad.dinioracle", "dataclasses", "numpy"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # one fresh interpreter per command: the modules it does not run stay unloaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    malformed = {
+        "stardiff": {"kind": "stardiff", "A": {"dim": 1, "hrep": 5}, "B": str(DATA / "seg.json")},
+        "subdiff": {"kind": "subdiff", "point": "0", "function": {"type": "pa_convex", "pieces": "x"}},
+        "probe": {"kind": "probe", "probe": "bogus", "point": "0"},
+    }
+    for kind, sc in malformed.items():
+        (tmp_path / f"bad_{kind}.json").write_text(json.dumps(sc))
+    dc = ["--dc", str(DATA / "abs_minus_x.json"), "--point", "0"]
+    cases = [
+        (["run", str(tmp_path / "bad_stardiff.json")], 3, _HEAVY),
+        (["run", str(tmp_path / "bad_subdiff.json")], 3, _HEAVY),
+        (["run", str(tmp_path / "bad_probe.json")], 3, _HEAVY),
+        (["stardiff", "--A", str(DATA / "box.json"), "--B", str(DATA / "seg.json")], 0, _HEAVY),
+        (["subdiff", "--function", str(DATA / "abs.json"), "--point", "0"], 0, _HEAVY),
+        (["check", "--claim", "equality22", *dc], 0, {"subgrad.optimality", "subgrad.simplex", "numpy"}),
+        (["certify", "--problem", str(DATA / "cone_dc.json"), "--point", "0,0"], 0, {"subgrad.calculus", "numpy"}),
+    ]
+    for argv, code, unloaded in cases:
+        r = subprocess.run([sys.executable, "-c", _LOADED_SIDE, *argv],
+                           capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        got, loaded = json.loads(r.stdout.strip().splitlines()[-1])
+        assert got == code, argv
+        assert not unloaded & set(loaded), (argv, sorted(unloaded & set(loaded)))
 
 
 _BLAS_SIDE = """

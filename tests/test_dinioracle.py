@@ -6,11 +6,16 @@ Sampling can falsify but never prove, so positive assertions here are about
 assertions always re-verify the witness by direct evaluation.
 """
 
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +52,7 @@ from subgrad.optimality import ConstraintSystem, ProblemInstance, blunt_min_prob
 from subgrad.polykernel import Polyhedron
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 # deep enough that the shell bias 2^-k * ||slope|| drops under the tolerance
 DEEP_PLAN = SamplingPlan(shell_radii=tuple(2.0**-k for k in range(1, 25)))
@@ -66,17 +72,23 @@ STAIRCASE = BlackBoxFunction(["staircase", ["coord", 0]], 1)
 
 
 def test_package_names_resolve():
+    # each name is its defining module's object, imported on first access
     import subgrad
-    from subgrad import dinioracle
 
     for name in subgrad.__all__:
-        getattr(subgrad, name)
-    lazy = {name for name in subgrad.__all__ if name not in vars(subgrad)}
-    assert lazy == subgrad._PROBE_NAMES
-    for name in lazy:
-        assert getattr(subgrad, name) is getattr(dinioracle, name)
+        module = importlib.import_module(f"subgrad.{subgrad._HOME[name]}")
+        value = getattr(subgrad, name)
+        assert value is getattr(module, name) and vars(subgrad)[name] is value
+        if hasattr(value, "__module__"):
+            assert value.__module__ == module.__name__, name
     with pytest.raises(AttributeError):
         subgrad.no_such_name
+    # a fresh interpreter: the package alone loads no submodule
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    script = "import json, sys, subgrad; print(json.dumps(sorted(m for m in sys.modules if m.startswith('subgrad'))))"
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == ["subgrad"]
 
 
 def test_plan_validation():
@@ -320,6 +332,20 @@ def test_membership_inconclusive_without_calmness():
         NEG_SQRT, (F(0),), (F(0),), F(0), F(2**30)
     )
     assert v.status == "Inconclusive"
+
+
+@pytest.mark.parametrize("f", [abs_function(), DCFunction(abs_function(), linear_function(["1"]))], ids=["pa", "dc"])
+def test_membership_decides_its_base_point_once(monkeypatch, f):
+    # its closing calmness check used to parse x and evaluate f(x) exactly again
+    from subgrad import dinioracle
+
+    calls = []
+    base_point = dinioracle._base_point
+    monkeypatch.setattr(dinioracle, "_base_point", lambda *args: calls.append(args) or base_point(*args))
+    v = eps_subgradient_membership_probe(f, (F(0),), (F(0),), F(0), F(1, 4))
+    assert len(calls) == 1
+    assert v.status == "Holds"
+    assert v.notes[-1:] == calmness_probe(f, (F(0),)).notes
 
 
 # ---------------------------------------------------------------------------
