@@ -46,7 +46,10 @@ held as homogeneous int points ``(w..., t)`` for ``w / t``, with
 Analysis*, sections 14-15).  Read as H-rows the same list is the unit ball
 ``<w, x> <= t``, and scaled to ``(e.num·w..., e.den·t)`` it is the dual ball
 of radius e as a raw V-rep, so an eps-enlargement ``S + eps B*`` sums raw
-generators and never converts the ball.
+generators and never converts the ball.  A sum keeps only the points that
+exactly one operand pair reaches: a point that v + w and v' + w' both reach
+(v != v') is the midpoint of v + w' and v' + w, so it is no vertex, and the
+DD run that canonicalizes the sum gets fewer rows for the same set.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import contextvars
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import and_, mul
 from types import SimpleNamespace
@@ -740,7 +744,16 @@ def intersect_many(polys: Sequence[Polyhedron]) -> Polyhedron:
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    """Pointwise sum; empty + anything = empty by convention."""
+    """Pointwise sum; empty + anything = empty by convention.
+
+    The raw points are the sums v + w of an operand point pair, less every
+    sum that two pairs reach.  If v + w = v' + w' with v != v', the point is
+    the midpoint of the distinct sums v + w' and v' + w, so it is not a
+    vertex, while a vertex of the sum splits into exactly one pair (Fukuda,
+    "From the zonotope construction to the Minkowski addition of convex
+    polytopes", J. Symb. Comput. 2004): the kept points have the same convex
+    hull.  The cap check runs on the full product.
+    """
     dim = _same_dim(p, q)
     if p.is_empty or q.is_empty:
         return Polyhedron.empty(dim)
@@ -749,6 +762,13 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     # x1 / t1 + x2 / t2 = (x1·t2 + x2·t1) / (t1·t2)
     points = [tuple(a * w[-1] + b * v[-1] for a, b in zip(v[:-1], w)) + (v[-1] * w[-1],)
               for v in p_points for w in q_points]
+    if len(p_points) > 1 and len(q_points) > 1:
+        # (with a one-point operand each sum has one pair) pairs are counted
+        # on the reduced point: two pairs can reach one rational point with
+        # different scalings
+        points = list(map(_reduced, points))
+        pairs = Counter(points)
+        points = [x for x in points if pairs[x] == 1]
     return Polyhedron(dim, raw_vrep=(points, p_rays + q_rays))
 
 

@@ -193,6 +193,18 @@ def test_local_min_necessary_pass_and_fail():
     assert not contains_point(bad.rhs, bad.witness)
 
 
+@pytest.mark.parametrize("check", [local_min_necessary, check_corollary11])
+def test_strict_inclusion_verdict_and_witness(check):
+    # |x| - x/2 at 0: the h side {1/2} is a proper subset of the g side [-1, 1]
+    dc = DCFunction(abs_function(), linear_function(["1/2"]))
+    cert = check(dc, (F(0),))
+    assert cert.verdict == "StrictInclusion"
+    assert cert.passed
+    assert cert.witness == (F(-1),)
+    assert contains_point(cert.rhs, cert.witness)
+    assert not contains_point(cert.lhs, cert.witness)
+
+
 def test_witness_replay_on_failure():
     # an inclusion that genuinely fails: definitional side of x - |x| at 0
     # is empty, never bigger, so build the failure from local_min instead

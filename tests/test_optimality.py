@@ -288,6 +288,22 @@ def test_certify_descent_step_halves_until_feasible():
     assert contains_point(feasible_set(p.constraints), y)
 
 
+def test_certify_descent_step_halves_until_linear():
+    # g = max(-x, 2x - 3/4), h = 0 on C = [-1, 1]: every step up to 1 is
+    # feasible, but g leaves its active piece -x at x = 1/4
+    g = PAConvexFunction([AffinePiece.make(["-1"], "0"), AffinePiece.make(["2"], "-3/4")])
+    c_set = Polyhedron.from_hrep([((F(1),), F(1)), ((F(-1),), F(1))], 1)
+    p = ProblemInstance(DCFunction(g, linear_function(["0"])), ConstraintSystem(c_set, [["0"]], ["0"]))
+    cert = certify_blunt_minimizer(p, (F(0),))
+    assert cert.verdict == "NotBluntMinimizer"
+    d = cert.descent
+    assert d["direction"] == (F(1),)
+    assert d["rate"] == F(-1)
+    assert contains_point(feasible_set(p.constraints), d["direction"])
+    assert d["f_step"] - d["f_base"] == d["step"] * d["rate"]
+    assert d["step"] == F(1, 4) < 1
+
+
 def test_certify_canonicalizes_under_one_memo(canonical_memos):
     problem = cone_problem(["3", "0"])
     canonical_memos.clear()

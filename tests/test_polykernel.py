@@ -4,6 +4,7 @@ Heavier randomized cross-checks live in test_acceptance; these are targeted
 unit and property tests with independent brute-force comparisons.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -623,6 +624,58 @@ def test_minkowski_sum_of_generators_is_sum_of_vertices(pair):
         dim=p.dim,
     )
     assert got == want.to_json()
+
+
+def _cube(dim, lo=0, hi=1):
+    return Polyhedron.from_vrep(itertools.product([F(lo), F(hi)], repeat=dim), dim=dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_minkowski_sum_keeps_the_points_one_pair_reaches(dim):
+    # [0, 1]^d + [0, 1]^d: a coordinate 1 comes from 0 + 1 and from 1 + 0, so
+    # of the 3^d distinct sums only the 2^d corners {0, 2}^d are kept
+    s = minkowski_sum(_cube(dim), _cube(dim))
+    points, rays = s._raw_vrep
+    assert sorted(points) == sorted(tuple(2 * x for x in c) + (1,) for c in itertools.product([0, 1], repeat=dim))
+    assert rays == ()
+    assert s == _cube(dim, 0, 2)
+
+
+def test_minkowski_sum_counts_pairs_on_the_reduced_point():
+    # 1/2 + 1/2 is (4, 4) before reduction and 0 + 1 is (1, 1): one point,
+    # three pairs with 1 + 0, so only the ends 0 and 2 are kept
+    seg = Polyhedron.from_vrep([(F(0),), (F(1, 2),), (F(1),)], dim=1)
+    s = minkowski_sum(seg, seg)
+    assert s._raw_vrep == (((0, 1), (2, 1)), ())
+
+
+@st.composite
+def lattice_operands(draw, dim):
+    """A box with corners on the lattice of step 1, 1/2 or 1/3 (a segment or
+    a point where a side is 0), with up to two rays: its pair sums often
+    coincide, and the same sum comes with different denominators."""
+    step = draw(st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+    lo = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+    sides = draw(st.tuples(*[st.integers(0, 2)] * dim))
+    corners = [tuple(step * (a + b * c) for a, b, c in zip(lo, sides, bits))
+               for bits in itertools.product([0, 1], repeat=dim)]
+    rays = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * dim), max_size=2))
+    rays = [tuple(map(F, r)) for r in rays]
+    return Polyhedron.from_vrep(corners, rays, dim=dim), {"vrep": (corners, rays)}
+
+
+@st.composite
+def lattice_pairs(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    return dim, draw(lattice_operands(dim)), draw(lattice_operands(dim))
+
+
+@given(lattice_pairs())
+@settings(max_examples=80, deadline=None)
+def test_minkowski_sum_of_lattice_operands_matches_reference(case):
+    dim, (p, p_raw), (q, q_raw) = case
+    want = oracles.canonical_reference(dim, **oracles.minkowski_sum_reference(dim, p_raw, q_raw))
+    assert minkowski_sum(p, q).to_json() == want
 
 
 @given(small_dims, seeds)
